@@ -153,12 +153,8 @@ def _write_metrics(path, metrics):
     path.write_text(json.dumps(clean, indent=2, sort_keys=True) + "\n", "utf-8")
 
 
-def _solver_for(run_cfg, choice):
-    if choice == "svt":
-        return "svt", SvtConfig(
-            max_iter=run_cfg.solver.max_iter, tol=run_cfg.solver.step_tol
-        )
-    return "spg", None
+def _svt_config(run_cfg):
+    return SvtConfig(max_iter=run_cfg.solver.max_iter, tol=run_cfg.solver.step_tol)
 
 
 def _cmd_synth(args):
@@ -173,8 +169,7 @@ def _cmd_synth(args):
 def _solve_one(data, run_cfg, choice):
     start = time.perf_counter()
     if choice == "svt":
-        cfg = SvtConfig(max_iter=run_cfg.solver.max_iter, tol=run_cfg.solver.step_tol)
-        result = svt_solve(data, cfg)
+        result = svt_solve(data, _svt_config(run_cfg))
     else:
         result = solve(CompletionLoss(data), run_cfg.solver)
     return result, time.perf_counter() - start
@@ -213,9 +208,7 @@ def _cmd_solve(args):
         solver_choice=choice,
         trials=args.trials,
         solver_config=run_cfg.solver,
-        svt_config=SvtConfig(
-            max_iter=run_cfg.solver.max_iter, tol=run_cfg.solver.step_tol
-        ),
+        svt_config=_svt_config(run_cfg),
     )
     rows = [_summary_row(summary, run_cfg, run_cfg.solver.mu0, run_cfg.solver.alpha)]
     (out / "results.csv").write_text(io_formats.results_csv_write(rows), "utf-8")

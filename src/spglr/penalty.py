@@ -114,13 +114,18 @@ def prox_matrix(W, d, tau, nu):
 
 def prox_matrix_with_spectrum(W, d, tau, nu):
     """prox_matrix plus the output spectrum, which equals
-    prox_vector(sigma(W), d, tau, nu) and is descending."""
-    factors = svd(W)
-    d = _check_d(d, factors.sigma.size)
+    prox_vector(sigma(W), d, tau, nu) and is descending.
+
+    X is rebuilt from the leading triplets whose shrunk value is nonzero;
+    the descending order puts every zero after them.
+    """
+    U, sigma, V = svd(W)
+    d = _check_d(d, sigma.size)
     if np.any(np.diff(d) > 0):
         raise ValueError("d must be nonincreasing for the matrix prox")
-    x_hat = prox_vector(factors.sigma, d, tau, nu)
-    return (factors.U * x_hat) @ factors.V.T, x_hat
+    x_hat = prox_vector(sigma, d, tau, nu)
+    r = int(np.count_nonzero(x_hat))
+    return (U[:, :r] * x_hat[:r]) @ V[:, :r].T, x_hat
 
 
 def _check_spectrum(sigma):

@@ -9,11 +9,16 @@ keeps the smoothing parameter mu (when the energy value dropped by at
 least alpha * mu) or resets it onto the decaying envelope
 mu0 / (k + 1)^sigma_exp.
 
+Backtracking starts at the last accepted gamma, clamped to
+[gamma_lo, gamma_hi], so a typical iteration pays for one prox (one
+thin SVD). After _DECREASE_AFTER consecutive iterations accepted at
+their first candidate, the next one starts at gamma / rho instead, so a
+gamma pushed up by a rounding-level rejection does not stay up for good.
+
 The energy value loss~(X, mu) + lam * penalty + kappa * mu is
 nonincreasing along the iterates, which is what drives the schedule.
 """
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -28,6 +33,10 @@ from .penalty import (
     phi_d,
     prox_matrix_with_spectrum,
 )
+
+# Consecutive first-candidate accepts after which an iteration tries
+# gamma / rho before the last accepted gamma.
+_DECREASE_AFTER = 10
 
 
 @dataclass
@@ -155,7 +164,7 @@ def line_search(X_k, mu_k, gamma_init, d_k, binding, params, rho):
     """
     f_k = binding.value(X_k, mu_k)
     G = binding.gradient(X_k, mu_k)
-    gamma, X_next, _ = _line_search_inner(
+    gamma, X_next, _, _ = _line_search_inner(
         X_k, f_k, G, mu_k, gamma_init, d_k, binding, params, rho
     )
     return gamma, X_next
@@ -164,8 +173,14 @@ def line_search(X_k, mu_k, gamma_init, d_k, binding, params, rho):
 def _line_search_inner(X_k, f_k, G, mu_k, gamma_init, d_k, binding, params, rho):
     """Backtracking loop reusing the loss value and gradient at X_k.
 
-    Returns (gamma, X_next, sigma_next) with sigma_next the descending
-    spectrum of X_next taken from the prox, saving one SVD per iteration.
+    Tries gamma_init, rho * gamma_init, ... In `solve`, gamma_init is the
+    last accepted gamma (or gamma / rho after a run of first-candidate
+    accepts), so the first candidate is usually accepted.
+
+    Returns (gamma, X_next, sigma_next, loss_next): sigma_next is the
+    descending spectrum of X_next taken from the prox, saving one SVD per
+    iteration, and loss_next is the smoothed loss at X_next under mu_k
+    that the acceptance test already computed.
     """
     norm_scale = max(1.0, frobenius_norm(X_k))
     gamma = gamma_init
@@ -180,7 +195,7 @@ def _line_search_inner(X_k, f_k, G, mu_k, gamma_init, d_k, binding, params, rho)
         # A numerically zero step satisfies the test in exact arithmetic;
         # accept it to avoid chasing rounding noise at fixed points.
         if lhs <= rhs or step <= 1e-14 * norm_scale:
-            return gamma, X_hat, sigma_hat
+            return gamma, X_hat, sigma_hat, lhs
         gamma *= rho
 
 
@@ -268,8 +283,10 @@ def solve(binding, config):
     X = binding.initial_iterate()
     sigma = svd(X).sigma
     mu = config.mu0
-    energy_prev = _energy_from_parts(binding.value(X, mu), sigma, mu, binding, params)
-    gamma_prev = None
+    f_k = binding.value(X, mu)
+    energy_prev = _energy_from_parts(f_k, sigma, mu, binding, params)
+    gamma = 1.0
+    first_try_streak = 0
     trace = []
     grad_norms = []
     status = "max_iter"
@@ -277,21 +294,23 @@ def solve(binding, config):
 
     for k in range(config.max_iter):
         d_k = d_vector(sigma, config.nu)
-        if gamma_prev is None:
-            gamma_init = min(max(1.0, config.gamma_lo), config.gamma_hi)
-        else:
-            gamma_init = min(max(gamma_prev / config.rho, config.gamma_lo), config.gamma_hi)
+        gamma_init = gamma
+        if first_try_streak >= _DECREASE_AFTER:
+            gamma_init = gamma / config.rho
+            first_try_streak = 0
+        gamma_init = min(max(gamma_init, config.gamma_lo), config.gamma_hi)
 
-        f_k = binding.value(X, mu)
+        if f_k is None:
+            f_k = binding.value(X, mu)
         G = binding.gradient(X, mu)
         grad_norms.append(float(np.linalg.norm(G)))
 
-        gamma, X_next, sigma_next = _line_search_inner(
+        gamma, X_next, sigma_next, loss_next = _line_search_inner(
             X, f_k, G, mu, gamma_init, d_k, binding, params, config.rho
         )
+        first_try_streak = first_try_streak + 1 if gamma == gamma_init else 0
         step = frobenius_norm(X_next - X)
 
-        loss_next = binding.value(X_next, mu)
         smoothed_obj = loss_next + params.lam * capped_surrogate(sigma_next, params.nu)
         energy_now = smoothed_obj + binding.kappa * mu
         exact_obj = binding.value(X_next, 0.0) + params.lam * capped_surrogate(
@@ -301,6 +320,7 @@ def solve(binding, config):
         mu_next = update_mu(
             k, mu, energy_now, energy_prev, config.alpha, config.mu0, config.sigma_exp
         )
+        mu_reset = mu_next != mu
         trace.append(
             IterationRecord(
                 k=k,
@@ -311,7 +331,7 @@ def solve(binding, config):
                 exact_objective=exact_obj,
                 step_norm=step,
                 rank_estimate=rank_estimate(sigma_next),
-                mu_reset=(mu_next != mu),
+                mu_reset=mu_reset,
             )
         )
 
@@ -324,7 +344,8 @@ def solve(binding, config):
         X = X_next
         sigma = sigma_next
         energy_prev = energy_now
-        gamma_prev = gamma
+        # The accepted loss is the next f_k unless mu moves.
+        f_k = None if mu_reset else loss_next
         mu = mu_next
 
         if small_steps >= 3:

@@ -11,6 +11,7 @@ from spglr.penalty import (
     phi,
     phi_d,
     prox_matrix,
+    prox_matrix_with_spectrum,
     prox_vector,
 )
 
@@ -161,6 +162,31 @@ def test_prox_matrix_spectrum_matches_vector_prox():
         X_hat = prox_matrix(W, d, tau, nu)
         expected = prox_vector(sigma, d, tau, nu)
         assert np.max(np.abs(svd(X_hat).sigma - expected)) <= 1e-9
+
+
+@pytest.mark.parametrize("shape", [(7, 4), (4, 7)])
+@pytest.mark.parametrize("kept", ["none", "some", "all"])
+def test_prox_matrix_thin_rebuild_matches_full_factors(shape, kept):
+    rng = np.random.default_rng(31)
+    W = rng.standard_normal(shape)
+    U, sigma, V = svd(W)
+    k = sigma.size
+    nu = 0.5
+    if kept == "none":
+        d, tau = np.ones(k, dtype=int), 2.0 * nu * sigma[0]
+    elif kept == "some":
+        d, tau = np.array([2] + [1] * (k - 1)), nu * 0.5 * (sigma[1] + sigma[2])
+    else:
+        d, tau = np.full(k, 2), 0.3
+    X_hat, x_hat = prox_matrix_with_spectrum(W, d, tau, nu)
+    full = (U * x_hat) @ V.T
+    r = int(np.count_nonzero(x_hat))
+    assert r == {"none": 0, "some": 2, "all": k}[kept]
+    assert X_hat.shape == shape
+    if r == 0:
+        assert np.array_equal(X_hat, np.zeros(shape))
+    else:
+        assert np.linalg.norm(X_hat - full) <= 1e-14 * np.linalg.norm(full)
 
 
 def test_prox_matrix_local_optimality_sampling():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import spglr
+from spglr import solver as solver_module
 from spglr.losses import CompletionLoss, MaskedData, RpcaLoss
 from spglr.penalty import CappedPenaltyParams, PenaltyCapAdvisory, capped_surrogate
 from spglr.solver import (
@@ -298,14 +299,39 @@ def test_solve_noiseless_completion_regression():
     assert result.trace[-1].rank_estimate == 3
 
 
-def test_solve_trace_invariants():
-    rng = np.random.default_rng(8)
+def noisy_completion():
     spec = spglr.TrialSpec(
         m=20, n=16, r=2, sr=0.8, noise=spglr.GmmNoiseParams(1e-4, 0.1, 0.1), seed=5
     )
-    M, data = spglr.build_trial_data(spec)
+    _, data = spglr.build_trial_data(spec)
+    return CompletionLoss(data)
+
+
+def sparse_corrupted_low_rank():
+    rng = np.random.default_rng(12)
+    truth = spglr.gen_low_rank(20, 20, 2, 12)
+    S = np.zeros((20, 20))
+    idx = rng.choice(400, 40, replace=False)
+    S.flat[idx] = rng.uniform(-0.5, 0.5, 40)
+    return truth, truth + S
+
+
+def count_prox_calls(monkeypatch):
+    """Route the solver's prox through a wrapper that counts its calls."""
+    calls = []
+    original = solver_module.prox_matrix_with_spectrum
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(solver_module, "prox_matrix_with_spectrum", counting)
+    return calls
+
+
+def test_solve_trace_invariants():
     cfg = SolverConfig(lam=0.75, nu=0.05, max_iter=120)
-    result = solve(CompletionLoss(data), cfg)
+    result = solve(noisy_completion(), cfg)
     trace = result.trace
     assert len(trace) == result.iterations == 120
     assert len(result.grad_norms) == len(trace)
@@ -364,13 +390,38 @@ def test_solve_emits_cap_advisory_warning():
         solve(binding, cfg)
 
 
+@pytest.mark.parametrize(
+    "make_binding, cfg",
+    [
+        (noisy_completion, SolverConfig(lam=0.75, nu=0.05, max_iter=120)),
+        # unlike the completion run, this one backtracks
+        (
+            lambda: RpcaLoss(sparse_corrupted_low_rank()[1]),
+            SolverConfig(lam=0.4, nu=0.05, max_iter=300),
+        ),
+    ],
+    ids=["completion", "rpca"],
+)
+def test_solve_pays_about_one_prox_per_iteration(monkeypatch, make_binding, cfg):
+    calls = count_prox_calls(monkeypatch)
+    result = solve(make_binding(), cfg)
+    assert len(calls) <= 1.1 * result.iterations
+
+
+def test_solve_retries_smaller_gamma_after_an_increase(monkeypatch):
+    calls = count_prox_calls(monkeypatch)
+    _, L = sparse_corrupted_low_rank()
+    result = solve(RpcaLoss(L), SolverConfig(lam=0.4, nu=0.05, max_iter=300))
+    assert len(calls) > result.iterations  # the run backtracks
+    gammas = [rec.gamma_k for rec in result.trace]
+    rises = [k for k in range(1, len(gammas)) if gammas[k] > gammas[k - 1]]
+    assert rises
+    assert any(gammas[k] < gammas[k - 1] for k in range(rises[0] + 1, len(gammas)))
+
+
 def test_solve_rpca_splits_sparse_corruption():
-    rng = np.random.default_rng(12)
-    truth = spglr.gen_low_rank(20, 20, 2, 12)
-    S = np.zeros((20, 20))
-    idx = rng.choice(400, 40, replace=False)
-    S.flat[idx] = rng.uniform(-0.5, 0.5, 40)
-    result = solve(RpcaLoss(truth + S), SolverConfig(lam=0.4, nu=0.05, max_iter=300))
+    truth, L = sparse_corrupted_low_rank()
+    result = solve(RpcaLoss(L), SolverConfig(lam=0.4, nu=0.05, max_iter=300))
     assert spglr.rmse(result.X_final, truth) < 5e-3
     assert result.trace[-1].rank_estimate == 2
 
