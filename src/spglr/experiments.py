@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import as_matrix
-from .linalg import rank_estimate  # noqa: F401  (re-exported for trace consumers)
 from .losses import CompletionLoss, MaskedData
 from .solver import SolverConfig, solve
 from .svt import SvtConfig, svt_solve

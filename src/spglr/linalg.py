@@ -18,7 +18,8 @@ class SvdFactors(NamedTuple):
     """Thin SVD of a matrix W: W = U @ diag(sigma) @ V.T.
 
     U is (m, k), sigma is (k,) sorted descending, V is (n, k) with
-    k = min(m, n). Both factor matrices have orthonormal columns.
+    k = min(m, n) (fewer for a truncated SVD, which keeps the leading
+    triplets). Both factor matrices have orthonormal columns.
     """
 
     U: np.ndarray
@@ -72,6 +73,82 @@ def svd(W):
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"SVD failed on {W.shape} matrix: {exc}") from exc
     return SvdFactors(U, s, Vh.T)
+
+
+# Extra columns carried beyond the triplets a truncated SVD must return;
+# the gap to singular value b + 1 sets how fast the kept ones converge.
+_BLOCK_PAD = 5
+# Sweeps at one block size before the block is doubled.
+_MAX_SWEEPS = 30
+# A kept triplet has converged once ||W v_i - s_i u_i|| <= _RESIDUAL_TOL * s_1.
+_RESIDUAL_TOL = 1e-13
+
+
+def _leading_svd(W, k_min, threshold, V0, rng):
+    """Leading singular triplets of W, certified to cover every singular
+    value at or above `threshold`.
+
+    Block subspace iteration (Halko, Martinsson & Tropp, SIAM Review
+    2011) from the columns of V0 (or none) plus Gaussian columns drawn
+    from `rng`. Each sweep orthonormalises W @ V by QR and takes the
+    Rayleigh-Ritz triplets from the SVD of the small matrix W.T @ Q. It
+    keeps k = max(k_min, #{s_i > threshold}) triplets once each has
+    ||W v_i - s_i u_i|| <= 1e-13 * s_1, and returns them as SvdFactors
+    with k columns only when the residual R = W - (W V_k) V_k.T passes
+    the certificate: a Cholesky factorisation of threshold^2 * I - R.T R
+    (the smaller Gram) succeeds, so sigma_{k+1}(W) <= ||R|| < threshold.
+
+    A failed certificate, or no convergence within _MAX_SWEEPS, doubles
+    the block. Returns None once the block would exceed min(m, n) / 2,
+    where the full SVD is the cheaper way to the same triplets.
+    """
+    W = as_matrix(W)
+    m, n = W.shape
+    limit = min(m, n) // 2
+    start = np.empty((n, 0)) if V0 is None else V0
+    b = max(k_min, start.shape[1]) + _BLOCK_PAD
+    if b > limit:
+        return None
+    V = np.hstack([start, rng.standard_normal((n, b - start.shape[1]))])
+    Y = W @ V
+    sweeps = 0
+    while True:
+        Q = np.linalg.qr(Y)[0]
+        try:
+            P, s, Ht = np.linalg.svd(W.T @ Q, full_matrices=False)
+        except np.linalg.LinAlgError:
+            return None
+        U = Q @ Ht.T
+        Y = W @ P
+        sweeps += 1
+        k = max(k_min, int(np.count_nonzero(s > threshold)))
+        grow = k == b or sweeps == _MAX_SWEEPS
+        if k < b:
+            resid = np.linalg.norm(Y[:, :k] - U[:, :k] * s[:k], axis=0)
+            if resid.max(initial=0.0) <= _RESIDUAL_TOL * s[0]:
+                if _norm_below(W - Y[:, :k] @ P[:, :k].T, threshold):
+                    return SvdFactors(U[:, :k], s[:k], P[:, :k])
+                grow = True
+        if grow:
+            if 2 * b > limit:
+                return None
+            V = np.hstack([P, rng.standard_normal((n, b))])
+            b *= 2
+            Y = W @ V
+            sweeps = 0
+
+
+def _norm_below(R, bound):
+    """True when the Cholesky factorisation of bound^2 * I - G succeeds,
+    G the smaller Gram matrix of R; that proves ||R||_2 < bound."""
+    G = R.T @ R if R.shape[0] >= R.shape[1] else R @ R.T
+    C = -G
+    C.flat[:: C.shape[0] + 1] += bound * bound
+    try:
+        np.linalg.cholesky(C)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def reconstruct(factors):

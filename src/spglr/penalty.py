@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import svd
+from .linalg import _leading_svd, svd
+
+# Inputs with at least this many entries take the truncated prox when a
+# warm start is given. Measured as solve time per prox call on square
+# completion solves with one BLAS thread, truncated against full SVD:
+# 60x60 1.62 vs 1.43 ms, 70x70 1.71 vs 1.78 ms, 100x100 2.04 vs 3.36 ms.
+# The cutoff keeps a margin above that break-even point.
+_TRUNCATE_MIN_SIZE = 10_000
 
 
 class PenaltyCapAdvisory(UserWarning):
@@ -112,19 +119,55 @@ def prox_matrix(W, d, tau, nu):
     return X
 
 
-def prox_matrix_with_spectrum(W, d, tau, nu):
+class ProxWarmStart:
+    """State one solve carries from prox to prox on the truncated path.
+
+    V is the right factor of the last prox output (None before the
+    first), rng draws the random starting columns, `calls` counts prox
+    calls and `fallbacks` the truncated-path calls whose certificate
+    failed, so that they ran the full SVD.
+    """
+
+    def __init__(self, seed):
+        self.V = None
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+        self.fallbacks = 0
+
+
+def prox_matrix_with_spectrum(W, d, tau, nu, warm=None):
     """prox_matrix plus the output spectrum, which equals
     prox_vector(sigma(W), d, tau, nu) and is descending.
 
     X is rebuilt from the leading triplets whose shrunk value is nonzero;
     the descending order puts every zero after them.
+
+    With a ProxWarmStart `warm`, a W of at least _TRUNCATE_MIN_SIZE
+    entries is decomposed only as far as the prox needs: every d = 2
+    triplet and every singular value above tau / nu, since the rest
+    shrink to exactly zero. The truncated SVD starts from warm.V and
+    proves that the next singular value is below tau / nu; when it
+    cannot, the full SVD runs instead and warm.fallbacks counts it.
     """
-    U, sigma, V = svd(W)
-    d = _check_d(d, sigma.size)
+    factors = None
+    if warm is not None:
+        warm.calls += 1
+        if np.size(W) >= _TRUNCATE_MIN_SIZE:
+            k_min = int(np.count_nonzero(np.asarray(d) == 2))
+            factors = _leading_svd(W, k_min, tau / nu, warm.V, warm.rng)
+            if factors is None:
+                warm.fallbacks += 1
+    U, s, V = factors or svd(W)
+    d = _check_d(d, min(U.shape[0], V.shape[0]))
     if np.any(np.diff(d) > 0):
         raise ValueError("d must be nonincreasing for the matrix prox")
+    # Values past the truncation are below tau / nu and have d = 1.
+    sigma = np.zeros(d.size)
+    sigma[: s.size] = s
     x_hat = prox_vector(sigma, d, tau, nu)
     r = int(np.count_nonzero(x_hat))
+    if warm is not None:
+        warm.V = V[:, :r]
     return (U[:, :r] * x_hat[:r]) @ V[:, :r].T, x_hat
 
 

@@ -10,10 +10,16 @@ least alpha * mu) or resets it onto the decaying envelope
 mu0 / (k + 1)^sigma_exp.
 
 Backtracking starts at the last accepted gamma, clamped to
-[gamma_lo, gamma_hi], so a typical iteration pays for one prox (one
-thin SVD). After _DECREASE_AFTER consecutive iterations accepted at
-their first candidate, the next one starts at gamma / rho instead, so a
-gamma pushed up by a rounding-level rejection does not stay up for good.
+[gamma_lo, gamma_hi], so a typical iteration pays for one prox. After
+_DECREASE_AFTER consecutive iterations accepted at their first
+candidate, the next one starts at gamma / rho instead, so a gamma pushed
+up by a rounding-level rejection does not stay up for good.
+
+On inputs large enough for it, the prox decomposes W only as far as its
+output needs, warm-started from the right factor of the previous prox
+output; see penalty.prox_matrix_with_spectrum. Its random starting
+columns come from a generator seeded with SolverConfig.seed per solve,
+so a solve is deterministic.
 
 The energy value loss~(X, mu) + lam * penalty + kappa * mu is
 nonincreasing along the iterates, which is what drives the schedule.
@@ -28,6 +34,7 @@ from .linalg import as_matrix, frobenius_norm, rank_estimate, svd
 from .penalty import (
     CappedPenaltyParams,
     PenaltyCapAdvisory,
+    ProxWarmStart,
     capped_surrogate,
     d_vector,
     phi_d,
@@ -111,6 +118,10 @@ class SolveResult:
     stationarity_residual: float
     objective_gap: float
     grad_norms: list = field(default_factory=list)
+    # Spectral prox calls, and those of them on the truncated path that
+    # fell back to the full SVD.
+    prox_calls: int = 0
+    prox_fallbacks: int = 0
 
     @property
     def iterations(self):
@@ -164,30 +175,34 @@ def line_search(X_k, mu_k, gamma_init, d_k, binding, params, rho):
     """
     f_k = binding.value(X_k, mu_k)
     G = binding.gradient(X_k, mu_k)
-    gamma, X_next, _, _ = _line_search_inner(
+    gamma, X_next, *_ = _line_search_inner(
         X_k, f_k, G, mu_k, gamma_init, d_k, binding, params, rho
     )
     return gamma, X_next
 
 
-def _line_search_inner(X_k, f_k, G, mu_k, gamma_init, d_k, binding, params, rho):
+def _line_search_inner(
+    X_k, f_k, G, mu_k, gamma_init, d_k, binding, params, rho, warm=None
+):
     """Backtracking loop reusing the loss value and gradient at X_k.
 
     Tries gamma_init, rho * gamma_init, ... In `solve`, gamma_init is the
     last accepted gamma (or gamma / rho after a run of first-candidate
-    accepts), so the first candidate is usually accepted.
+    accepts), so the first candidate is usually accepted. `warm` is
+    passed on to the prox.
 
-    Returns (gamma, X_next, sigma_next, loss_next): sigma_next is the
-    descending spectrum of X_next taken from the prox, saving one SVD per
-    iteration, and loss_next is the smoothed loss at X_next under mu_k
-    that the acceptance test already computed.
+    Returns (gamma, X_next, sigma_next, loss_next, step, norm_scale):
+    sigma_next is the descending spectrum of X_next taken from the prox,
+    saving one SVD per iteration; loss_next is the smoothed loss at
+    X_next under mu_k that the acceptance test already computed; step is
+    ||X_next - X_k|| and norm_scale is max(1, ||X_k||).
     """
     norm_scale = max(1.0, frobenius_norm(X_k))
     gamma = gamma_init
     while True:
         W = X_k - (mu_k / gamma) * G
         tau = params.lam * mu_k / gamma
-        X_hat, sigma_hat = prox_matrix_with_spectrum(W, d_k, tau, params.nu)
+        X_hat, sigma_hat = prox_matrix_with_spectrum(W, d_k, tau, params.nu, warm)
         diff = X_hat - X_k
         step = frobenius_norm(diff)
         lhs = binding.value(X_hat, mu_k)
@@ -195,7 +210,7 @@ def _line_search_inner(X_k, f_k, G, mu_k, gamma_init, d_k, binding, params, rho)
         # A numerically zero step satisfies the test in exact arithmetic;
         # accept it to avoid chasing rounding noise at fixed points.
         if lhs <= rhs or step <= 1e-14 * norm_scale:
-            return gamma, X_hat, sigma_hat, lhs
+            return gamma, X_hat, sigma_hat, lhs, step, norm_scale
         gamma *= rho
 
 
@@ -286,6 +301,7 @@ def solve(binding, config):
     f_k = binding.value(X, mu)
     energy_prev = _energy_from_parts(f_k, sigma, mu, binding, params)
     gamma = 1.0
+    warm = ProxWarmStart(config.seed)
     first_try_streak = 0
     trace = []
     grad_norms = []
@@ -305,11 +321,10 @@ def solve(binding, config):
         G = binding.gradient(X, mu)
         grad_norms.append(float(np.linalg.norm(G)))
 
-        gamma, X_next, sigma_next, loss_next = _line_search_inner(
-            X, f_k, G, mu, gamma_init, d_k, binding, params, config.rho
+        gamma, X_next, sigma_next, loss_next, step, norm_scale = _line_search_inner(
+            X, f_k, G, mu, gamma_init, d_k, binding, params, config.rho, warm
         )
         first_try_streak = first_try_streak + 1 if gamma == gamma_init else 0
-        step = frobenius_norm(X_next - X)
 
         smoothed_obj = loss_next + params.lam * capped_surrogate(sigma_next, params.nu)
         energy_now = smoothed_obj + binding.kappa * mu
@@ -335,7 +350,7 @@ def solve(binding, config):
             )
         )
 
-        rel_step = step / max(1.0, frobenius_norm(X))
+        rel_step = step / norm_scale
         if mu <= config.mu_stop and rel_step <= config.step_tol:
             small_steps += 1
         else:
@@ -365,4 +380,6 @@ def solve(binding, config):
         stationarity_residual=residual,
         objective_gap=gap,
         grad_norms=grad_norms,
+        prox_calls=warm.calls,
+        prox_fallbacks=warm.fallbacks,
     )

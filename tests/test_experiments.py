@@ -12,7 +12,6 @@ from spglr.experiments import (
     gmm_noise,
     monte_carlo,
     psnr,
-    rank_estimate,
     rmse,
     run_trial,
     sample_mask,
@@ -111,10 +110,6 @@ def test_psnr_examples():
     Y = np.full((10, 10), 1.0)  # squared error = mn
     assert psnr(Y, M) == pytest.approx(0.0)
     assert psnr(M, M) == math.inf
-
-
-def test_rank_estimate_reexport():
-    assert rank_estimate(np.array([1.0, 1e-12])) == 1
 
 
 def test_trial_spec_validation():

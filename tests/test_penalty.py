@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spglr import penalty as penalty_module
 from spglr.linalg import svd
 from spglr.penalty import (
     CappedPenaltyParams,
+    ProxWarmStart,
     capped_surrogate,
     d_vector,
     phi,
@@ -211,3 +213,122 @@ def test_params_validation_and_advisory():
     p = CappedPenaltyParams(lam=0.1, nu=0.05)
     assert p.cap_advisory(loss_lipschitz=36.0)  # 0.05 >= 0.1/36
     assert not p.cap_advisory(loss_lipschitz=1.0)
+
+
+# ---------------------------------------------------------------------------
+# truncated prox (the warm-started, certified path)
+
+
+def spectral_matrix(shape, sigma, seed):
+    """U diag(sigma) V.T with random orthonormal U, V and the given spectrum."""
+    rng = np.random.default_rng(seed)
+    m, n = shape
+    p = min(m, n)
+    U = np.linalg.qr(rng.standard_normal((m, p)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, p)))[0]
+    return (U * sigma) @ V.T
+
+
+def selector(twos, size):
+    return np.r_[np.full(twos, 2), np.ones(size - twos, dtype=int)]
+
+
+def noise_tail(count, top, ratio):
+    return top * ratio ** np.arange(count)
+
+
+def truncated_and_exact(W, d, warm=None):
+    """The prox at tau / nu = 1 with a warm start and without one, and the
+    number of fallbacks the warm-started call counted."""
+    warm = ProxWarmStart(0) if warm is None else warm
+    calls, fallbacks = warm.calls, warm.fallbacks
+    truncated = prox_matrix_with_spectrum(W, d, 0.05, 0.05, warm)
+    assert warm.calls == calls + 1
+    return truncated, prox_matrix_with_spectrum(W, d, 0.05, 0.05), warm.fallbacks - fallbacks
+
+
+def assert_prox_agrees(truncated, exact):
+    (X_t, x_t), (X_e, x_e) = truncated, exact
+    assert X_t.shape == X_e.shape
+    assert np.linalg.norm(X_t - X_e) <= 1e-10 * np.linalg.norm(X_e)
+    assert np.linalg.norm(x_t - x_e) <= 1e-10 * np.linalg.norm(x_e)
+
+
+# Spectra with p = 100 values and the count of leading d = 2 entries.
+TRUNCATED_CASES = {
+    # k = 0: every value below the threshold, so X = 0 must be certified.
+    "k0": (noise_tail(100, 0.9, 0.97), 0),
+    # d = 2 on six values, only three of them above the threshold.
+    "r2_beyond_threshold": (np.r_[10.0, 6.0, 3.0, 0.8, 0.6, 0.5, noise_tail(94, 0.45, 0.95)], 6),
+    # d = 1 values just above and just below the threshold.
+    "near_threshold": (
+        np.r_[8.0, 4.0, 1.0 + 1e-4, 1.0 + 1e-8, 1.0 - 1e-4, noise_tail(95, 0.5, 0.9)],
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", [(120, 100), (100, 120)], ids=["tall", "wide"])
+@pytest.mark.parametrize("case", sorted(TRUNCATED_CASES))
+def test_truncated_prox_matches_full_svd_prox(shape, case):
+    sigma, twos = TRUNCATED_CASES[case]
+    assert shape[0] * shape[1] >= penalty_module._TRUNCATE_MIN_SIZE
+    W = spectral_matrix(shape, sigma, seed=3)
+    truncated, exact, fallbacks = truncated_and_exact(W, selector(twos, sigma.size))
+    assert fallbacks == 0
+    assert_prox_agrees(truncated, exact)
+    if case == "k0":
+        assert np.array_equal(exact[0], np.zeros(shape))
+        assert np.array_equal(truncated[0], exact[0])
+
+
+def test_truncated_prox_warm_start_reuses_previous_factor():
+    sigma, twos = TRUNCATED_CASES["r2_beyond_threshold"]
+    W = spectral_matrix((120, 100), sigma, seed=4)
+    d = selector(twos, sigma.size)
+    warm = ProxWarmStart(1)
+    truncated_and_exact(W, d, warm)
+    assert warm.V.shape == (100, twos)
+    W2 = W + 1e-3 * np.random.default_rng(5).standard_normal(W.shape)
+    truncated, exact, fallbacks = truncated_and_exact(W2, d, warm)
+    assert fallbacks == 0
+    assert_prox_agrees(truncated, exact)
+
+
+@pytest.mark.parametrize(
+    "sigma, twos",
+    [
+        # sixty values above the threshold: the block would pass p / 2
+        (np.r_[np.full(60, 2.0), noise_tail(40, 0.5, 0.9)], 0),
+        # forty-eight d = 2 values: the first block already passes p / 2
+        (noise_tail(100, 5.0, 0.97), 48),
+    ],
+    ids=["many_above_threshold", "many_twos"],
+)
+def test_truncated_prox_falls_back_to_the_exact_path(sigma, twos):
+    W = spectral_matrix((120, 100), sigma, seed=6)
+    (X_t, x_t), (X_e, x_e), fallbacks = truncated_and_exact(W, selector(twos, sigma.size))
+    assert fallbacks == 1
+    assert np.array_equal(X_t, X_e) and np.array_equal(x_t, x_e)
+
+
+def test_truncated_prox_next_value_at_threshold_falls_back_or_agrees():
+    # sigma_{k+1} equals tau / nu to rounding: certified agreement or an
+    # exact fallback are the only acceptable outcomes.
+    sigma = np.r_[6.0, 3.0, 1.0 - 1e-15, noise_tail(97, 0.5, 0.9)]
+    W = spectral_matrix((120, 100), sigma, seed=7)
+    truncated, exact, fallbacks = truncated_and_exact(W, selector(1, 100))
+    if fallbacks:
+        assert all(np.array_equal(t, e) for t, e in zip(truncated, exact))
+    else:
+        assert_prox_agrees(truncated, exact)
+
+
+def test_truncated_prox_cold_start_certifies_before_returning_zero():
+    # From a random start, the first Ritz values all sit below tau / nu
+    # although sigma_1 is above it; returning X = 0 there would be wrong.
+    sigma = np.r_[1.02, noise_tail(99, 0.98, 0.9)]
+    W = spectral_matrix((100, 100), sigma, seed=8)
+    truncated, exact, _ = truncated_and_exact(W, selector(0, 100))
+    assert exact[1][0] == pytest.approx(0.02, rel=1e-8)
+    assert_prox_agrees(truncated, exact)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import spglr
+from spglr import penalty as penalty_module
 from spglr import solver as solver_module
 from spglr.losses import CompletionLoss, MaskedData, RpcaLoss
 from spglr.penalty import CappedPenaltyParams, PenaltyCapAdvisory, capped_surrogate
@@ -316,17 +317,21 @@ def sparse_corrupted_low_rank():
     return truth, truth + S
 
 
-def count_prox_calls(monkeypatch):
-    """Route the solver's prox through a wrapper that counts its calls."""
+def count_calls(monkeypatch, module, name):
+    """Route module.name through a wrapper that counts its calls."""
     calls = []
-    original = solver_module.prox_matrix_with_spectrum
+    original = getattr(module, name)
 
     def counting(*args):
         calls.append(None)
         return original(*args)
 
-    monkeypatch.setattr(solver_module, "prox_matrix_with_spectrum", counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def count_prox_calls(monkeypatch):
+    return count_calls(monkeypatch, solver_module, "prox_matrix_with_spectrum")
 
 
 def test_solve_trace_invariants():
@@ -406,6 +411,8 @@ def test_solve_pays_about_one_prox_per_iteration(monkeypatch, make_binding, cfg)
     calls = count_prox_calls(monkeypatch)
     result = solve(make_binding(), cfg)
     assert len(calls) <= 1.1 * result.iterations
+    assert result.prox_calls == len(calls)
+    assert result.prox_fallbacks == 0
 
 
 def test_solve_retries_smaller_gamma_after_an_increase(monkeypatch):
@@ -438,3 +445,69 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0).validate()
     SolverConfig(alpha=math.inf).validate()  # ablation mode is valid
+
+
+# ---------------------------------------------------------------------------
+# truncated spectral prox inside solve
+
+
+def square_completion(m, seed=9):
+    spec = spglr.TrialSpec(
+        m=m, n=m, r=4, sr=0.8, noise=spglr.GmmNoiseParams(1e-4, 0.1, 0.1), seed=seed
+    )
+    M, data = spglr.build_trial_data(spec)
+    return M, CompletionLoss(data)
+
+
+def completion_above_cutoff(m=120):
+    assert m * m >= penalty_module._TRUNCATE_MIN_SIZE
+    return square_completion(m)
+
+
+def test_solve_on_truncated_path_is_deterministic(monkeypatch):
+    calls = count_calls(monkeypatch, penalty_module, "_leading_svd")
+    _, binding = completion_above_cutoff(m=100)
+    cfg = SolverConfig(lam=1.0, nu=0.05, max_iter=60, seed=3)
+    first = solve(binding, cfg)
+    assert len(calls) == first.prox_calls > 0
+    assert first.trace[-1].rank_estimate > 0
+    second = solve(binding, cfg)
+    assert np.array_equal(first.X_final, second.X_final)
+    assert first.trace == second.trace
+
+
+def test_solve_on_truncated_path_matches_full_svd_run(monkeypatch):
+    M, binding = completion_above_cutoff()
+    cfg = SolverConfig(lam=1.0, nu=0.05, max_iter=150)
+    truncated = solve(binding, cfg)
+    assert truncated.prox_fallbacks == 0
+    monkeypatch.setattr(penalty_module, "_TRUNCATE_MIN_SIZE", math.inf)
+    exact = solve(binding, cfg)
+    assert exact.prox_calls == truncated.prox_calls
+    assert [r.gamma_k for r in truncated.trace] == [r.gamma_k for r in exact.trace]
+    assert [r.mu_reset for r in truncated.trace] == [r.mu_reset for r in exact.trace]
+    assert np.linalg.norm(truncated.X_final - exact.X_final) <= 1e-10 * np.linalg.norm(
+        exact.X_final
+    )
+    assert truncated.trace[-1].rank_estimate == exact.trace[-1].rank_estimate
+
+
+@pytest.mark.parametrize(
+    "make_binding",
+    [
+        noisy_completion,
+        lambda: square_completion(60)[1],
+        lambda: RpcaLoss(sparse_corrupted_low_rank()[1]),
+    ],
+    ids=["completion", "completion_60x60", "rpca"],
+)
+def test_solve_below_cutoff_stays_on_exact_path(monkeypatch, make_binding):
+    def refuse(*args):
+        raise AssertionError("the truncated SVD ran below the size cutoff")
+
+    monkeypatch.setattr(penalty_module, "_leading_svd", refuse)
+    binding = make_binding()
+    assert binding.shape[0] * binding.shape[1] < penalty_module._TRUNCATE_MIN_SIZE
+    result = solve(binding, SolverConfig(lam=0.4, nu=0.05, max_iter=40))
+    assert result.prox_calls >= result.iterations
+    assert result.prox_fallbacks == 0
