@@ -10,9 +10,7 @@ from .linalg import (
     SvdFactors,
     as_matrix,
     frobenius_norm,
-    inner_product,
     rank_estimate,
-    reconstruct,
     svd,
 )
 from .penalty import (
@@ -82,7 +80,6 @@ __all__ = [
     "gmm_noise",
     "huber",
     "huber_grad",
-    "inner_product",
     "line_search",
     "monte_carlo",
     "phi",
@@ -92,7 +89,6 @@ __all__ = [
     "psnr",
     "q_model",
     "rank_estimate",
-    "reconstruct",
     "rmse",
     "run_trial",
     "sample_mask",

@@ -48,15 +48,6 @@ def frobenius_norm(X):
     return float(np.linalg.norm(as_matrix(X)))
 
 
-def inner_product(X, Y):
-    """Trace inner product sum(X * Y); shapes must match."""
-    X = as_matrix(X)
-    Y = as_matrix(Y)
-    if X.shape != Y.shape:
-        raise ValueError(f"shape mismatch: {X.shape} vs {Y.shape}")
-    return float(np.sum(X * Y))
-
-
 def svd(W):
     """Thin SVD with the tall orientation handled internally.
 
@@ -149,12 +140,6 @@ def _norm_below(R, bound):
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def reconstruct(factors):
-    """Multiply SVD factors back into a dense matrix."""
-    U, sigma, V = factors
-    return (U * sigma) @ V.T
 
 
 def rank_estimate(sigma):

@@ -1,6 +1,6 @@
 """Smoothed elementwise absolute-value losses.
 
-Two loss bindings share one protocol: masked completion, which measures
+One l1 loss with two constructors: masked completion, which measures
 |X_ij - M_ij| over an observed index set, and full decomposition, which
 measures |X - L| over every entry. Each residual term is smoothed by the
 quadratic-inside-the-tube function
@@ -89,39 +89,55 @@ class MaskedData:
         return M
 
 
-class CompletionLoss:
-    """Masked absolute-deviation loss sum over observed (i, j) of |X_ij - M_ij|."""
+class _L1Loss:
+    """Smoothed sum over the bound terms of |X_ij - target_ij|.
 
-    kind = "completion-l1"
+    Every quantity the solver needs is a function of the residual vector
+    r = X[index] - target, so `value_at` and `gradient_at` take r and the
+    solver computes it once per candidate with `residuals`. `residuals`,
+    `value` and `gradient` take a matrix X and validate it; the `_at`
+    methods trust their r. `index` is a (row_idx, col_idx) pair for a
+    masked binding, or None when every entry is a term.
+    """
 
-    def __init__(self, data):
-        if not isinstance(data, MaskedData):
-            raise TypeError("CompletionLoss expects MaskedData")
-        self.data = data
-        self.shape = (data.rows, data.cols)
-        self.n_terms = data.n_observed
+    def __init__(self, shape, target, index):
+        self.shape = shape
+        self._target = target
+        self._index = index
+        self.n_terms = target.size
         self.kappa = self.n_terms / 2.0
         self.grad_lipschitz_L = 1.0
         self.loss_lipschitz_Lf = math.sqrt(self.n_terms)
 
     def residuals(self, X):
-        X = self._checked(X)
-        return X[self.data.row_idx, self.data.col_idx] - self.data.values
+        X = as_matrix(X)
+        if X.shape != self.shape:
+            raise ValueError(f"shape mismatch: {X.shape} vs {self.shape}")
+        return (X if self._index is None else X[self._index]) - self._target
 
     def value(self, X, mu):
         """Smoothed loss for mu > 0; the exact absolute loss at mu = 0."""
-        r = self.residuals(X)
+        return self.value_at(self.residuals(X), mu)
+
+    def gradient(self, X, mu):
+        """Gradient of the smoothed loss; zero off the bound terms."""
+        return self.gradient_at(self.residuals(X), mu)
+
+    def value_at(self, r, mu):
+        """`value` at the iterate whose residual vector is r."""
         if mu < 0:
             raise ValueError(f"mu must be nonnegative, got {mu}")
         if mu == 0:
             return float(np.sum(np.abs(r)))
         return float(np.sum(huber(r, mu)))
 
-    def gradient(self, X, mu):
-        """Gradient of the smoothed loss; zero off the observed set."""
-        r = self.residuals(X)
+    def gradient_at(self, r, mu):
+        """`gradient` at the iterate whose residual vector is r."""
+        g = huber_grad(r, mu)
+        if self._index is None:
+            return g
         G = np.zeros(self.shape)
-        G[self.data.row_idx, self.data.col_idx] = huber_grad(r, mu)
+        G[self._index] = g
         return G
 
     def initial_iterate(self):
@@ -134,46 +150,20 @@ class CompletionLoss:
         """
         return np.zeros(self.shape)
 
-    def _checked(self, X):
-        X = as_matrix(X)
-        if X.shape != self.shape:
-            raise ValueError(f"shape mismatch: {X.shape} vs {self.shape}")
-        return X
+
+class CompletionLoss(_L1Loss):
+    """Masked absolute-deviation loss sum over observed (i, j) of |X_ij - M_ij|."""
+
+    def __init__(self, data):
+        if not isinstance(data, MaskedData):
+            raise TypeError("CompletionLoss expects MaskedData")
+        self.data = data
+        super().__init__((data.rows, data.cols), data.values, (data.row_idx, data.col_idx))
 
 
-class RpcaLoss:
-    """Full absolute-deviation loss sum over all (i, j) of |L_ij - X_ij|."""
-
-    kind = "rpca-l1"
+class RpcaLoss(_L1Loss):
+    """Full absolute-deviation loss sum over all (i, j) of |X_ij - L_ij|."""
 
     def __init__(self, L):
         self.L = as_matrix(L)
-        self.shape = self.L.shape
-        self.n_terms = self.L.size
-        self.kappa = self.n_terms / 2.0
-        self.grad_lipschitz_L = 1.0
-        self.loss_lipschitz_Lf = math.sqrt(self.n_terms)
-
-    def residuals(self, X):
-        return self._checked(X) - self.L
-
-    def value(self, X, mu):
-        r = self.residuals(X)
-        if mu < 0:
-            raise ValueError(f"mu must be nonnegative, got {mu}")
-        if mu == 0:
-            return float(np.sum(np.abs(r)))
-        return float(np.sum(huber(r, mu)))
-
-    def gradient(self, X, mu):
-        return huber_grad(self.residuals(X), mu)
-
-    def initial_iterate(self):
-        """All-zeros start; see CompletionLoss.initial_iterate."""
-        return np.zeros(self.shape)
-
-    def _checked(self, X):
-        X = as_matrix(X)
-        if X.shape != self.shape:
-            raise ValueError(f"shape mismatch: {X.shape} vs {self.shape}")
-        return X
+        super().__init__(self.L.shape, self.L, None)

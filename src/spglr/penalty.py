@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _leading_svd, svd
+from .linalg import _BLOCK_PAD, _leading_svd, svd
 
 # Inputs with at least this many entries take the truncated prox when a
 # warm start is given. Measured as solve time per prox call on square
@@ -147,16 +147,19 @@ def prox_matrix_with_spectrum(W, d, tau, nu, warm=None):
     triplet and every singular value above tau / nu, since the rest
     shrink to exactly zero. The truncated SVD starts from warm.V and
     proves that the next singular value is below tau / nu; when it
-    cannot, the full SVD runs instead and warm.fallbacks counts it.
+    cannot, the full SVD runs instead and warm.fallbacks counts it. A W
+    whose first block, the d = 2 count plus _BLOCK_PAD, already exceeds
+    half its smaller side goes to the full SVD directly, uncounted.
     """
     factors = None
     if warm is not None:
         warm.calls += 1
         if np.size(W) >= _TRUNCATE_MIN_SIZE:
             k_min = int(np.count_nonzero(np.asarray(d) == 2))
-            factors = _leading_svd(W, k_min, tau / nu, warm.V, warm.rng)
-            if factors is None:
-                warm.fallbacks += 1
+            if k_min + _BLOCK_PAD <= min(np.shape(W)) // 2:
+                factors = _leading_svd(W, k_min, tau / nu, warm.V, warm.rng)
+                if factors is None:
+                    warm.fallbacks += 1
     U, s, V = factors or svd(W)
     d = _check_d(d, min(U.shape[0], V.shape[0]))
     if np.any(np.diff(d) > 0):
@@ -184,6 +187,6 @@ def _check_d(d, n):
     d = np.asarray(d)
     if d.shape != (n,):
         raise ValueError(f"d has length {d.size}, expected {n}")
-    if not np.isin(d, (1, 2)).all():
+    if not ((d == 1) | (d == 2)).all():
         raise ValueError("d entries must be 1 or 2")
     return d.astype(np.int64)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, frobenius_norm, rank_estimate, svd
+from .linalg import as_matrix, rank_estimate, svd
 from .penalty import (
     CappedPenaltyParams,
     PenaltyCapAdvisory,
@@ -141,8 +141,9 @@ def q_model(X, Z, mu, gamma, d, binding, params):
     X = as_matrix(X)
     Z = as_matrix(Z)
     diff = X - Z
-    value = binding.value(Z, mu)
-    value += float(np.sum(diff * binding.gradient(Z, mu)))
+    r = binding.residuals(Z)
+    value = binding.value_at(r, mu)
+    value += float(np.sum(diff * binding.gradient_at(r, mu)))
     value += 0.5 * (gamma / mu) * float(np.sum(diff * diff))
     value += params.lam * phi_d(svd(X).sigma, d, params.nu)
     return value
@@ -173,44 +174,48 @@ def line_search(X_k, mu_k, gamma_init, d_k, binding, params, rho):
     test always passes once gamma reaches the gradient Lipschitz
     constant of the smoothed loss, so termination is guaranteed.
     """
-    f_k = binding.value(X_k, mu_k)
-    G = binding.gradient(X_k, mu_k)
+    X_k = as_matrix(X_k)
+    r = binding.residuals(X_k)
+    f_k = binding.value_at(r, mu_k)
+    G = binding.gradient_at(r, mu_k)
+    norm_scale = max(1.0, float(np.linalg.norm(X_k)))
     gamma, X_next, *_ = _line_search_inner(
-        X_k, f_k, G, mu_k, gamma_init, d_k, binding, params, rho
+        X_k, f_k, G, norm_scale, mu_k, gamma_init, d_k, binding, params, rho
     )
     return gamma, X_next
 
 
 def _line_search_inner(
-    X_k, f_k, G, mu_k, gamma_init, d_k, binding, params, rho, warm=None
+    X_k, f_k, G, norm_scale, mu_k, gamma_init, d_k, binding, params, rho, warm=None
 ):
     """Backtracking loop reusing the loss value and gradient at X_k.
 
     Tries gamma_init, rho * gamma_init, ... In `solve`, gamma_init is the
     last accepted gamma (or gamma / rho after a run of first-candidate
-    accepts), so the first candidate is usually accepted. `warm` is
-    passed on to the prox.
+    accepts), so the first candidate is usually accepted. norm_scale is
+    max(1, ||X_k||); `warm` is passed on to the prox.
 
-    Returns (gamma, X_next, sigma_next, loss_next, step, norm_scale):
+    Returns (gamma, X_next, sigma_next, r_next, loss_next, step):
     sigma_next is the descending spectrum of X_next taken from the prox,
-    saving one SVD per iteration; loss_next is the smoothed loss at
-    X_next under mu_k that the acceptance test already computed; step is
-    ||X_next - X_k|| and norm_scale is max(1, ||X_k||).
+    saving one SVD per iteration; r_next is the residual vector at X_next,
+    the one residual pass each candidate pays for; loss_next is the
+    smoothed loss at X_next under mu_k that the acceptance test computed
+    from it; step is ||X_next - X_k||.
     """
-    norm_scale = max(1.0, frobenius_norm(X_k))
     gamma = gamma_init
     while True:
         W = X_k - (mu_k / gamma) * G
         tau = params.lam * mu_k / gamma
         X_hat, sigma_hat = prox_matrix_with_spectrum(W, d_k, tau, params.nu, warm)
         diff = X_hat - X_k
-        step = frobenius_norm(diff)
-        lhs = binding.value(X_hat, mu_k)
+        step = float(np.linalg.norm(diff))
+        r = binding.residuals(X_hat)
+        lhs = binding.value_at(r, mu_k)
         rhs = f_k + float(np.sum(diff * G)) + 0.5 * (gamma / mu_k) * step * step
         # A numerically zero step satisfies the test in exact arithmetic;
         # accept it to avoid chasing rounding noise at fixed points.
         if lhs <= rhs or step <= 1e-14 * norm_scale:
-            return gamma, X_hat, sigma_hat, lhs, step, norm_scale
+            return gamma, X_hat, sigma_hat, r, lhs, step
         gamma *= rho
 
 
@@ -229,7 +234,7 @@ def energy(binding, X, mu, params):
     """
     if mu < 0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
-    sigma = svd(as_matrix(X)).sigma
+    sigma = svd(X).sigma
     return _energy_from_parts(binding.value(X, mu), sigma, mu, binding, params)
 
 
@@ -248,7 +253,7 @@ def stationarity_residual(X, mu_probe, binding, params):
     """
     if not mu_probe > 0:
         raise ValueError(f"mu_probe must be positive, got {mu_probe}")
-    factors = svd(as_matrix(X))
+    factors = svd(X)
     sigma = factors.sigma
     G = factors.U.T @ binding.gradient(X, mu_probe) @ factors.V
     ratio = params.lam / params.nu
@@ -298,7 +303,8 @@ def solve(binding, config):
     X = binding.initial_iterate()
     sigma = svd(X).sigma
     mu = config.mu0
-    f_k = binding.value(X, mu)
+    r = binding.residuals(X)
+    f_k = binding.value_at(r, mu)
     energy_prev = _energy_from_parts(f_k, sigma, mu, binding, params)
     gamma = 1.0
     warm = ProxWarmStart(config.seed)
@@ -316,21 +322,19 @@ def solve(binding, config):
             first_try_streak = 0
         gamma_init = min(max(gamma_init, config.gamma_lo), config.gamma_hi)
 
-        if f_k is None:
-            f_k = binding.value(X, mu)
-        G = binding.gradient(X, mu)
+        G = binding.gradient_at(r, mu)
         grad_norms.append(float(np.linalg.norm(G)))
+        norm_scale = max(1.0, float(np.linalg.norm(X)))
 
-        gamma, X_next, sigma_next, loss_next, step, norm_scale = _line_search_inner(
-            X, f_k, G, mu, gamma_init, d_k, binding, params, config.rho, warm
+        gamma, X_next, sigma_next, r, loss_next, step = _line_search_inner(
+            X, f_k, G, norm_scale, mu, gamma_init, d_k, binding, params, config.rho, warm
         )
         first_try_streak = first_try_streak + 1 if gamma == gamma_init else 0
 
-        smoothed_obj = loss_next + params.lam * capped_surrogate(sigma_next, params.nu)
+        penalty_next = params.lam * capped_surrogate(sigma_next, params.nu)
+        smoothed_obj = loss_next + penalty_next
         energy_now = smoothed_obj + binding.kappa * mu
-        exact_obj = binding.value(X_next, 0.0) + params.lam * capped_surrogate(
-            sigma_next, params.nu
-        )
+        exact_obj = binding.value_at(r, 0.0) + penalty_next
 
         mu_next = update_mu(
             k, mu, energy_now, energy_prev, config.alpha, config.mu0, config.sigma_exp
@@ -359,8 +363,9 @@ def solve(binding, config):
         X = X_next
         sigma = sigma_next
         energy_prev = energy_now
-        # The accepted loss is the next f_k unless mu moves.
-        f_k = None if mu_reset else loss_next
+        # r is now the residual at X; the accepted loss is the next f_k
+        # unless mu moves.
+        f_k = binding.value_at(r, mu_next) if mu_reset else loss_next
         mu = mu_next
 
         if small_steps >= 3:

@@ -58,10 +58,14 @@ def test_completion_value_examples():
     assert loss.value(data.observed_matrix(), 0.5) == pytest.approx(2 * 0.25)
 
 
-def test_completion_constants():
-    data = MaskedData(3, 3, np.array([0, 1, 2, 0]), np.array([0, 1, 2, 2]),
-                      np.array([1.0, 2.0, 3.0, 4.0]))
-    loss = CompletionLoss(data)
+@pytest.mark.parametrize("kind", ["completion", "rpca"])
+def test_completion_constants(kind):
+    if kind == "completion":
+        data = MaskedData(3, 3, np.array([0, 1, 2, 0]), np.array([0, 1, 2, 2]),
+                          np.array([1.0, 2.0, 3.0, 4.0]))
+        loss = CompletionLoss(data)
+    else:
+        loss = RpcaLoss(np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert loss.n_terms == 4
     assert loss.kappa == 2.0
     assert loss.grad_lipschitz_L == 1.0
@@ -75,11 +79,40 @@ def test_completion_gradient_examples():
     assert np.array_equal(loss.gradient(np.array([[2.0]]), 0.5), np.zeros((1, 1)))
 
 
-def test_shape_mismatch_rejected():
-    data = MaskedData(2, 3, np.array([0]), np.array([0]), np.array([1.0]))
-    loss = CompletionLoss(data)
+def binding_2x3(kind):
+    if kind == "completion":
+        return CompletionLoss(MaskedData(2, 3, np.array([0]), np.array([0]), np.array([1.0])))
+    return RpcaLoss(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("kind", ["completion", "rpca"])
+def test_shape_mismatch_rejected(kind):
+    loss = binding_2x3(kind)
     with pytest.raises(ValueError, match="shape mismatch"):
         loss.value(np.zeros((3, 2)), 0.1)
+
+
+@pytest.mark.parametrize("kind", ["completion", "rpca"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_value_and_gradient_reject_non_finite_x(kind, bad):
+    loss = binding_2x3(kind)
+    X = np.zeros((2, 3))
+    X[1, 2] = bad  # off the completion mask too
+    with pytest.raises(ValueError, match="finite"):
+        loss.value(X, 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        loss.gradient(X, 0.1)
+
+
+@pytest.mark.parametrize("kind", ["completion", "rpca"])
+def test_residual_forms_match_public_methods(kind):
+    rng = np.random.default_rng(3)
+    loss = binding_2x3(kind)
+    X = rng.standard_normal(loss.shape)
+    r = loss.residuals(X)
+    for mu in (0.0, 0.1, 10.0):
+        assert loss.value_at(r, mu) == loss.value(X, mu)
+    assert np.array_equal(loss.gradient_at(r, 0.1), loss.gradient(X, 0.1))
 
 
 @pytest.mark.parametrize("kind", ["completion", "rpca"])

@@ -296,19 +296,29 @@ def test_truncated_prox_warm_start_reuses_previous_factor():
 
 
 @pytest.mark.parametrize(
-    "sigma, twos",
+    "sigma, twos, counted",
     [
-        # sixty values above the threshold: the block would pass p / 2
-        (np.r_[np.full(60, 2.0), noise_tail(40, 0.5, 0.9)], 0),
-        # forty-eight d = 2 values: the first block already passes p / 2
-        (noise_tail(100, 5.0, 0.97), 48),
+        # sixty values above the threshold: the block would pass p / 2,
+        # so the certificate fails and the fallback is counted
+        (np.r_[np.full(60, 2.0), noise_tail(40, 0.5, 0.9)], 0, 1),
+        # forty-eight d = 2 values: the first block already passes p / 2,
+        # so the full SVD runs directly and nothing is counted
+        (noise_tail(100, 5.0, 0.97), 48, 0),
     ],
     ids=["many_above_threshold", "many_twos"],
 )
-def test_truncated_prox_falls_back_to_the_exact_path(sigma, twos):
+def test_truncated_prox_falls_back_to_the_exact_path(monkeypatch, sigma, twos, counted):
+    calls = []
+    leading_svd = penalty_module._leading_svd
+
+    def counting(*args):
+        calls.append(None)
+        return leading_svd(*args)
+
+    monkeypatch.setattr(penalty_module, "_leading_svd", counting)
     W = spectral_matrix((120, 100), sigma, seed=6)
     (X_t, x_t), (X_e, x_e), fallbacks = truncated_and_exact(W, selector(twos, sigma.size))
-    assert fallbacks == 1
+    assert fallbacks == counted == len(calls)
     assert np.array_equal(X_t, X_e) and np.array_equal(x_t, x_e)
 
 

@@ -317,16 +317,17 @@ def sparse_corrupted_low_rank():
     return truth, truth + S
 
 
-def count_calls(monkeypatch, module, name):
-    """Route module.name through a wrapper that counts its calls."""
+def count_calls(monkeypatch, owner, name):
+    """Route owner.name, a module global or one object's method, through
+    a wrapper that counts its calls."""
     calls = []
-    original = getattr(module, name)
+    original = getattr(owner, name)
 
     def counting(*args):
         calls.append(None)
         return original(*args)
 
-    monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
@@ -365,9 +366,14 @@ def test_solve_energy_identity_with_public_energy():
     k = 17
     rec = result.trace[k]
     # recompute the recorded energy with the public function
-    X = _replay_iterate(binding, cfg, k)
+    X, sigma = _replay_iterate(binding, cfg, k)
     assert energy(binding, X, rec.mu_k, cfg.penalty()) == pytest.approx(
         rec.energy, rel=1e-9
+    )
+    # the exact objective, taken from the accepted residual, is the public
+    # loss at mu = 0 plus the penalty on the prox spectrum
+    assert rec.exact_objective == binding.value(X, 0.0) + cfg.lam * capped_surrogate(
+        sigma, cfg.nu
     )
 
 
@@ -384,7 +390,7 @@ def _replay_iterate(binding, cfg, upto):
         W = X - (rec.mu_k / rec.gamma_k) * G
         tau = cfg.lam * rec.mu_k / rec.gamma_k
         X, sigma = prox_matrix_with_spectrum(W, d, tau, cfg.nu)
-    return X
+    return X, sigma
 
 
 def test_solve_emits_cap_advisory_warning():
@@ -409,10 +415,15 @@ def test_solve_emits_cap_advisory_warning():
 )
 def test_solve_pays_about_one_prox_per_iteration(monkeypatch, make_binding, cfg):
     calls = count_prox_calls(monkeypatch)
-    result = solve(make_binding(), cfg)
+    binding = make_binding()
+    residual_calls = count_calls(monkeypatch, binding, "residuals")
+    result = solve(binding, cfg)
     assert len(calls) <= 1.1 * result.iterations
     assert result.prox_calls == len(calls)
     assert result.prox_fallbacks == 0
+    # one residual pass per candidate, plus the start and the final
+    # stationarity residual
+    assert len(residual_calls) <= result.prox_calls + 2
 
 
 def test_solve_retries_smaller_gamma_after_an_increase(monkeypatch):
@@ -490,6 +501,25 @@ def test_solve_on_truncated_path_matches_full_svd_run(monkeypatch):
         exact.X_final
     )
     assert truncated.trace[-1].rank_estimate == exact.trace[-1].rank_estimate
+
+
+def test_solve_thin_input_above_cutoff_counts_no_fallbacks(monkeypatch):
+    # 1300 x 8: above the size cutoff, but the first block of the
+    # truncated SVD already exceeds half of the short side
+    rng = np.random.default_rng(4)
+    L = spglr.gen_low_rank(1300, 8, 2, 7)
+    L.flat[rng.choice(L.size, 500, replace=False)] += rng.uniform(-0.5, 0.5, 500)
+    assert L.size >= penalty_module._TRUNCATE_MIN_SIZE
+    cfg = SolverConfig(lam=1.0, nu=0.05, max_iter=60)
+    calls = count_calls(monkeypatch, penalty_module, "_leading_svd")
+    result = solve(RpcaLoss(L), cfg)
+    assert result.prox_calls >= result.iterations
+    assert result.prox_fallbacks == 0
+    assert not calls
+    monkeypatch.setattr(penalty_module, "_TRUNCATE_MIN_SIZE", math.inf)
+    exact = solve(RpcaLoss(L), cfg)
+    assert np.array_equal(result.X_final, exact.X_final)
+    assert result.trace == exact.trace
 
 
 @pytest.mark.parametrize(
