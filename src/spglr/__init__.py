@@ -18,7 +18,6 @@ from .penalty import (
     PenaltyCapAdvisory,
     capped_surrogate,
     d_vector,
-    phi,
     phi_d,
     prox_matrix,
     prox_vector,
@@ -82,7 +81,6 @@ __all__ = [
     "huber_grad",
     "line_search",
     "monte_carlo",
-    "phi",
     "phi_d",
     "prox_matrix",
     "prox_vector",

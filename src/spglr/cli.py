@@ -116,24 +116,18 @@ def _common_config_args(p):
 
 def _load_config(args):
     text = Path(args.config).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
+    overrides = {}
     for item in args.override:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not KEY=VALUE")
         key, raw = item.split("=", 1)
         try:
-            doc[key] = json.loads(raw)
+            overrides[key] = json.loads(raw)
         except json.JSONDecodeError:
-            doc[key] = raw
+            overrides[key] = raw
     if getattr(args, "seed", None) is not None:
-        doc["seed"] = args.seed
-    io_formats.check_config_keys(doc)
-    return io_formats.config_from_dict(doc)
+        overrides["seed"] = args.seed
+    return io_formats.config_read(text, overrides)
 
 
 def _out_dir(args):
@@ -188,11 +182,7 @@ def _cmd_solve(args):
             run_cfg.trial.m,
             run_cfg.trial.n,
         )
-        truth = (
-            io_formats.matrix_csv_read(Path(args.truth).read_text(encoding="utf-8"))
-            if args.truth
-            else None
-        )
+        truth = _read_optional_matrix(args.truth)
         result, wall = _solve_one(data, run_cfg, choice)
         _write_solution(out, result, wall, choice, truth)
         return 0
@@ -215,7 +205,14 @@ def _cmd_solve(args):
     return 0
 
 
-def _write_solution(out, result, wall, choice, truth):
+def _read_optional_matrix(path):
+    if not path:
+        return None
+    return io_formats.matrix_csv_read(Path(path).read_text(encoding="utf-8"))
+
+
+def _write_solution(out, result, wall, choice, truth, **extra):
+    """X.csv, trace.csv and metrics.json; `extra` adds metrics keys."""
     (out / "X.csv").write_text(io_formats.matrix_csv_write(result.X_final), "utf-8")
     (out / "trace.csv").write_text(io_formats.trace_csv_write(result.trace), "utf-8")
     metrics = {
@@ -226,6 +223,7 @@ def _write_solution(out, result, wall, choice, truth):
         "stationarity_residual": result.stationarity_residual,
         "objective_gap": result.objective_gap,
         "wall_time_s": wall,
+        **extra,
     }
     if truth is not None:
         metrics["rmse"] = rmse(result.X_final, truth)
@@ -237,27 +235,12 @@ def _cmd_rpca(args):
     run_cfg = _load_config(args)
     out = _out_dir(args)
     L = io_formats.matrix_csv_read(Path(args.input).read_text(encoding="utf-8"))
+    truth = _read_optional_matrix(args.truth)
     start = time.perf_counter()
     result = solve(RpcaLoss(L), run_cfg.solver)
     wall = time.perf_counter() - start
-    (out / "X.csv").write_text(io_formats.matrix_csv_write(result.X_final), "utf-8")
     (out / "E.csv").write_text(io_formats.matrix_csv_write(L - result.X_final), "utf-8")
-    (out / "trace.csv").write_text(io_formats.trace_csv_write(result.trace), "utf-8")
-    metrics = {
-        "solver": "spg",
-        "loss": "rpca-l1",
-        "status": result.status,
-        "iterations": result.iterations,
-        "rank": result.trace[-1].rank_estimate if result.trace else 0,
-        "stationarity_residual": result.stationarity_residual,
-        "objective_gap": result.objective_gap,
-        "wall_time_s": wall,
-    }
-    if args.truth:
-        truth = io_formats.matrix_csv_read(Path(args.truth).read_text(encoding="utf-8"))
-        metrics["rmse"] = rmse(result.X_final, truth)
-        metrics["psnr"] = psnr(result.X_final, truth)
-    _write_metrics(out / "metrics.json", metrics)
+    _write_solution(out, result, wall, "spg", truth, loss="rpca-l1")
     return 0
 
 

@@ -7,7 +7,7 @@ and trace files reproduce their float64 sources bit for bit.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -166,37 +166,19 @@ def _pgm_token(data, pos):
 # ---------------------------------------------------------------------------
 # trace CSV
 
-TRACE_COLUMNS = (
-    "k",
-    "mu_k",
-    "gamma_k",
-    "smoothed_objective",
-    "energy",
-    "exact_objective",
-    "step_norm",
-    "rank_estimate",
-    "mu_reset",
-)
+# The columns are IterationRecord's fields, in order. Each cell is written
+# and parsed by its field's declared type, whatever the value's own type.
+_TRACE_FIELDS = fields(IterationRecord)
+TRACE_COLUMNS = tuple(f.name for f in _TRACE_FIELDS)
+_CELL_FORMAT = {int: str, float: _fmt, bool: lambda flag: "true" if flag else "false"}
+_CELL_PARSE = {int: int, float: float, bool: lambda token: token == "true"}
 
 
 def trace_csv_write(records):
     lines = [",".join(TRACE_COLUMNS)]
     for rec in records:
-        lines.append(
-            ",".join(
-                (
-                    str(rec.k),
-                    _fmt(rec.mu_k),
-                    _fmt(rec.gamma_k),
-                    _fmt(rec.smoothed_objective),
-                    _fmt(rec.energy),
-                    _fmt(rec.exact_objective),
-                    _fmt(rec.step_norm),
-                    str(rec.rank_estimate),
-                    "true" if rec.mu_reset else "false",
-                )
-            )
-        )
+        cells = (_CELL_FORMAT[f.type](getattr(rec, f.name)) for f in _TRACE_FIELDS)
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -209,21 +191,12 @@ def trace_csv_read(text):
         tok = line.split(",")
         if len(tok) != len(TRACE_COLUMNS):
             raise ValueError(f"line {lineno}: expected {len(TRACE_COLUMNS)} columns")
-        if tok[8] not in ("true", "false"):
-            raise ValueError(f"line {lineno}: bad mu_reset flag {tok[8]!r}")
-        records.append(
-            IterationRecord(
-                k=int(tok[0]),
-                mu_k=float(tok[1]),
-                gamma_k=float(tok[2]),
-                smoothed_objective=float(tok[3]),
-                energy=float(tok[4]),
-                exact_objective=float(tok[5]),
-                step_norm=float(tok[6]),
-                rank_estimate=int(tok[7]),
-                mu_reset=(tok[8] == "true"),
-            )
-        )
+        cells = {}
+        for f, cell in zip(_TRACE_FIELDS, tok):
+            if f.type is bool and cell not in ("true", "false"):
+                raise ValueError(f"line {lineno}: bad {f.name} flag {cell!r}")
+            cells[f.name] = _CELL_PARSE[f.type](cell)
+        records.append(IterationRecord(**cells))
     return records
 
 
@@ -261,19 +234,9 @@ def results_csv_write(rows):
 # ---------------------------------------------------------------------------
 # JSON configuration
 
+# Config keys are SolverConfig's fields, with lam spelled "lambda".
 _SOLVER_DEFAULTS = {
-    "mu0": 10.0,
-    "alpha": 0.8,
-    "rho": 2.0,
-    "sigma_exp": 1.5,
-    "gamma_lo": 1e-4,
-    "gamma_hi": 1e4,
-    "lambda": 0.1,
-    "nu": 0.05,
-    "max_iter": 500,
-    "step_tol": 1e-6,
-    "mu_stop": 1e-6,
-    "seed": 0,
+    "lambda" if f.name == "lam" else f.name: f.default for f in fields(SolverConfig)
 }
 _DATA_KEYS = ("m", "n", "r", "sr")
 _NOISE_DEFAULTS = {"var_a": 0.0, "var_b": 0.0, "c": 0.0}
@@ -289,12 +252,13 @@ class RunConfig:
     solver_choice: str
 
 
-def config_read(text):
+def config_read(text, overrides=None):
     """Parse and validate a JSON run configuration.
 
     Solver and noise keys have documented defaults; the data keys m, n,
     r, sr are required. Unknown keys are rejected. "inf" (or a JSON
-    Infinity) is accepted for alpha.
+    Infinity) is accepted for alpha. The optional `overrides` dict
+    replaces keys of the parsed document before it is validated.
     """
     try:
         doc = json.loads(text)
@@ -302,6 +266,7 @@ def config_read(text):
         raise ConfigError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
+    doc.update(overrides or {})
     check_config_keys(doc)
     return config_from_dict(doc)
 
@@ -317,7 +282,7 @@ def check_config_keys(doc):
 
 
 def config_from_dict(doc):
-    """Validate a merged config dict (used after applying overrides)."""
+    """Validate a parsed config dict, overrides already applied."""
     m = _as_int(doc, "m", minimum=1)
     n = _as_int(doc, "n", minimum=1)
     r = _as_int(doc, "r", minimum=1)

@@ -46,17 +46,8 @@ class CappedPenaltyParams:
         return self.nu >= self.lam / loss_lipschitz
 
 
-def phi(t, nu):
-    """Pointwise capped penalty min(1, t / nu) for t >= 0."""
-    if t < 0:
-        raise ValueError(f"phi is defined for nonnegative t, got {t}")
-    if not nu > 0:
-        raise ValueError(f"nu must be positive, got {nu}")
-    return min(1.0, t / nu)
-
-
 def capped_surrogate(sigma, nu):
-    """Sum of phi over a spectrum; the rank surrogate value."""
+    """Sum of min(1, sigma_i / nu) over a spectrum; the rank surrogate value."""
     sigma = _check_spectrum(sigma)
     if not nu > 0:
         raise ValueError(f"nu must be positive, got {nu}")
@@ -101,11 +92,8 @@ def prox_vector(w, d, tau, nu):
     if np.any(w < 0):
         raise ValueError("w entries must be nonnegative")
     d = _check_d(d, w.size)
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    if not nu > 0:
-        raise ValueError(f"nu must be positive, got {nu}")
-    return np.where(d == 2, w, np.maximum(w - tau / nu, 0.0))
+    _check_tau_nu(tau, nu)
+    return _shrink(w, d, tau, nu)
 
 
 def prox_matrix(W, d, tau, nu):
@@ -151,6 +139,7 @@ def prox_matrix_with_spectrum(W, d, tau, nu, warm=None):
     whose first block, the d = 2 count plus _BLOCK_PAD, already exceeds
     half its smaller side goes to the full SVD directly, uncounted.
     """
+    _check_tau_nu(tau, nu)
     factors = None
     if warm is not None:
         warm.calls += 1
@@ -167,11 +156,23 @@ def prox_matrix_with_spectrum(W, d, tau, nu, warm=None):
     # Values past the truncation are below tau / nu and have d = 1.
     sigma = np.zeros(d.size)
     sigma[: s.size] = s
-    x_hat = prox_vector(sigma, d, tau, nu)
+    x_hat = _shrink(sigma, d, tau, nu)
     r = int(np.count_nonzero(x_hat))
     if warm is not None:
         warm.V = V[:, :r]
     return (U[:, :r] * x_hat[:r]) @ V[:, :r].T, x_hat
+
+
+def _shrink(w, d, tau, nu):
+    """Keep the d = 2 entries of w; shrink the rest by tau / nu, clipped at 0."""
+    return np.where(d == 2, w, np.maximum(w - tau / nu, 0.0))
+
+
+def _check_tau_nu(tau, nu):
+    if not tau > 0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    if not nu > 0:
+        raise ValueError(f"nu must be positive, got {nu}")
 
 
 def _check_spectrum(sigma):

@@ -158,10 +158,15 @@ def spg_step(X_k, mu_k, gamma_k, d_k, binding, params):
     if not mu_k > 0 or not gamma_k > 0:
         raise ValueError("mu_k and gamma_k must be positive")
     G = binding.gradient(X_k, mu_k)
-    W = X_k - (mu_k / gamma_k) * G
-    tau = params.lam * mu_k / gamma_k
-    X_hat, _ = prox_matrix_with_spectrum(W, d_k, tau, params.nu)
+    X_hat, _ = _prox_step(X_k, G, mu_k, gamma_k, d_k, params)
     return X_hat
+
+
+def _prox_step(X_k, G, mu_k, gamma, d_k, params, warm=None):
+    """Prox of the gradient step: (X_hat, spectrum of X_hat)."""
+    W = X_k - (mu_k / gamma) * G
+    tau = params.lam * mu_k / gamma
+    return prox_matrix_with_spectrum(W, d_k, tau, params.nu, warm)
 
 
 def line_search(X_k, mu_k, gamma_init, d_k, binding, params, rho):
@@ -204,9 +209,7 @@ def _line_search_inner(
     """
     gamma = gamma_init
     while True:
-        W = X_k - (mu_k / gamma) * G
-        tau = params.lam * mu_k / gamma
-        X_hat, sigma_hat = prox_matrix_with_spectrum(W, d_k, tau, params.nu, warm)
+        X_hat, sigma_hat = _prox_step(X_k, G, mu_k, gamma, d_k, params, warm)
         diff = X_hat - X_k
         step = float(np.linalg.norm(diff))
         r = binding.residuals(X_hat)

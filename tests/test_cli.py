@@ -5,7 +5,15 @@ import pytest
 
 import spglr
 from spglr.cli import run
-from spglr.io_formats import matrix_csv_read, matrix_csv_write, pgm_write, trace_csv_read
+from spglr.io_formats import (
+    config_read,
+    mask_csv_read,
+    matrix_csv_read,
+    matrix_csv_write,
+    pgm_write,
+    trace_csv_read,
+    trace_csv_write,
+)
 
 TOY = {
     "m": 1,
@@ -32,6 +40,19 @@ SMALL = {
     "c": 0.1,
     "seed": 3,
 }
+
+
+# metrics.json keys every solve-like command writes; rmse and psnr need a
+# ground truth.
+RUN_KEYS = {
+    "solver",
+    "status",
+    "iterations",
+    "rank",
+    "stationarity_residual",
+    "wall_time_s",
+}
+SCORE_KEYS = {"rmse", "psnr"}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -82,6 +103,7 @@ def test_solve_file_mode_deterministic_outputs(tmp_path):
     assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
     m1 = json.loads((out1 / "metrics.json").read_text())
     m2 = json.loads((out2 / "metrics.json").read_text())
+    assert set(m1) == RUN_KEYS | SCORE_KEYS | {"objective_gap"}
     m1.pop("wall_time_s"), m2.pop("wall_time_s")
     assert m1 == m2
     records = trace_csv_read((out1 / "trace.csv").read_text())
@@ -222,7 +244,8 @@ def test_ablate_rows_per_pair(tmp_path):
     assert alphas == ["0.8", "inf", "0.8", "inf"]
 
 
-def test_rpca_command(tmp_path):
+def write_rpca_inputs(tmp_path):
+    """A 16x16 rank-2 matrix plus sparse corruption, its files and config."""
     rng = np.random.default_rng(12)
     truth = spglr.gen_low_rank(16, 16, 2, 12)
     S = np.zeros((16, 16))
@@ -234,6 +257,11 @@ def test_rpca_command(tmp_path):
     tpath = tmp_path / "truth.csv"
     tpath.write_text(matrix_csv_write(truth), "utf-8")
     cfg = write_config(tmp_path, {**SMALL, "m": 16, "n": 16, "max_iter": 200})
+    return L, str(lpath), str(tpath), cfg
+
+
+def test_rpca_command(tmp_path):
+    L, lpath, tpath, cfg = write_rpca_inputs(tmp_path)
     out = tmp_path / "rp"
     assert (
         run(
@@ -242,9 +270,9 @@ def test_rpca_command(tmp_path):
                 "--config",
                 cfg,
                 "--input",
-                str(lpath),
+                lpath,
                 "--truth",
-                str(tpath),
+                tpath,
                 "--out-dir",
                 str(out),
             ]
@@ -252,11 +280,45 @@ def test_rpca_command(tmp_path):
         == 0
     )
     metrics = json.loads((out / "metrics.json").read_text())
+    assert set(metrics) == RUN_KEYS | SCORE_KEYS | {"objective_gap", "loss"}
     assert metrics["loss"] == "rpca-l1"
     assert metrics["rmse"] < 5e-3
     X = matrix_csv_read((out / "X.csv").read_text())
     E = matrix_csv_read((out / "E.csv").read_text())
     assert np.allclose(X + E, L, atol=1e-12)
+
+
+def test_rpca_missing_truth_is_runtime_error(tmp_path):
+    _, lpath, _, cfg = write_rpca_inputs(tmp_path)
+    out = tmp_path / "rp"
+    missing = str(tmp_path / "missing.csv")
+    args = ["rpca", "--config", cfg, "--input", lpath, "--truth", missing]
+    assert run(args + ["--out-dir", str(out)]) == 2
+    # the truth is read before the solve, so a failed run leaves no solution
+    assert not (out / "X.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "rpca"])
+def test_cli_trace_equals_library_trace(tmp_path, command):
+    # the CLI writes the trace of the same solve the library runs
+    if command == "solve":
+        cfg = write_config(tmp_path, SMALL)
+        data_dir = tmp_path / "data"
+        assert run(["synth", "--config", cfg, "--out-dir", str(data_dir)]) == 0
+        mask, truth = data_dir / "mask.csv", data_dir / "M.csv"
+        args = ["--mask", str(mask), "--truth", str(truth)]
+        data = mask_csv_read(mask.read_text(), SMALL["m"], SMALL["n"])
+        binding = spglr.CompletionLoss(data)
+    else:
+        L, lpath, tpath, cfg = write_rpca_inputs(tmp_path)
+        args = ["--input", lpath, "--truth", tpath]
+        binding = spglr.RpcaLoss(L)
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out-dir", str(out)] + args) == 0
+    with open(cfg, encoding="utf-8") as fh:
+        result = spglr.solve(binding, config_read(fh.read()).solver)
+    assert (out / "trace.csv").read_text() == trace_csv_write(result.trace)
+    assert (out / "X.csv").read_text() == matrix_csv_write(result.X_final)
 
 
 def test_inpaint_command(tmp_path):
@@ -290,6 +352,7 @@ def test_inpaint_command(tmp_path):
     assert run(["inpaint", "--config", cfg, "--image", str(ipath), "--out-dir", str(out)]) == 0
     assert (out / "observed.pgm").exists()
     metrics = json.loads((out / "metrics.json").read_text())
+    assert set(metrics) == RUN_KEYS | SCORE_KEYS
     assert metrics["psnr"] > 30.0
     from spglr.io_formats import pgm_read
 

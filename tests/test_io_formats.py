@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from spglr.io_formats import (
     TRACE_COLUMNS,
 )
 from spglr.losses import MaskedData
-from spglr.solver import IterationRecord
+from spglr.solver import IterationRecord, SolverConfig
+from spglr.svt import SvtConfig, svt_solve
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -189,6 +191,22 @@ def test_trace_csv_header_and_flag_errors():
         trace_csv_read(text)
 
 
+def test_trace_columns_are_iteration_record_fields():
+    assert TRACE_COLUMNS == tuple(f.name for f in fields(IterationRecord))
+
+
+def test_trace_cells_follow_declared_field_types():
+    # SVT records its step as gamma_k; an integer step still writes a float
+    data = MaskedData(2, 2, np.array([0, 1]), np.array([0, 1]), np.array([1.0, 2.0]))
+    records = svt_solve(data, SvtConfig(step=1, max_iter=2)).trace
+    assert type(records[0].gamma_k) is int
+    rows = [line.split(",") for line in trace_csv_write(records).splitlines()[1:]]
+    col = TRACE_COLUMNS.index("gamma_k")
+    assert [row[col] for row in rows] == ["1.0"] * len(records)
+    back = trace_csv_read(trace_csv_write(records))
+    assert all(type(rec.gamma_k) is float for rec in back)
+
+
 def test_results_csv_columns():
     row = {c: 1.5 if c not in ("solver",) else "spg" for c in RESULTS_COLUMNS}
     text = results_csv_write([row])
@@ -211,6 +229,7 @@ def test_config_minimal_applies_defaults():
     assert cfg.solver.lam == 0.1
     assert cfg.solver.nu == 0.05
     assert cfg.solver.max_iter == 500
+    assert cfg.solver == SolverConfig()
     assert cfg.trial.m == 8 and cfg.trial.n == 6
     assert cfg.trial.noise.c == 0.0
     assert cfg.solver_choice == "spg"
@@ -261,3 +280,12 @@ def test_config_bad_types_and_values():
 def test_config_svt_choice():
     cfg = config_read('{"m": 4, "n": 4, "r": 1, "sr": 0.5, "solver": "svt"}')
     assert cfg.solver_choice == "svt"
+
+
+def test_config_overrides_apply_before_validation():
+    cfg = config_read(MINIMAL, {"lambda": 0.5, "alpha": "inf"})
+    assert cfg.solver.lam == 0.5 and math.isinf(cfg.solver.alpha)
+    with pytest.raises(ConfigError, match='"nu"'):
+        config_read(MINIMAL, {"nu": -1})
+    with pytest.raises(ConfigError, match="unknown config key"):
+        config_read(MINIMAL, {"typo_key": 3})

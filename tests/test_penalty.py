@@ -10,7 +10,6 @@ from spglr.penalty import (
     ProxWarmStart,
     capped_surrogate,
     d_vector,
-    phi,
     phi_d,
     prox_matrix,
     prox_matrix_with_spectrum,
@@ -21,14 +20,15 @@ from oracles import batch_matrix_prox_objectives, grid_prox_objective, prox_obje
 
 
 def test_phi_examples():
-    assert phi(0.3, 0.5) == pytest.approx(0.6)
-    assert phi(1.2, 0.5) == 1.0
-    assert phi(0.0, 0.7) == 0.0
+    # one-element spectra: the surrogate is the pointwise cap min(1, t / nu)
+    assert capped_surrogate(np.array([0.3]), 0.5) == pytest.approx(0.6)
+    assert capped_surrogate(np.array([1.2]), 0.5) == 1.0
+    assert capped_surrogate(np.array([0.0]), 0.7) == 0.0
 
 
 def test_phi_rejects_negative():
-    with pytest.raises(ValueError):
-        phi(-0.1, 0.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        capped_surrogate(np.array([-0.1]), 0.5)
 
 
 def test_capped_surrogate_examples():

@@ -426,6 +426,14 @@ def test_solve_pays_about_one_prox_per_iteration(monkeypatch, make_binding, cfg)
     assert len(residual_calls) <= result.prox_calls + 2
 
 
+def test_solve_checks_d_once_per_prox_call(monkeypatch):
+    check_calls = count_calls(monkeypatch, penalty_module, "_check_d")
+    phi_d_calls = count_calls(monkeypatch, solver_module, "phi_d")
+    result = solve(noisy_completion(), SolverConfig(lam=0.75, nu=0.05, max_iter=120))
+    # d_vector builds d and does not check it; only the prox and phi_d do
+    assert len(check_calls) == result.prox_calls + len(phi_d_calls)
+
+
 def test_solve_retries_smaller_gamma_after_an_increase(monkeypatch):
     calls = count_prox_calls(monkeypatch)
     _, L = sparse_corrupted_low_rank()
