@@ -28,10 +28,7 @@ from .solver import (
     SolveResult,
     SolverConfig,
     energy,
-    line_search,
-    q_model,
     solve,
-    spg_step,
     stationarity_residual,
     update_mu,
 )
@@ -79,20 +76,17 @@ __all__ = [
     "gmm_noise",
     "huber",
     "huber_grad",
-    "line_search",
     "monte_carlo",
     "phi_d",
     "prox_matrix",
     "prox_vector",
     "psnr",
-    "q_model",
     "rank_estimate",
     "rmse",
     "run_trial",
     "sample_mask",
     "soft_threshold_sigma",
     "solve",
-    "spg_step",
     "stationarity_residual",
     "svd",
     "svt_solve",

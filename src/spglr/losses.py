@@ -10,32 +10,59 @@ quadratic-inside-the-tube function
 
 so the smoothed loss is convex, differentiable, within
 (n_terms / 2) * mu of the exact loss, and has a (1/mu)-Lipschitz
-gradient.
+gradient. It is evaluated as an l1 term plus a tube term,
+
+    smooth(s, mu) = |s| + max(mu - |s|, 0)^2 / (2 mu),
+
+which needs no branch per entry, and whose tube term is a nonnegative
+sum, so the smoothed loss is never below the exact one in floating
+point either.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import as_matrix
 
 
-def huber(s, mu):
-    """Smoothed absolute value; accepts scalars or arrays."""
+def _check_positive(mu):
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    s = np.asarray(s, dtype=np.float64)
-    out = np.where(np.abs(s) > mu, np.abs(s), s * s / (2.0 * mu) + mu / 2.0)
+
+
+def _tube(a, mu, out=None):
+    """max(mu - a, 0) for a = |s|: how far each term sits inside the tube."""
+    return np.maximum(np.subtract(mu, a, out=out), 0.0, out=out)
+
+
+def _l1_plus_tube(l1, tube_sq, mu):
+    """The smoothed loss from its l1 part and its squared tube part."""
+    return l1 + tube_sq / (2.0 * mu)
+
+
+def _clip_grad(s, mu):
+    """Derivative of the smoothed term: clip(s, -mu, mu) / mu, which is
+    sign(s) outside the tube and s / mu inside."""
+    g = np.clip(s, -mu, mu)
+    g /= mu
+    return g
+
+
+def huber(s, mu):
+    """Smoothed absolute value; accepts scalars or arrays."""
+    _check_positive(mu)
+    a = np.abs(np.asarray(s, dtype=np.float64))
+    t = _tube(a, mu)
+    out = _l1_plus_tube(a, t * t, mu)
     return float(out) if out.ndim == 0 else out
 
 
 def huber_grad(s, mu):
     """Derivative of huber in s: sign outside the tube, s/mu inside."""
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    s = np.asarray(s, dtype=np.float64)
-    out = np.where(np.abs(s) > mu, np.sign(s), s / mu)
+    _check_positive(mu)
+    out = _clip_grad(np.asarray(s, dtype=np.float64), mu)
     return float(out) if out.ndim == 0 else out
 
 
@@ -44,7 +71,9 @@ class MaskedData:
     """Observed entries of an m x n matrix: index arrays plus values.
 
     Indices must be in range and pairwise distinct; at least one entry
-    is required. Arrays are frozen after construction.
+    is required. Arrays are frozen after construction. `flat_idx` is
+    row_idx * cols + col_idx, the position of each entry in the
+    row-major flattened matrix, kept from the duplicate check.
     """
 
     rows: int
@@ -52,6 +81,7 @@ class MaskedData:
     row_idx: np.ndarray
     col_idx: np.ndarray
     values: np.ndarray
+    flat_idx: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -74,7 +104,9 @@ class MaskedData:
         flat = ri * self.cols + ci
         if np.unique(flat).size != flat.size:
             raise ValueError("duplicate observed positions")
-        for name, arr in (("row_idx", ri), ("col_idx", ci), ("values", vals)):
+        for name, arr in (
+            ("row_idx", ri), ("col_idx", ci), ("values", vals), ("flat_idx", flat)
+        ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -85,7 +117,7 @@ class MaskedData:
     def observed_matrix(self):
         """Dense matrix with observed values filled in, zeros elsewhere."""
         M = np.zeros((self.rows, self.cols))
-        M[self.row_idx, self.col_idx] = self.values
+        M.ravel()[self.flat_idx] = self.values
         return M
 
 
@@ -96,14 +128,15 @@ class _L1Loss:
     r = X[index] - target, so `value_at` and `gradient_at` take r and the
     solver computes it once per candidate with `residuals`. `residuals`,
     `value` and `gradient` take a matrix X and validate it; the `_at`
-    methods trust their r. `index` is a (row_idx, col_idx) pair for a
-    masked binding, or None when every entry is a term.
+    methods trust their r but check mu. `flat_idx` holds the row-major
+    positions of the terms of a masked binding, or is None when every
+    entry is a term.
     """
 
-    def __init__(self, shape, target, index):
+    def __init__(self, shape, target, flat_idx):
         self.shape = shape
         self._target = target
-        self._index = index
+        self._flat_idx = flat_idx
         self.n_terms = target.size
         self.kappa = self.n_terms / 2.0
         self.grad_lipschitz_L = 1.0
@@ -113,7 +146,11 @@ class _L1Loss:
         X = as_matrix(X)
         if X.shape != self.shape:
             raise ValueError(f"shape mismatch: {X.shape} vs {self.shape}")
-        return (X if self._index is None else X[self._index]) - self._target
+        if self._flat_idx is None:
+            return X - self._target
+        r = np.take(X, self._flat_idx)
+        r -= self._target
+        return r
 
     def value(self, X, mu):
         """Smoothed loss for mu > 0; the exact absolute loss at mu = 0."""
@@ -129,15 +166,20 @@ class _L1Loss:
             raise ValueError(f"mu must be nonnegative, got {mu}")
         if mu == 0:
             return float(np.sum(np.abs(r)))
-        return float(np.sum(huber(r, mu)))
+        _check_positive(mu)
+        a = np.abs(r)
+        l1 = np.sum(a)
+        t = _tube(a, mu, out=a)
+        return float(_l1_plus_tube(l1, np.vdot(t, t), mu))
 
     def gradient_at(self, r, mu):
         """`gradient` at the iterate whose residual vector is r."""
-        g = huber_grad(r, mu)
-        if self._index is None:
+        _check_positive(mu)
+        g = _clip_grad(r, mu)
+        if self._flat_idx is None:
             return g
         G = np.zeros(self.shape)
-        G[self._index] = g
+        G.ravel()[self._flat_idx] = g
         return G
 
     def initial_iterate(self):
@@ -158,7 +200,7 @@ class CompletionLoss(_L1Loss):
         if not isinstance(data, MaskedData):
             raise TypeError("CompletionLoss expects MaskedData")
         self.data = data
-        super().__init__((data.rows, data.cols), data.values, (data.row_idx, data.col_idx))
+        super().__init__((data.rows, data.cols), data.values, data.flat_idx)
 
 
 class RpcaLoss(_L1Loss):

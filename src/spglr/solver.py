@@ -30,14 +30,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, rank_estimate, svd
+from .linalg import rank_estimate, svd
 from .penalty import (
     CappedPenaltyParams,
     PenaltyCapAdvisory,
     ProxWarmStart,
     capped_surrogate,
     d_vector,
-    phi_d,
     prox_matrix_with_spectrum,
 )
 
@@ -128,66 +127,11 @@ class SolveResult:
         return len(self.trace)
 
 
-def q_model(X, Z, mu, gamma, d, binding, params):
-    """Quadratic model of the smoothed objective around Z.
-
-    Smoothed loss at Z plus its linearization toward X, a proximal
-    quadratic with curvature gamma / mu, and the branch-d penalty at X.
-    """
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    X = as_matrix(X)
-    Z = as_matrix(Z)
-    diff = X - Z
-    r = binding.residuals(Z)
-    value = binding.value_at(r, mu)
-    value += float(np.sum(diff * binding.gradient_at(r, mu)))
-    value += 0.5 * (gamma / mu) * float(np.sum(diff * diff))
-    value += params.lam * phi_d(svd(X).sigma, d, params.nu)
-    return value
-
-
-def spg_step(X_k, mu_k, gamma_k, d_k, binding, params):
-    """Global minimizer of the quadratic model: one prox step.
-
-    Gradient step W = X_k - (mu_k / gamma_k) * grad, then the spectral
-    prox with threshold parameter lam * mu_k / gamma_k.
-    """
-    if not mu_k > 0 or not gamma_k > 0:
-        raise ValueError("mu_k and gamma_k must be positive")
-    G = binding.gradient(X_k, mu_k)
-    X_hat, _ = _prox_step(X_k, G, mu_k, gamma_k, d_k, params)
-    return X_hat
-
-
 def _prox_step(X_k, G, mu_k, gamma, d_k, params, warm=None):
     """Prox of the gradient step: (X_hat, spectrum of X_hat)."""
     W = X_k - (mu_k / gamma) * G
     tau = params.lam * mu_k / gamma
     return prox_matrix_with_spectrum(W, d_k, tau, params.nu, warm)
-
-
-def line_search(X_k, mu_k, gamma_init, d_k, binding, params, rho):
-    """Backtracking on gamma until the model majorizes the smoothed loss.
-
-    Tries gamma_init, rho * gamma_init, ... and returns the first
-    accepted pair (gamma, X_next). Acceptance compares the smoothed loss
-    at the candidate against the quadratic upper model; the penalty
-    terms cancel identically on both sides, so they are omitted. The
-    test always passes once gamma reaches the gradient Lipschitz
-    constant of the smoothed loss, so termination is guaranteed.
-    """
-    X_k = as_matrix(X_k)
-    r = binding.residuals(X_k)
-    f_k = binding.value_at(r, mu_k)
-    G = binding.gradient_at(r, mu_k)
-    norm_scale = max(1.0, float(np.linalg.norm(X_k)))
-    gamma, X_next, *_ = _line_search_inner(
-        X_k, f_k, G, norm_scale, mu_k, gamma_init, d_k, binding, params, rho
-    )
-    return gamma, X_next
 
 
 def _line_search_inner(
@@ -214,7 +158,8 @@ def _line_search_inner(
         step = float(np.linalg.norm(diff))
         r = binding.residuals(X_hat)
         lhs = binding.value_at(r, mu_k)
-        rhs = f_k + float(np.sum(diff * G)) + 0.5 * (gamma / mu_k) * step * step
+        diff *= G
+        rhs = f_k + float(np.sum(diff)) + 0.5 * (gamma / mu_k) * step * step
         # A numerically zero step satisfies the test in exact arithmetic;
         # accept it to avoid chasing rounding noise at fixed points.
         if lhs <= rhs or step <= 1e-14 * norm_scale:

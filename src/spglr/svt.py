@@ -56,21 +56,22 @@ def svt_solve(data, config):
     if not isinstance(data, MaskedData):
         raise TypeError("svt_solve expects MaskedData")
     config.validate()
-    ri, ci, vals = data.row_idx, data.col_idx, data.values
+    flat, vals = data.flat_idx, data.values
     threshold = config.tau * config.step
 
     X = data.observed_matrix()
     trace = []
     status = "max_iter"
     for k in range(config.max_iter):
+        # copy() is row-major, so ravel() is a view and the scatter lands in W.
         W = X.copy()
-        W[ri, ci] -= config.step * (X[ri, ci] - vals)
+        W.ravel()[flat] -= config.step * (np.take(X, flat) - vals)
         factors = svd(W)
         shrunk = soft_threshold_sigma(factors.sigma, threshold)
         X_next = (factors.U * shrunk) @ factors.V.T
 
         step_norm = frobenius_norm(X_next - X)
-        resid = X_next[ri, ci] - vals
+        resid = np.take(X_next, flat) - vals
         objective = 0.5 * float(np.sum(resid * resid)) + config.tau * float(
             np.sum(shrunk)
         )
@@ -94,7 +95,7 @@ def svt_solve(data, config):
             break
 
     W = X.copy()
-    W[ri, ci] -= config.step * (X[ri, ci] - vals)
+    W.ravel()[flat] -= config.step * (np.take(X, flat) - vals)
     factors = svd(W)
     fixed_point_gap = frobenius_norm(
         (factors.U * soft_threshold_sigma(factors.sigma, threshold)) @ factors.V.T - X

@@ -2,11 +2,85 @@
 
 These deliberately avoid the closed-form code paths they check: the
 vector prox is verified against per-coordinate grid minimization, the
-matrix prox against random-perturbation sampling of its objective, and
-gradients against central finite differences.
+matrix prox against random-perturbation sampling of its objective,
+gradients against central finite differences, and the branch-free loss
+kernel against the two-branch Huber form. The paper-form SPG pieces
+(the quadratic model, one prox step, and a backtracking search from a
+cold start) are written here from their definitions, so the solver's
+fused loop can be checked against them.
 """
 
 import numpy as np
+
+from spglr.linalg import as_matrix, svd
+from spglr.penalty import phi_d
+from spglr.solver import _line_search_inner, _prox_step
+
+
+def huber_reference(s, mu):
+    """Smoothed absolute value in its two-branch form: |s| outside the
+    tube, s^2 / (2 mu) + mu / 2 inside."""
+    s = np.asarray(s, dtype=np.float64)
+    return np.where(np.abs(s) > mu, np.abs(s), s * s / (2.0 * mu) + mu / 2.0)
+
+
+def huber_grad_reference(s, mu):
+    """Derivative of huber_reference: sign(s) outside the tube, s / mu inside."""
+    s = np.asarray(s, dtype=np.float64)
+    return np.where(np.abs(s) > mu, np.sign(s), s / mu)
+
+
+def q_model(X, Z, mu, gamma, d, binding, params):
+    """Quadratic model of the smoothed objective around Z.
+
+    Smoothed loss at Z plus its linearization toward X, a proximal
+    quadratic with curvature gamma / mu, and the branch-d penalty at X.
+    """
+    if not mu > 0:
+        raise ValueError(f"mu must be positive, got {mu}")
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    X = as_matrix(X)
+    Z = as_matrix(Z)
+    diff = X - Z
+    value = binding.value(Z, mu)
+    value += float(np.sum(diff * binding.gradient(Z, mu)))
+    value += 0.5 * (gamma / mu) * float(np.sum(diff * diff))
+    value += params.lam * phi_d(svd(X).sigma, d, params.nu)
+    return value
+
+
+def spg_step(X_k, mu_k, gamma_k, d_k, binding, params):
+    """Global minimizer of the quadratic model: one prox step.
+
+    Gradient step W = X_k - (mu_k / gamma_k) * grad, then the spectral
+    prox with threshold parameter lam * mu_k / gamma_k.
+    """
+    if not mu_k > 0 or not gamma_k > 0:
+        raise ValueError("mu_k and gamma_k must be positive")
+    G = binding.gradient(X_k, mu_k)
+    X_hat, _ = _prox_step(X_k, G, mu_k, gamma_k, d_k, params)
+    return X_hat
+
+
+def line_search(X_k, mu_k, gamma_init, d_k, binding, params, rho):
+    """Backtracking on gamma until the model majorizes the smoothed loss.
+
+    Tries gamma_init, rho * gamma_init, ... and returns the first
+    accepted pair (gamma, X_next). Acceptance compares the smoothed loss
+    at the candidate against the quadratic upper model; the penalty
+    terms cancel identically on both sides, so they are omitted. The
+    test always passes once gamma reaches the gradient Lipschitz
+    constant of the smoothed loss, so termination is guaranteed.
+    """
+    X_k = as_matrix(X_k)
+    f_k = binding.value(X_k, mu_k)
+    G = binding.gradient(X_k, mu_k)
+    norm_scale = max(1.0, float(np.linalg.norm(X_k)))
+    gamma, X_next, *_ = _line_search_inner(
+        X_k, f_k, G, norm_scale, mu_k, gamma_init, d_k, binding, params, rho
+    )
+    return gamma, X_next
 
 
 def prox_objective_terms(x, w, d, tau, nu):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from spglr.losses import CompletionLoss, MaskedData, RpcaLoss, huber, huber_grad
 
-from oracles import central_difference_gradient
+from oracles import central_difference_gradient, huber_grad_reference, huber_reference
 
 
 def make_completion(rng, m=5, n=6, frac=0.6):
@@ -208,3 +209,114 @@ def test_rpca_value_and_initial_iterate():
     # gradient points from X toward matching L
     G = loss.gradient(np.zeros((2, 2)), 0.1)
     assert G[0, 0] == -1.0 and G[0, 1] == 1.0
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def random_binding(kind, rng, m=7, n=13):
+    if kind == "completion":
+        return CompletionLoss(make_completion(rng, m=m, n=n, frac=0.6))
+    return RpcaLoss(rng.standard_normal((m, n)))
+
+
+def reference_gradient(loss, r, mu):
+    """The gradient matrix scattered through the 2-D (row, col) index."""
+    g = huber_grad_reference(r, mu)
+    if isinstance(loss, RpcaLoss):
+        return g
+    G = np.zeros(loss.shape)
+    G[loss.data.row_idx, loss.data.col_idx] = g
+    return G
+
+
+def tube_residuals(case, shape, mu, rng):
+    signs = np.where(rng.random(shape) < 0.5, -1.0, 1.0)
+    if case == "inside":
+        return mu * rng.uniform(-0.99, 0.99, shape)
+    if case == "outside":
+        return mu * signs * rng.uniform(1.01, 10.0, shape)
+    if case == "boundary":
+        return mu * signs
+    return np.zeros(shape)
+
+
+@pytest.mark.parametrize("kind", ["completion", "rpca"])
+@pytest.mark.parametrize("mu", [1e-8, 1e-2, 1e3])
+@pytest.mark.parametrize("case", ["inside", "outside", "boundary", "zero"])
+def test_kernel_matches_two_branch_reference(kind, mu, case):
+    rng = np.random.default_rng(61)
+    loss = random_binding(kind, rng)
+    r = tube_residuals(case, loss.residuals(np.zeros(loss.shape)).shape, mu, rng)
+    expected = float(np.sum(huber_reference(r, mu)))
+    assert loss.value_at(r, mu) == pytest.approx(expected, rel=1e-13, abs=0.0)
+    assert np.array_equal(bits(loss.gradient_at(r, mu)), bits(reference_gradient(loss, r, mu)))
+
+
+def test_huber_matches_two_branch_reference():
+    rng = np.random.default_rng(62)
+    for mu in (1e-8, 1e-2, 1e3):
+        s = mu * np.concatenate([rng.uniform(-3.0, 3.0, 200), [0.0, 1.0, -1.0]])
+        assert np.allclose(huber(s, mu), huber_reference(s, mu), rtol=1e-13, atol=0.0)
+        assert np.array_equal(bits(huber_grad(s, mu)), bits(huber_grad_reference(s, mu)))
+
+
+@pytest.mark.parametrize("kind", ["completion", "rpca"])
+def test_value_and_gradient_at_reject_nan_mu(kind):
+    loss = binding_2x3(kind)
+    r = loss.residuals(np.zeros(loss.shape))
+    with pytest.raises(ValueError, match="mu must be positive, got nan"):
+        loss.value_at(r, math.nan)
+    with pytest.raises(ValueError, match="mu must be positive, got nan"):
+        loss.gradient_at(r, math.nan)
+
+
+@pytest.mark.parametrize("kind", ["completion", "rpca"])
+def test_value_and_gradient_at_reject_negative_mu(kind):
+    loss = binding_2x3(kind)
+    r = loss.residuals(np.zeros(loss.shape))
+    with pytest.raises(ValueError, match="mu must be nonnegative, got -0.5"):
+        loss.value_at(r, -0.5)
+    with pytest.raises(ValueError, match="mu must be positive, got -0.5"):
+        loss.gradient_at(r, -0.5)
+
+
+@pytest.mark.parametrize("kind", ["completion", "rpca"])
+def test_gradient_at_rejects_zero_mu(kind):
+    loss = binding_2x3(kind)
+    r = loss.residuals(np.zeros(loss.shape))
+    with pytest.raises(ValueError, match="mu must be positive, got 0.0"):
+        loss.gradient_at(r, 0.0)
+
+
+@pytest.mark.parametrize("shape", [(7, 13), (13, 7)])
+@pytest.mark.parametrize("layout", ["C", "F", "transposed"])
+def test_completion_flat_index_matches_2d_fancy_index(shape, layout):
+    rng = np.random.default_rng(64)
+    loss = CompletionLoss(make_completion(rng, m=shape[0], n=shape[1], frac=0.5))
+    data = loss.data
+    X = rng.standard_normal(shape)
+    if layout == "F":
+        X = np.asfortranarray(X)
+    elif layout == "transposed":
+        X = np.ascontiguousarray(X.T).T
+    assert not X.flags.c_contiguous or layout == "C"
+    r = loss.residuals(X)
+    assert np.array_equal(bits(r), bits(X[data.row_idx, data.col_idx] - data.values))
+    mu = 0.3
+    assert np.array_equal(bits(loss.gradient(X, mu)), bits(reference_gradient(loss, r, mu)))
+    M = np.zeros(shape)
+    M[data.row_idx, data.col_idx] = data.values
+    assert np.array_equal(bits(data.observed_matrix()), bits(M))
+
+
+def test_masked_data_flat_index_is_read_only():
+    rng = np.random.default_rng(65)
+    data = make_completion(rng, m=4, n=7)
+    assert np.array_equal(data.flat_idx, data.row_idx * 7 + data.col_idx)
+    assert not data.flat_idx.flags.writeable
+    with pytest.raises(ValueError):
+        data.flat_idx[0] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.flat_idx = np.arange(data.n_observed)
