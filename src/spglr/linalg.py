@@ -5,6 +5,7 @@ helpers here validate that contract and wrap the numerical backend so
 downstream modules never call LAPACK directly.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -75,7 +76,7 @@ _MAX_SWEEPS = 30
 _RESIDUAL_TOL = 1e-13
 
 
-def _leading_svd(W, k_min, threshold, V0, rng):
+def _leading_svd(W, k_min, threshold, V0, rng, tail):
     """Leading singular triplets of W, certified to cover every singular
     value at or above `threshold`.
 
@@ -84,14 +85,38 @@ def _leading_svd(W, k_min, threshold, V0, rng):
     from `rng`. Each sweep orthonormalises W @ V by QR and takes the
     Rayleigh-Ritz triplets from the SVD of the small matrix W.T @ Q. It
     keeps k = max(k_min, #{s_i > threshold}) triplets once each has
-    ||W v_i - s_i u_i|| <= 1e-13 * s_1, and returns them as SvdFactors
-    with k columns only when the residual R = W - (W V_k) V_k.T passes
-    the certificate: a Cholesky factorisation of threshold^2 * I - R.T R
-    (the smaller Gram) succeeds, so sigma_{k+1}(W) <= ||R|| < threshold.
+    ||W v_i - s_i u_i|| <= 1e-13 * s_1, and returns them only with a
+    proof that sigma_{k+1}(W) < threshold.
 
-    A failed certificate, or no convergence within _MAX_SWEEPS, doubles
-    the block. Returns None once the block would exceed min(m, n) / 2,
-    where the full SVD is the cheaper way to the same triplets.
+    The proof is carried from an earlier call when it can be. `tail` is
+    None or (W_ref, B, k_ref) from the last call that ran a certificate,
+    with sigma_{k_ref+1}(W_ref) <= B proven. By Weyl's inequality,
+    sigma_{k+1}(W) <= sigma_{k_ref+1}(W) <= B + ||W - W_ref||_2, and the
+    Frobenius norm bounds the 2-norm. So when W has W_ref's shape,
+    k >= k_ref, every kept Ritz value is above `threshold`, and
+    B + ||W - W_ref||_F (1 + 1e-12) < threshold, nothing else runs and
+    `tail` is handed on unchanged: by the triangle inequality, keeping
+    W_ref as the anchor is never looser than chaining from call to call.
+    The kept triplets are then the top k: Ritz values interlace,
+    s_i <= sigma_i(W), so sigma_k(W) >= s_k > threshold > sigma_{k+1}(W).
+    A kept value at or below the threshold, as a d = 2 triplet the prox
+    must keep, breaks that chain: the block may then hold a smaller
+    direction in place of a missed one above the threshold, which
+    sigma_{k+1}(W) < threshold does not rule out.
+
+    Otherwise the residual R = W - (W V_k) V_k.T proves it: a Cholesky
+    factorisation of beta^2 * I - G succeeds, G the smaller Gram matrix
+    of R, so sigma_{k+1}(W) <= ||R||_2 < beta. beta is first the margin
+    (threshold + s_{k+1}) / 2, s_{k+1} the block's next Ritz value, so
+    that the bound has room to carry, then the threshold itself. The
+    proven beta becomes the new B, with a copy of W and k. Each
+    factorisation counts as one certificate.
+
+    Neither proof, or no convergence within _MAX_SWEEPS, doubles the
+    block. Returns (factors, tail, certificates): factors is SvdFactors
+    with k columns, or None once the block would exceed min(m, n) / 2,
+    where the full SVD is the cheaper way to the same triplets; tail is
+    the state for the next call, None when factors is.
     """
     W = as_matrix(W)
     m, n = W.shape
@@ -99,7 +124,12 @@ def _leading_svd(W, k_min, threshold, V0, rng):
     start = np.empty((n, 0)) if V0 is None else V0
     b = max(k_min, start.shape[1]) + _BLOCK_PAD
     if b > limit:
-        return None
+        return None, None, 0
+    certificates = 0
+    carried, k_ref = math.inf, 0
+    if tail is not None and tail[0].shape == W.shape:
+        W_ref, B, k_ref = tail
+        carried = B + float(np.linalg.norm(W - W_ref)) * (1 + 1e-12)
     V = np.hstack([start, rng.standard_normal((n, b - start.shape[1]))])
     Y = W @ V
     sweeps = 0
@@ -108,7 +138,7 @@ def _leading_svd(W, k_min, threshold, V0, rng):
         try:
             P, s, Ht = np.linalg.svd(W.T @ Q, full_matrices=False)
         except np.linalg.LinAlgError:
-            return None
+            return None, None, certificates
         U = Q @ Ht.T
         Y = W @ P
         sweeps += 1
@@ -117,22 +147,29 @@ def _leading_svd(W, k_min, threshold, V0, rng):
         if k < b:
             resid = np.linalg.norm(Y[:, :k] - U[:, :k] * s[:k], axis=0)
             if resid.max(initial=0.0) <= _RESIDUAL_TOL * s[0]:
-                if _norm_below(W - Y[:, :k] @ P[:, :k].T, threshold):
-                    return SvdFactors(U[:, :k], s[:k], P[:, :k])
+                factors = SvdFactors(U[:, :k], s[:k], P[:, :k])
+                if carried < threshold and k >= k_ref and (k == 0 or s[k - 1] > threshold):
+                    return factors, tail, certificates
+                R = W - Y[:, :k] @ P[:, :k].T
+                G = R.T @ R if m >= n else R @ R.T
+                margin = 0.5 * (threshold + s[k])
+                for bound in (margin, threshold) if margin < threshold else (threshold,):
+                    certificates += 1
+                    if _norm_below(G, bound):
+                        return factors, (W.copy(), bound, k), certificates
                 grow = True
         if grow:
             if 2 * b > limit:
-                return None
+                return None, None, certificates
             V = np.hstack([P, rng.standard_normal((n, b))])
             b *= 2
             Y = W @ V
             sweeps = 0
 
 
-def _norm_below(R, bound):
-    """True when the Cholesky factorisation of bound^2 * I - G succeeds,
-    G the smaller Gram matrix of R; that proves ||R||_2 < bound."""
-    G = R.T @ R if R.shape[0] >= R.shape[1] else R @ R.T
+def _norm_below(G, bound):
+    """True when the Cholesky factorisation of bound^2 * I - G succeeds;
+    for G the Gram matrix of R, that proves ||R||_2 < bound."""
     C = -G
     C.flat[:: C.shape[0] + 1] += bound * bound
     try:

@@ -162,15 +162,21 @@ class _L1Loss:
 
     def value_at(self, r, mu):
         """`value` at the iterate whose residual vector is r."""
+        return self.value_and_l1_at(r, mu)[0]
+
+    def value_and_l1_at(self, r, mu):
+        """(value_at(r, mu), value_at(r, 0)): the smoothed loss and its l1
+        part, the exact loss, from one pass over |r|."""
         if mu < 0:
             raise ValueError(f"mu must be nonnegative, got {mu}")
-        if mu == 0:
-            return float(np.sum(np.abs(r)))
-        _check_positive(mu)
+        if mu != 0:
+            _check_positive(mu)
         a = np.abs(r)
-        l1 = np.sum(a)
+        l1 = float(np.sum(a))
+        if mu == 0:
+            return l1, l1
         t = _tube(a, mu, out=a)
-        return float(_l1_plus_tube(l1, np.vdot(t, t), mu))
+        return float(_l1_plus_tube(l1, np.vdot(t, t), mu)), l1
 
     def gradient_at(self, r, mu):
         """`gradient` at the iterate whose residual vector is r."""

@@ -111,16 +111,26 @@ class ProxWarmStart:
     """State one solve carries from prox to prox on the truncated path.
 
     V is the right factor of the last prox output (None before the
-    first), rng draws the random starting columns, `calls` counts prox
-    calls and `fallbacks` the truncated-path calls whose certificate
-    failed, so that they ran the full SVD.
+    first), rng draws the random starting columns, and `tail` is the
+    proof that the next call may carry forward instead of forming a
+    Gram matrix: (W_ref, B, k_ref), a private copy of the W of the last
+    call that ran a certificate, a proven bound B on its singular value
+    k_ref + 1, and k_ref, or None. Weyl's inequality moves the bound to
+    a new W at the cost of ||W - W_ref||_F; see linalg._leading_svd. A
+    call that runs the full SVD, by fallback or directly, clears it.
+    `calls` counts prox calls, `fallbacks` the truncated-path calls
+    whose certificate failed, so that they ran the full SVD, and
+    `certificates` the Cholesky factorisations the truncated path ran,
+    retries included.
     """
 
     def __init__(self, seed):
         self.V = None
         self.rng = np.random.default_rng(seed)
+        self.tail = None
         self.calls = 0
         self.fallbacks = 0
+        self.certificates = 0
 
 
 def prox_matrix_with_spectrum(W, d, tau, nu, warm=None):
@@ -134,19 +144,25 @@ def prox_matrix_with_spectrum(W, d, tau, nu, warm=None):
     entries is decomposed only as far as the prox needs: every d = 2
     triplet and every singular value above tau / nu, since the rest
     shrink to exactly zero. The truncated SVD starts from warm.V and
-    proves that the next singular value is below tau / nu; when it
-    cannot, the full SVD runs instead and warm.fallbacks counts it. A W
-    whose first block, the d = 2 count plus _BLOCK_PAD, already exceeds
-    half its smaller side goes to the full SVD directly, uncounted.
+    proves that the next singular value is below tau / nu, by carrying
+    warm.tail forward when the drift of W since that proof leaves room,
+    else by a Cholesky certificate; when neither works, the full SVD
+    runs instead and warm.fallbacks counts it. A W whose first block,
+    the d = 2 count plus _BLOCK_PAD, already exceeds half its smaller
+    side goes to the full SVD directly, uncounted.
     """
     _check_tau_nu(tau, nu)
     factors = None
     if warm is not None:
         warm.calls += 1
+        tail, warm.tail = warm.tail, None
         if np.size(W) >= _TRUNCATE_MIN_SIZE:
             k_min = int(np.count_nonzero(np.asarray(d) == 2))
             if k_min + _BLOCK_PAD <= min(np.shape(W)) // 2:
-                factors = _leading_svd(W, k_min, tau / nu, warm.V, warm.rng)
+                factors, warm.tail, certificates = _leading_svd(
+                    W, k_min, tau / nu, warm.V, warm.rng, tail
+                )
+                warm.certificates += certificates
                 if factors is None:
                     warm.fallbacks += 1
     U, s, V = factors or svd(W)

@@ -144,12 +144,13 @@ def _line_search_inner(
     accepts), so the first candidate is usually accepted. norm_scale is
     max(1, ||X_k||); `warm` is passed on to the prox.
 
-    Returns (gamma, X_next, sigma_next, r_next, loss_next, step):
+    Returns (gamma, X_next, sigma_next, r_next, loss_next, l1_next, step):
     sigma_next is the descending spectrum of X_next taken from the prox,
     saving one SVD per iteration; r_next is the residual vector at X_next,
     the one residual pass each candidate pays for; loss_next is the
     smoothed loss at X_next under mu_k that the acceptance test computed
-    from it; step is ||X_next - X_k||.
+    from it, and l1_next its l1 part, the exact loss at X_next; step is
+    ||X_next - X_k||.
     """
     gamma = gamma_init
     while True:
@@ -157,13 +158,13 @@ def _line_search_inner(
         diff = X_hat - X_k
         step = float(np.linalg.norm(diff))
         r = binding.residuals(X_hat)
-        lhs = binding.value_at(r, mu_k)
+        lhs, l1 = binding.value_and_l1_at(r, mu_k)
         diff *= G
         rhs = f_k + float(np.sum(diff)) + 0.5 * (gamma / mu_k) * step * step
         # A numerically zero step satisfies the test in exact arithmetic;
         # accept it to avoid chasing rounding noise at fixed points.
         if lhs <= rhs or step <= 1e-14 * norm_scale:
-            return gamma, X_hat, sigma_hat, r, lhs, step
+            return gamma, X_hat, sigma_hat, r, lhs, l1, step
         gamma *= rho
 
 
@@ -274,7 +275,7 @@ def solve(binding, config):
         grad_norms.append(float(np.linalg.norm(G)))
         norm_scale = max(1.0, float(np.linalg.norm(X)))
 
-        gamma, X_next, sigma_next, r, loss_next, step = _line_search_inner(
+        gamma, X_next, sigma_next, r, loss_next, l1_next, step = _line_search_inner(
             X, f_k, G, norm_scale, mu, gamma_init, d_k, binding, params, config.rho, warm
         )
         first_try_streak = first_try_streak + 1 if gamma == gamma_init else 0
@@ -282,7 +283,7 @@ def solve(binding, config):
         penalty_next = params.lam * capped_surrogate(sigma_next, params.nu)
         smoothed_obj = loss_next + penalty_next
         energy_now = smoothed_obj + binding.kappa * mu
-        exact_obj = binding.value_at(r, 0.0) + penalty_next
+        exact_obj = l1_next + penalty_next
 
         mu_next = update_mu(
             k, mu, energy_now, energy_prev, config.alpha, config.mu0, config.sigma_exp

@@ -113,6 +113,7 @@ def test_residual_forms_match_public_methods(kind):
     r = loss.residuals(X)
     for mu in (0.0, 0.1, 10.0):
         assert loss.value_at(r, mu) == loss.value(X, mu)
+        assert loss.value_and_l1_at(r, mu) == (loss.value(X, mu), loss.value(X, 0.0))
     assert np.array_equal(loss.gradient_at(r, 0.1), loss.gradient(X, 0.1))
 
 

@@ -237,14 +237,15 @@ def noise_tail(count, top, ratio):
     return top * ratio ** np.arange(count)
 
 
-def truncated_and_exact(W, d, warm=None):
-    """The prox at tau / nu = 1 with a warm start and without one, and the
-    number of fallbacks the warm-started call counted."""
+def truncated_and_exact(W, d, warm=None, tau=0.05):
+    """The prox at tau / nu = tau / 0.05 (1 by default) with a warm start
+    and without one, and the number of fallbacks the warm-started call
+    counted."""
     warm = ProxWarmStart(0) if warm is None else warm
     calls, fallbacks = warm.calls, warm.fallbacks
-    truncated = prox_matrix_with_spectrum(W, d, 0.05, 0.05, warm)
+    truncated = prox_matrix_with_spectrum(W, d, tau, 0.05, warm)
     assert warm.calls == calls + 1
-    return truncated, prox_matrix_with_spectrum(W, d, 0.05, 0.05), warm.fallbacks - fallbacks
+    return truncated, prox_matrix_with_spectrum(W, d, tau, 0.05), warm.fallbacks - fallbacks
 
 
 def assert_prox_agrees(truncated, exact):
@@ -342,3 +343,149 @@ def test_truncated_prox_cold_start_certifies_before_returning_zero():
     truncated, exact, _ = truncated_and_exact(W, selector(0, 100))
     assert exact[1][0] == pytest.approx(0.02, rel=1e-8)
     assert_prox_agrees(truncated, exact)
+
+
+# ---------------------------------------------------------------------------
+# the tail bound carried from call to call (Weyl's inequality)
+
+
+def certified_step(W, d, warm, tau=0.05):
+    """One prox call sharing `warm`, checked against the exact prox; returns
+    the certificates (Cholesky factorisations) it ran and its fallbacks."""
+    certificates = warm.certificates
+    truncated, exact, fallbacks = truncated_and_exact(W, d, warm, tau)
+    assert_prox_agrees(truncated, exact)
+    return warm.certificates - certificates, fallbacks
+
+
+def perturbed(W, size, seed):
+    """W plus a Gaussian matrix scaled to Frobenius norm `size`."""
+    E = np.random.default_rng(seed).standard_normal(W.shape)
+    return W + (size / np.linalg.norm(E)) * E
+
+
+# Three values above tau / nu = 1, two below it that a d = 2 selector of
+# length five keeps, then a tail well below both.
+CARRIED_SIGMA = np.r_[10.0, 6.0, 3.0, 0.8, 0.6, noise_tail(95, 0.3, 0.95)]
+
+
+def test_carried_bound_skips_the_certificate_while_w_drifts():
+    W = spectral_matrix((120, 100), CARRIED_SIGMA, seed=11)
+    d = selector(3, 100)
+    warm = ProxWarmStart(2)
+    assert certified_step(W, d, warm) == (1, 0)
+    for j in range(1, 6):
+        W = perturbed(W, 1e-3, seed=j)
+        assert certified_step(W, d, warm) == (0, 0)
+
+
+def test_carried_bound_runs_the_certificate_for_a_new_shape():
+    d = selector(3, 100)
+    warm = ProxWarmStart(2)
+    assert certified_step(spectral_matrix((120, 100), CARRIED_SIGMA, seed=11), d, warm)[0] > 0
+    assert certified_step(spectral_matrix((130, 100), CARRIED_SIGMA, seed=11), d, warm)[0] > 0
+
+
+def unit_orthogonal_to(A, x):
+    """x with the column span of A projected out, scaled to unit norm."""
+    Q = np.linalg.qr(A)[0]
+    x = x - Q @ (Q.T @ x)
+    return x / np.linalg.norm(x)
+
+
+def test_carried_bound_is_broken_by_a_spike_outside_the_warm_block():
+    W = spectral_matrix((120, 100), CARRIED_SIGMA, seed=12)
+    d = selector(3, 100)
+    warm = ProxWarmStart(3)
+    certified_step(W, d, warm)
+    # The next block starts from warm.V and five Gaussian columns. A spike
+    # orthogonal to that block on both sides leaves the first sweep as it
+    # was, so the block converges without it and only a proof of the
+    # tail can see it.
+    warm.rng = np.random.default_rng(13)
+    start = np.hstack([warm.V, np.random.default_rng(13).standard_normal((100, 5))])
+    rng = np.random.default_rng(14)
+    v = unit_orthogonal_to(start, rng.standard_normal(100))
+    u = unit_orthogonal_to(W @ start, rng.standard_normal(120))
+    certificates, fallbacks = certified_step(W + 1.5 * np.outer(u, v), d, warm)
+    assert certificates + fallbacks > 0
+
+
+def test_carried_bound_needs_the_rank_not_to_drop():
+    # sigma_3 crosses tau / nu = 1 downward by a drift of 2e-3, well
+    # inside the carried margin, but k falls from 3 to 2 below k_ref.
+    d = selector(2, 100)
+    warm = ProxWarmStart(4)
+    for third in (1.0 + 1e-3, 1.0 - 1e-3):
+        sigma = np.r_[10.0, 6.0, third, noise_tail(97, 0.5, 0.9)]
+        W = spectral_matrix((120, 100), sigma, seed=14)
+        assert certified_step(W, d, warm)[0] > 0
+
+
+def test_carried_bound_needs_every_kept_value_above_the_threshold():
+    # d = 2 keeps 0.8 and 0.6 below tau / nu = 1, so only the Gram of the
+    # residual proves that the block has missed nothing above it.
+    W = spectral_matrix((120, 100), CARRIED_SIGMA, seed=15)
+    d = selector(5, 100)
+    warm = ProxWarmStart(5)
+    for j in range(3):
+        W = perturbed(W, 1e-6, seed=j)
+        assert certified_step(W, d, warm)[0] > 0
+
+
+def test_carried_bound_is_dropped_after_a_fallback():
+    W = spectral_matrix((120, 100), CARRIED_SIGMA, seed=16)
+    d = selector(0, 100)
+    warm = ProxWarmStart(6)
+    certified_step(W, d, warm)
+    # forty values above the threshold: the block passes p / 2 first
+    many = spectral_matrix((120, 100), np.r_[np.full(40, 2.0), noise_tail(60, 0.5, 0.9)], seed=17)
+    assert certified_step(many, d, warm)[1] == 1
+    assert certified_step(perturbed(W, 1e-6, seed=18), d, warm)[0] > 0
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    wide=st.booleans(),
+    twos=st.sampled_from([0, 3, 5]),
+    log_sizes=st.lists(st.floats(-6.0, 0.0), min_size=2, max_size=5),
+    seed=st.integers(0, 2**16),
+)
+def test_shared_warm_start_matches_exact_prox_along_a_drift(wide, twos, log_sizes, seed):
+    # Each step moves W by 1e-6 to 1 times tau / nu in Frobenius norm.
+    shape = (100, 120) if wide else (120, 100)
+    W = spectral_matrix(shape, CARRIED_SIGMA, seed)
+    d = selector(twos, CARRIED_SIGMA.size)
+    warm = ProxWarmStart(seed)
+    for j, log_size in enumerate(log_sizes):
+        W = perturbed(W, 10.0**log_size, seed + j)
+        certified_step(W, d, warm)
+    assert warm.fallbacks == 0
+
+
+def test_shared_warm_start_on_degenerate_inputs():
+    warm = ProxWarmStart(7)
+    zero = np.zeros((120, 100))
+    for _ in range(2):
+        (X_t, x_t), (X_e, x_e), _ = truncated_and_exact(zero, selector(0, 100), warm)
+        assert np.array_equal(X_t, X_e) and np.array_equal(x_t, x_e)
+    # a single row: the first block exceeds half the short side, so the
+    # full SVD runs directly and is neither a fallback nor a certificate
+    row = np.random.default_rng(8).standard_normal((1, 20_000))
+    thin = ProxWarmStart(8)
+    (X_t, x_t), (X_e, x_e), fallbacks = truncated_and_exact(row, selector(0, 1), thin)
+    assert fallbacks == thin.certificates == 0
+    assert np.array_equal(X_t, X_e) and np.array_equal(x_t, x_e)
+    # the prox is homogeneous: scaling W and tau together scales X
+    for scale in (1e-8, 1e8):
+        W = scale * spectral_matrix((120, 100), CARRIED_SIGMA, seed=9)
+        scaled = ProxWarmStart(9)
+        for j in range(3):
+            W = perturbed(W, 1e-4 * scale, seed=j)
+            certified_step(W, selector(3, 100), scaled, tau=0.05 * scale)
+        assert scaled.fallbacks == 0
+    bad = spectral_matrix((120, 100), CARRIED_SIGMA, seed=10)
+    certified_step(bad, selector(3, 100), warm)
+    bad[5, 7] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        prox_matrix_with_spectrum(bad, selector(3, 100), 0.05, 0.05, warm)

@@ -509,6 +509,25 @@ def test_solve_on_truncated_path_matches_full_svd_run(monkeypatch):
     assert truncated.trace[-1].rank_estimate == exact.trace[-1].rank_estimate
 
 
+def test_solve_carries_the_tail_bound_past_most_certificates(monkeypatch):
+    # Proving every truncated prox from scratch costs one Cholesky per
+    # call; the bound carried by Weyl's inequality skips most of them.
+    made = []
+
+    class Recorded(penalty_module.ProxWarmStart):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(solver_module, "ProxWarmStart", Recorded)
+    _, binding = completion_above_cutoff()
+    result = solve(binding, SolverConfig(lam=1.0, nu=0.05, mu0=100.0, max_iter=500))
+    (warm,) = made
+    assert warm.calls == result.prox_calls
+    assert result.prox_fallbacks == 0
+    assert 0 < warm.certificates <= 0.4 * warm.calls
+
+
 def test_solve_thin_input_above_cutoff_counts_no_fallbacks(monkeypatch):
     # 1300 x 8: above the size cutoff, but the first block of the
     # truncated SVD already exceeds half of the short side
