@@ -172,9 +172,9 @@ def _solve_one(data, run_cfg, choice):
 def _cmd_solve(args):
     run_cfg = _load_config(args)
     choice = args.solver or run_cfg.solver_choice
-    out = _out_dir(args)
     if args.trials < 1:
         raise ConfigError('"trials": must be at least 1')
+    out = _out_dir(args)
 
     if args.mask is not None:
         data = io_formats.mask_csv_read(
@@ -282,15 +282,17 @@ def _cmd_inpaint(args):
 
 def _cmd_ablate(args):
     run_cfg = _load_config(args)
-    out = _out_dir(args)
     if args.trials < 1:
         raise ConfigError('"trials": must be at least 1')
     try:
         mu0_values = [float(tok) for tok in args.mu0_list.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f'"--mu0-list": bad value {args.mu0_list!r}') from None
-    if not mu0_values or any(v <= 0 for v in mu0_values):
-        raise ConfigError('"--mu0-list": values must be positive')
+        for mu0 in mu0_values:
+            replace(run_cfg.solver, mu0=mu0).validate()
+    except ValueError as exc:
+        raise ConfigError(f'"--mu0-list": bad value {args.mu0_list!r} ({exc})') from None
+    if not mu0_values:
+        raise ConfigError('"--mu0-list": no values')
+    out = _out_dir(args)
 
     rows = []
     for mu0 in mu0_values:

@@ -38,10 +38,13 @@ class GmmNoiseParams:
     c: float = 0.0
 
     def __post_init__(self):
-        if self.var_a < 0 or self.var_b < 0:
-            raise ValueError("variances must be nonnegative")
+        for name in ("var_a", "var_b"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
         if not 0 <= self.c <= 1:
-            raise ValueError(f"c must lie in [0, 1], got {self.c}")
+            raise ValueError("c must lie in [0, 1]")
 
     @property
     def mixture_variance(self):
@@ -58,12 +61,13 @@ class TrialSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError("m and n must be positive")
-        if not 1 <= self.r <= min(self.m, self.n):
-            raise ValueError(f"r must lie in [1, min(m, n)], got {self.r}")
+        for name in ("m", "n", "r"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.r > min(self.m, self.n):
+            raise ValueError("r must not exceed min(m, n)")
         if not 0 < self.sr <= 1:
-            raise ValueError(f"sr must lie in (0, 1], got {self.sr}")
+            raise ValueError("sr must lie in (0, 1]")
 
 
 def gen_low_rank(m, n, r, seed):

@@ -7,7 +7,7 @@ and trace files reproduce their float64 sources bit for bit.
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -234,15 +234,22 @@ def results_csv_write(rows):
 # ---------------------------------------------------------------------------
 # JSON configuration
 
-# Config keys are SolverConfig's fields, with lam spelled "lambda".
-_SOLVER_DEFAULTS = {
-    "lambda" if f.name == "lam" else f.name: f.default for f in fields(SolverConfig)
-}
-_DATA_KEYS = ("m", "n", "r", "sr")
-_NOISE_DEFAULTS = {"var_a": 0.0, "var_b": 0.0, "c": 0.0}
-_ALL_KEYS = (
-    set(_SOLVER_DEFAULTS) | set(_DATA_KEYS) | set(_NOISE_DEFAULTS) | {"solver"}
+# The config keys are the fields of SolverConfig (lam spelled "lambda"),
+# GmmNoiseParams and TrialSpec's data fields, plus "solver". The data
+# fields are TrialSpec's fields without a default, less the noise; they
+# are the required keys. The codec checks each value's type against its
+# field's declared type; each range belongs to the dataclass that owns
+# the field.
+_SPELLING = {"lam": "lambda"}
+_SOLVER_FIELDS = fields(SolverConfig)
+_NOISE_FIELDS = fields(GmmNoiseParams)
+_DATA_FIELDS = tuple(
+    f for f in fields(TrialSpec) if f.default is MISSING and f.type is not GmmNoiseParams
 )
+_KEY_FIELDS = {
+    _SPELLING.get(f.name, f.name): f for f in _SOLVER_FIELDS + _NOISE_FIELDS + _DATA_FIELDS
+}
+_TYPE_RULES = {int: ((int,), "must be an integer"), float: ((int, float), "must be a number")}
 
 
 @dataclass
@@ -255,10 +262,11 @@ class RunConfig:
 def config_read(text, overrides=None):
     """Parse and validate a JSON run configuration.
 
-    Solver and noise keys have documented defaults; the data keys m, n,
-    r, sr are required. Unknown keys are rejected. "inf" (or a JSON
-    Infinity) is accepted for alpha. The optional `overrides` dict
-    replaces keys of the parsed document before it is validated.
+    Solver and noise keys default to their dataclass defaults; the data
+    keys m, n, r, sr are required. Unknown keys are rejected. A real may
+    be given as "inf" (or a JSON Infinity), which only alpha accepts.
+    The optional `overrides` dict replaces keys of the parsed document
+    before it is validated.
     """
     try:
         doc = json.loads(text)
@@ -273,102 +281,50 @@ def config_read(text, overrides=None):
 
 def check_config_keys(doc):
     """Reject unknown keys and report missing required data keys."""
-    unknown = sorted(set(doc) - _ALL_KEYS)
+    unknown = sorted(set(doc) - set(_KEY_FIELDS) - {"solver"})
     if unknown:
         raise ConfigError(f'unknown config key "{unknown[0]}"')
-    missing = sorted(k for k in _DATA_KEYS if k not in doc)
+    missing = sorted(f.name for f in _DATA_FIELDS if f.name not in doc)
     if missing:
         raise ConfigError(f'"{missing[0]}": required key is missing')
 
 
 def config_from_dict(doc):
-    """Validate a parsed config dict, overrides already applied."""
-    m = _as_int(doc, "m", minimum=1)
-    n = _as_int(doc, "n", minimum=1)
-    r = _as_int(doc, "r", minimum=1)
-    if r > min(m, n):
-        raise ConfigError('"r": must not exceed min(m, n)')
-    sr = _as_number(doc, "sr", None)
-    if not 0 < sr <= 1:
-        raise ConfigError('"sr": must lie in (0, 1]')
+    """Validate a parsed config dict, overrides already applied.
 
-    solver_cfg = SolverConfig(
-        mu0=_positive(doc, "mu0"),
-        alpha=_parse_alpha(doc.get("alpha", _SOLVER_DEFAULTS["alpha"])),
-        rho=_positive(doc, "rho", strict_above=1.0),
-        sigma_exp=_positive(doc, "sigma_exp", strict_above=1.0),
-        gamma_lo=_positive(doc, "gamma_lo"),
-        gamma_hi=_positive(doc, "gamma_hi"),
-        lam=_positive(doc, "lambda"),
-        nu=_positive(doc, "nu"),
-        max_iter=_as_int(doc, "max_iter", minimum=1),
-        step_tol=_positive(doc, "step_tol"),
-        mu_stop=_positive(doc, "mu_stop"),
-        seed=_as_int(doc, "seed"),
-    )
-    if solver_cfg.gamma_lo > solver_cfg.gamma_hi:
-        raise ConfigError('"gamma_lo": must not exceed gamma_hi')
+    A ValueError from an owning dataclass starts with the field name; it
+    is re-raised as a ConfigError that starts with the quoted key.
+    """
+    values = {
+        f.name: _typed(key, f.type, doc[key]) for key, f in _KEY_FIELDS.items() if key in doc
+    }
 
-    var_a = _as_number(doc, "var_a", _NOISE_DEFAULTS["var_a"])
-    var_b = _as_number(doc, "var_b", _NOISE_DEFAULTS["var_b"])
-    c = _as_number(doc, "c", _NOISE_DEFAULTS["c"])
-    if var_a < 0:
-        raise ConfigError('"var_a": must be nonnegative')
-    if var_b < 0:
-        raise ConfigError('"var_b": must be nonnegative')
-    if not 0 <= c <= 1:
-        raise ConfigError('"c": must lie in [0, 1]')
-    noise = GmmNoiseParams(var_a=var_a, var_b=var_b, c=c)
+    def pick(group):
+        return {f.name: values[f.name] for f in group if f.name in values}
+
+    try:
+        solver_cfg = SolverConfig(**pick(_SOLVER_FIELDS))
+        solver_cfg.validate()
+        noise = GmmNoiseParams(**pick(_NOISE_FIELDS))
+        trial = TrialSpec(**pick(_DATA_FIELDS), noise=noise, seed=solver_cfg.seed)
+    except ValueError as exc:
+        name, _, rule = str(exc).partition(" ")
+        raise ConfigError(f'"{_SPELLING.get(name, name)}": {rule}') from None
 
     solver_choice = doc.get("solver", "spg")
     if solver_choice not in ("spg", "svt"):
         raise ConfigError('"solver": must be "spg" or "svt"')
-
-    trial = TrialSpec(m=m, n=n, r=r, sr=sr, noise=noise, seed=solver_cfg.seed)
     return RunConfig(solver=solver_cfg, trial=trial, solver_choice=solver_choice)
 
 
-def _parse_alpha(value):
-    if isinstance(value, str):
-        if value.strip().lower() == "inf":
-            return math.inf
-        raise ConfigError('"alpha": must be a positive number or "inf"')
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError('"alpha": must be a positive number or "inf"')
-    if math.isnan(value) or value <= 0:
-        raise ConfigError('"alpha": must be a positive number or "inf"')
-    return float(value)
-
-
-def _as_number(doc, key, default):
-    if key not in doc:
-        if default is None:
-            raise ConfigError(f'"{key}": required key is missing')
-        return default
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f'"{key}": must be a number')
-    if isinstance(v, float) and not math.isfinite(v):
-        raise ConfigError(f'"{key}": must be finite')
-    return float(v)
-
-
-def _as_int(doc, key, minimum=None):
-    if key not in doc:
-        if key in _SOLVER_DEFAULTS:
-            return _SOLVER_DEFAULTS[key]
-        raise ConfigError(f'"{key}": required key is missing')
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f'"{key}": must be an integer')
-    if minimum is not None and v < minimum:
-        raise ConfigError(f'"{key}": must be at least {minimum}')
-    return v
-
-
-def _positive(doc, key, strict_above=0.0):
-    v = _as_number(doc, key, _SOLVER_DEFAULTS[key])
-    if not v > strict_above:
-        bound = "positive" if strict_above == 0.0 else f"greater than {strict_above:g}"
-        raise ConfigError(f'"{key}": must be {bound}')
-    return v
+def _typed(key, ftype, value):
+    """`value` as a `ftype`; a float field also takes the string "inf"."""
+    if ftype is float and isinstance(value, str) and value.strip().lower() == "inf":
+        return math.inf
+    accepted, rule = _TYPE_RULES[ftype]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f'"{key}": {rule}')
+    try:
+        return ftype(value)
+    except OverflowError:
+        raise ConfigError(f'"{key}": {rule} within the float range') from None

@@ -25,8 +25,9 @@ The energy value loss~(X, mu) + lam * penalty + kappa * mu is
 nonincreasing along the iterates, which is what drives the schedule.
 """
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -67,28 +68,27 @@ class SolverConfig:
     seed: int = 0
 
     def validate(self):
-        if not self.mu0 > 0:
-            raise ValueError(f"mu0 must be positive, got {self.mu0}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not self.rho > 1:
-            raise ValueError(f"rho must exceed 1, got {self.rho}")
-        if not self.sigma_exp > 1:
-            raise ValueError(f"sigma_exp must exceed 1, got {self.sigma_exp}")
-        if not 0 < self.gamma_lo <= self.gamma_hi:
-            raise ValueError(
-                f"need 0 < gamma_lo <= gamma_hi, got {self.gamma_lo}, {self.gamma_hi}"
-            )
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if not self.nu > 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
+        """Raise ValueError on a setting outside the solver's assumptions.
+
+        The message starts with the field name. Every real but alpha must
+        be finite.
+        """
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and f.name != "alpha" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
+        for name in ("mu0", "alpha", "gamma_lo", "gamma_hi", "lam", "nu", "step_tol", "mu_stop"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("rho", "sigma_exp"):
+            if not getattr(self, name) > 1:
+                raise ValueError(f"{name} must be greater than 1")
+        if self.gamma_lo > self.gamma_hi:
+            raise ValueError("gamma_lo must not exceed gamma_hi")
         if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not self.step_tol > 0:
-            raise ValueError(f"step_tol must be positive, got {self.step_tol}")
-        if not self.mu_stop > 0:
-            raise ValueError(f"mu_stop must be positive, got {self.mu_stop}")
+            raise ValueError("max_iter must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     def penalty(self):
         return CappedPenaltyParams(self.lam, self.nu)

@@ -161,6 +161,34 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
     assert "mystery" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["solve", "--seed", "-1"], '"seed"'),
+        (["synth", "--seed", "-1"], '"seed"'),
+        (["synth", "--override", "seed=-3"], '"seed"'),
+        (["solve", "--trials", "0"], '"trials"'),
+        (["ablate", "--trials", "0"], '"trials"'),
+        (["ablate", "--mu0-list", "10,-1"], '"--mu0-list"'),
+        (["ablate", "--mu0-list", "10,x"], '"--mu0-list"'),
+    ],
+)
+def test_bad_input_rejected_before_any_output(tmp_path, capsys, argv, key):
+    cfg = write_config(tmp_path, SMALL)
+    out = tmp_path / "never"
+    assert run([*argv, "--config", cfg, "--out-dir", str(out)]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["mu0", "sr", "c"])
+def test_integer_beyond_float_range_is_a_config_error(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, SMALL)
+    argv = ["synth", "--config", cfg, "--out-dir", str(tmp_path / "x")]
+    assert run([*argv, "--override", f"{key}=1{'0' * 400}"]) == 1
+    assert capsys.readouterr().err.startswith(f'error: "{key}": ')
+
+
 def test_missing_config_file_is_runtime_error(tmp_path):
     assert (
         run(["synth", "--config", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path)])

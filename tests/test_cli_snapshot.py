@@ -18,7 +18,8 @@ def test_two_snapshots_compare_identical(tmp_path, capsys):
     capsys.readouterr()
     assert tool.main(["--compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 27  # 4 inputs and 23 outputs, every one identical
+    # 4 inputs and 23 outputs, then 9 error configs and their 9 records
+    assert len(lines) == 27 + 2 * len(tool.ERROR_CASES)
     assert all(line.startswith("identical: ") for line in lines)
 
     # a changed trace cell is reported by its column
@@ -31,3 +32,14 @@ def test_two_snapshots_compare_identical(tmp_path, capsys):
     assert tool.main(["--compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
     out = capsys.readouterr().out
     assert "differs: m12/solve_mask/trace.csv: energy (1 rows, max rel 1.00e-12)" in out
+
+    # an error record holds the exit code, whether --out-dir was made, and
+    # stderr; a changed message is printed on both sides
+    record = tmp_path / "b" / "errors" / "seed_negative.txt"
+    assert record.read_text("utf-8").splitlines()[:2] == ["exit 1", "out-dir created: no"]
+    record.write_text("exit 1\nout-dir created: yes\nerror: changed\n", "utf-8")
+    assert tool.main(["--compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    out = capsys.readouterr().out
+    assert ("differs: errors/seed_negative.txt: 'out-dir created: no' vs "
+            "'out-dir created: yes'; 'error: \"seed\": must be nonnegative' vs "
+            "'error: changed'") in out

@@ -88,6 +88,13 @@ def test_gmm_params_validation():
         GmmNoiseParams(-1.0, 0.1, 0.1)
     with pytest.raises(ValueError):
         GmmNoiseParams(0.1, 0.1, 1.5)
+    # one message per field, each led by the field's name
+    with pytest.raises(ValueError, match="^var_a must be finite"):
+        GmmNoiseParams(var_a=math.nan)
+    with pytest.raises(ValueError, match="^var_b must be finite"):
+        GmmNoiseParams(var_b=math.inf)
+    with pytest.raises(ValueError, match="^var_b must be nonnegative"):
+        GmmNoiseParams(var_b=-0.1)
 
 
 def test_rmse_examples():
@@ -117,6 +124,9 @@ def test_trial_spec_validation():
         TrialSpec(m=4, n=4, r=5, sr=0.5, noise=NOISE)
     with pytest.raises(ValueError):
         TrialSpec(m=4, n=4, r=2, sr=0.0, noise=NOISE)
+    # one message per field, each led by the field's name
+    with pytest.raises(ValueError, match="^n must be at least 1"):
+        TrialSpec(m=4, n=0, r=1, sr=0.5, noise=NOISE)
 
 
 def test_build_trial_data_noise_on_observed_only():

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from spglr import io_formats
+from spglr.experiments import GmmNoiseParams, TrialSpec
 from spglr.io_formats import (
     ConfigError,
     config_read,
@@ -260,15 +262,60 @@ def test_config_rank_bound_checked():
         config_read('{"m": 4, "n": 4, "r": 9, "sr": 0.5}')
 
 
+# One row per config key: a value of the wrong type, then a value of the
+# right type outside the key's range. max_iter 2.5, alpha "huge", c 1.2 and
+# solver "magic" are the cases test_config_bad_types_and_values held.
+KEY_CASES = {
+    "mu0": ("10", math.inf),
+    "alpha": ("huge", -1.0),
+    "rho": ([2.0], 1.0),
+    "sigma_exp": (None, 1.0),
+    "gamma_lo": (True, 0.0),
+    "gamma_hi": ({}, -1.0),
+    "lambda": ("x", math.nan),
+    "nu": ("0.05", -0.5),
+    "max_iter": (2.5, 0),
+    "step_tol": ("1e-6", 0.0),
+    "mu_stop": (False, -1e-6),
+    "seed": ("3", -1),
+    "var_a": ("x", -1.0),
+    "var_b": ("x", math.inf),
+    "c": ("x", 1.2),
+    "m": (8.0, 0),
+    "n": (True, 0),
+    "r": ("2", 9),
+    "sr": ("x", 0.0),
+    "solver": (3, "magic"),
+}
+
+
+def build_owner(field, value):
+    """Give `value` to the dataclass that owns `field`, as the codec does."""
+    if field in {f.name for f in fields(SolverConfig)}:
+        SolverConfig(**{field: value}).validate()
+    elif field in {f.name for f in fields(GmmNoiseParams)}:
+        GmmNoiseParams(**{field: value})
+    else:
+        TrialSpec(**{"m": 8, "n": 6, "r": 2, "sr": 0.8, field: value}, noise=GmmNoiseParams())
+
+
+@pytest.mark.parametrize("key", sorted([*io_formats._KEY_FIELDS, "solver"]))
+def test_config_key_type_and_range(key):
+    wrong_type, out_of_range = KEY_CASES[key]
+    with pytest.raises(ConfigError, match=f'^"{key}": '):
+        config_read(MINIMAL, {key: wrong_type})
+    with pytest.raises(ConfigError, match=f'^"{key}": ') as from_codec:
+        config_read(MINIMAL, {key: out_of_range})
+    if key == "solver":
+        return  # the solver choice is the codec's own key
+    field = "lam" if key == "lambda" else key
+    with pytest.raises(ValueError, match=f"^{field} ") as from_owner:
+        build_owner(field, out_of_range)
+    # the codec states no rule of its own: it only puts the key in front
+    assert str(from_codec.value) == f'"{key}": ' + str(from_owner.value).split(" ", 1)[1]
+
+
 def test_config_bad_types_and_values():
-    with pytest.raises(ConfigError, match='"max_iter"'):
-        config_read('{"m": 4, "n": 4, "r": 1, "sr": 0.5, "max_iter": 2.5}')
-    with pytest.raises(ConfigError, match='"alpha"'):
-        config_read('{"m": 4, "n": 4, "r": 1, "sr": 0.5, "alpha": "huge"}')
-    with pytest.raises(ConfigError, match='"c"'):
-        config_read('{"m": 4, "n": 4, "r": 1, "sr": 0.5, "c": 1.2}')
-    with pytest.raises(ConfigError, match='"solver"'):
-        config_read('{"m": 4, "n": 4, "r": 1, "sr": 0.5, "solver": "magic"}')
     with pytest.raises(ConfigError, match='"gamma_lo"'):
         config_read('{"m": 4, "n": 4, "r": 1, "sr": 0.5, "gamma_lo": 9.0, "gamma_hi": 1.0}')
     with pytest.raises(ConfigError, match="invalid JSON"):

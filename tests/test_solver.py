@@ -462,6 +462,15 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0).validate()
     SolverConfig(alpha=math.inf).validate()  # ablation mode is valid
+    # one message per field, each led by the field's name
+    with pytest.raises(ValueError, match="^mu0 must be finite$"):
+        SolverConfig(mu0=math.inf).validate()
+    with pytest.raises(ValueError, match="^nu must be finite$"):
+        SolverConfig(nu=math.nan).validate()
+    with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+        SolverConfig(seed=-1).validate()
+    with pytest.raises(ValueError, match="^gamma_lo must not exceed gamma_hi$"):
+        SolverConfig(gamma_lo=2.0, gamma_hi=1.0).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,24 @@ Every output lands under OUT_DIR/mN/<command>/. The inputs the tool makes
 itself depend only on N, so two snapshots of different source trees see
 the same files.
 
+It also runs a fixed set of invalid `solve` commands (ERROR_CASES: the
+README config at m = 60 with one key or flag wrong) and writes each
+one's exit code, whether its --out-dir was created, and its stderr to
+OUT_DIR/errors/<name>.txt; their configs go to OUT_DIR/errors/inputs/.
+
 The second form walks both trees and prints one line per file: identical,
 differing, or present on one side only. `wall_time_s` in metrics.json and
 `mean_runtime_s` in results.csv are ignored. For a differing trace.csv it
-names each differing column and its largest relative difference. The exit
+names each differing column and its largest relative difference, and for
+a differing errors/*.txt it prints each changed line on both sides. The exit
 status is 0 when every file is identical and 1 otherwise.
 """
 
 import argparse
+import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -32,6 +40,19 @@ import numpy as np
 
 CHECKOUT_SRC = Path(__file__).resolve().parents[1] / "src"
 IGNORED = {"metrics.json": "wall_time_s", "results.csv": "mean_runtime_s"}
+
+# name: (config changes, a None value drops the key; extra solve flags)
+ERROR_CASES = {
+    "nu_negative": ({"nu": -0.05}, []),
+    "unknown_key": ({"lamda": 0.75}, []),
+    "missing_sr": ({"sr": None}, []),
+    "gamma_lo_above_hi": ({"gamma_lo": 9.0, "gamma_hi": 1.0}, []),
+    "alpha_huge": ({"alpha": "huge"}, []),
+    "max_iter_fraction": ({"max_iter": 2.5}, []),
+    "solver_magic": ({"solver": "magic"}, []),
+    "trials_zero": ({}, ["--trials", "0"]),
+    "seed_negative": ({}, ["--seed", "-1"]),
+}
 
 
 def readme_config(size, max_iter):
@@ -98,7 +119,26 @@ def snapshot(out_dir, src, sizes, max_iter):
             print(f"m{size}/{name}: exit {code}", flush=True)
             if code != 0:
                 failed.append(f"m{size}/{name}")
+    snapshot_errors(Path(out_dir) / "errors", cli, max_iter)
     return failed
+
+
+def snapshot_errors(root, cli, max_iter):
+    """Run ERROR_CASES; write exit code, out-dir presence and stderr."""
+    (root / "inputs").mkdir(parents=True, exist_ok=True)
+    for name, (changes, flags) in ERROR_CASES.items():
+        doc = {**readme_config(60, max_iter), **changes}
+        config = root / "inputs" / f"{name}.json"
+        config.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}), "utf-8")
+        out = root / "out" / name
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = cli.run(["solve", "--config", str(config), "--out-dir", str(out), *flags])
+        created = "yes" if out.exists() else "no"
+        (root / f"{name}.txt").write_text(
+            f"exit {code}\nout-dir created: {created}\n{stderr.getvalue()}", "utf-8"
+        )
+        print(f"errors/{name}: exit {code}", flush=True)
 
 
 def _relative(a, b):
@@ -154,6 +194,9 @@ def compare_file(name, a, b):
         return "rows differ"
     if name == "trace.csv":
         return trace_difference(a, b)
+    if name.endswith(".txt"):
+        pairs = itertools.zip_longest(a.decode().splitlines(), b.decode().splitlines())
+        return "; ".join(f"{x!r} vs {y!r}" for x, y in pairs if x != y)
     return "bytes differ"
 
 
