@@ -32,7 +32,7 @@ from .solver import (
     stationarity_residual,
     update_mu,
 )
-from .svt import SvtConfig, soft_threshold_sigma, svt_solve
+from .svt import SvtConfig, svt_solve
 from .experiments import (
     GmmNoiseParams,
     McSummary,
@@ -85,7 +85,6 @@ __all__ = [
     "rmse",
     "run_trial",
     "sample_mask",
-    "soft_threshold_sigma",
     "solve",
     "stationarity_residual",
     "svd",

@@ -27,12 +27,13 @@ from .experiments import (
     rmse,
     psnr,
     sample_mask,
+    timed_solve,
 )
 from .io_formats import ConfigError
 from .linalg import DecompositionError, svd, rank_estimate
-from .losses import CompletionLoss, MaskedData, RpcaLoss
+from .losses import MaskedData, RpcaLoss
 from .solver import solve
-from .svt import SvtConfig, svt_solve
+from .svt import SvtConfig
 
 
 def main(argv=None):
@@ -160,15 +161,6 @@ def _cmd_synth(args):
     return 0
 
 
-def _solve_one(data, run_cfg, choice):
-    start = time.perf_counter()
-    if choice == "svt":
-        result = svt_solve(data, _svt_config(run_cfg))
-    else:
-        result = solve(CompletionLoss(data), run_cfg.solver)
-    return result, time.perf_counter() - start
-
-
 def _cmd_solve(args):
     run_cfg = _load_config(args)
     choice = args.solver or run_cfg.solver_choice
@@ -183,25 +175,22 @@ def _cmd_solve(args):
             run_cfg.trial.n,
         )
         truth = _read_optional_matrix(args.truth)
-        result, wall = _solve_one(data, run_cfg, choice)
-        _write_solution(out, result, wall, choice, truth)
+    elif args.trials == 1:
+        truth, data = build_trial_data(run_cfg.trial)
+    else:
+        summary = monte_carlo(
+            run_cfg.trial,
+            solver_choice=choice,
+            trials=args.trials,
+            solver_config=run_cfg.solver,
+            svt_config=_svt_config(run_cfg),
+        )
+        rows = [_summary_row(summary, run_cfg, run_cfg.solver.mu0, run_cfg.solver.alpha)]
+        (out / "results.csv").write_text(io_formats.results_csv_write(rows), "utf-8")
         return 0
 
-    if args.trials == 1:
-        M, data = build_trial_data(run_cfg.trial)
-        result, wall = _solve_one(data, run_cfg, choice)
-        _write_solution(out, result, wall, choice, M)
-        return 0
-
-    summary = monte_carlo(
-        run_cfg.trial,
-        solver_choice=choice,
-        trials=args.trials,
-        solver_config=run_cfg.solver,
-        svt_config=_svt_config(run_cfg),
-    )
-    rows = [_summary_row(summary, run_cfg, run_cfg.solver.mu0, run_cfg.solver.alpha)]
-    (out / "results.csv").write_text(io_formats.results_csv_write(rows), "utf-8")
+    result, wall = timed_solve(data, choice, run_cfg.solver, _svt_config(run_cfg))
+    _write_solution(out, result, wall, choice, truth)
     return 0
 
 
@@ -219,7 +208,7 @@ def _write_solution(out, result, wall, choice, truth, **extra):
         "solver": choice,
         "status": result.status,
         "iterations": result.iterations,
-        "rank": result.trace[-1].rank_estimate if result.trace else 0,
+        "rank": result.rank,
         "stationarity_residual": result.stationarity_residual,
         "objective_gap": result.objective_gap,
         "wall_time_s": wall,
@@ -258,9 +247,7 @@ def _cmd_inpaint(args):
     observed[row_idx, col_idx] = np.clip(data.values, 0.0, 1.0)
     (out / "observed.pgm").write_bytes(io_formats.pgm_write(observed))
 
-    start = time.perf_counter()
-    result = solve(CompletionLoss(data), run_cfg.solver)
-    wall = time.perf_counter() - start
+    result, wall = timed_solve(data, "spg", run_cfg.solver)
     (out / "recovered.pgm").write_bytes(io_formats.pgm_write(result.X_final))
     (out / "trace.csv").write_text(io_formats.trace_csv_write(result.trace), "utf-8")
     recovered = np.clip(result.X_final, 0.0, 1.0)
@@ -270,7 +257,7 @@ def _cmd_inpaint(args):
             "solver": "spg",
             "status": result.status,
             "iterations": result.iterations,
-            "rank": result.trace[-1].rank_estimate if result.trace else 0,
+            "rank": result.rank,
             "stationarity_residual": result.stationarity_residual,
             "rmse": rmse(recovered, image),
             "psnr": psnr(recovered, image),

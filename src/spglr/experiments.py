@@ -68,6 +68,8 @@ class TrialSpec:
             raise ValueError("r must not exceed min(m, n)")
         if not 0 < self.sr <= 1:
             raise ValueError("sr must lie in (0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 def gen_low_rank(m, n, r, seed):
@@ -171,35 +173,42 @@ class McSummary:
     prng: str = PRNG_DESCRIPTION
 
 
+def timed_solve(data, solver_choice="spg", solver_config=None, svt_config=None):
+    """Masked completion by arm "spg" or "svt"; a None config means the
+    arm's default. Returns (SolveResult, wall seconds of the solve)."""
+    start = time.perf_counter()
+    if solver_choice == "spg":
+        result = solve(CompletionLoss(data), solver_config or SolverConfig())
+    elif solver_choice == "svt":
+        result = svt_solve(data, svt_config or SvtConfig())
+    else:
+        raise ValueError(f"unknown solver {solver_choice!r}")
+    return result, time.perf_counter() - start
+
+
 def run_trial(spec, solver_choice="spg", solver_config=None, svt_config=None):
     """One generate/solve/score cycle; returns the result without the matrix."""
     M, data = build_trial_data(spec)
-    start = time.perf_counter()
-    if solver_choice == "spg":
-        cfg = solver_config if solver_config is not None else SolverConfig()
-        result = solve(CompletionLoss(data), cfg)
-    elif solver_choice == "svt":
-        cfg = svt_config if svt_config is not None else SvtConfig()
-        result = svt_solve(data, cfg)
-    else:
-        raise ValueError(f"unknown solver {solver_choice!r}")
-    runtime = time.perf_counter() - start
-    final_rank = result.trace[-1].rank_estimate if result.trace else 0
+    result, runtime = timed_solve(data, solver_choice, solver_config, svt_config)
     return TrialResult(
         seed=spec.seed,
         rmse=rmse(result.X_final, M),
         iterations=result.iterations,
         runtime_s=runtime,
         status=result.status,
-        rank=final_rank,
+        rank=result.rank,
     )
 
 
 def monte_carlo(spec, solver_choice="spg", trials=10, solver_config=None, svt_config=None):
     """Independent repetitions with derived seeds; failures are recorded
-    per trial instead of aborting the sweep."""
+    per trial instead of aborting the sweep. An invalid config of the
+    chosen arm raises before the first trial; an unknown arm fails per trial."""
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    config = {"spg": solver_config, "svt": svt_config}.get(solver_choice)
+    if config is not None:
+        config.validate()
     results = []
     failures = []
     for t in range(trials):

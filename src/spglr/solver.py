@@ -126,6 +126,11 @@ class SolveResult:
     def iterations(self):
         return len(self.trace)
 
+    @property
+    def rank(self):
+        """Numerical rank of X_final as the last trace record gives it; 0 without one."""
+        return self.trace[-1].rank_estimate if self.trace else 0
+
 
 def _prox_step(X_k, G, mu_k, gamma, d_k, params, warm=None):
     """Prox of the gradient step: (X_hat, spectrum of X_hat)."""
@@ -206,12 +211,12 @@ def stationarity_residual(X, mu_probe, binding, params):
     sigma = factors.sigma
     G = factors.U.T @ binding.gradient(X, mu_probe) @ factors.V
     ratio = params.lam / params.nu
-    support_tol = max(1e-8, 1e-8 * float(sigma[0])) if sigma.size else 0.0
+    r_supp = rank_estimate(sigma)
 
     worst = 0.0
     for i in range(sigma.size):
         g = float(G[i, i])
-        if sigma[i] > support_tol:
+        if i < r_supp:
             # s_i = 1; the branch-2 slope lam/nu cancels the ratio term.
             target = ratio if sigma[i] >= params.nu else 0.0
             resid = abs(g + ratio - target)
@@ -220,7 +225,6 @@ def stationarity_residual(X, mu_probe, binding, params):
             resid = max(0.0, abs(g) - ratio)
         worst = max(worst, resid)
 
-    r_supp = int(np.count_nonzero(sigma > support_tol))
     off_diag = 0.0
     if r_supp > 1:
         block = np.abs(G[:r_supp, :r_supp]).copy()

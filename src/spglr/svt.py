@@ -4,14 +4,18 @@ Minimizes 0.5 * ||P_omega(X - M)||_F^2 + tau * ||X||_* by gradient steps
 on the squared masked residual followed by singular-value soft
 thresholding. The squared loss is deliberate: the baseline exists to
 show how an l2 data fit degrades under heavy-tailed noise.
+
+The soft threshold is the capped penalty's prox with every branch
+selector on branch 1 and nu = 1, whose majorizer is ||X||_*.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import frobenius_norm, rank_estimate, svd
+from .linalg import frobenius_norm, rank_estimate
 from .losses import MaskedData
+from .penalty import prox_matrix_with_spectrum
 from .solver import IterationRecord, SolveResult
 
 
@@ -33,16 +37,6 @@ class SvtConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
 
 
-def soft_threshold_sigma(sigma, tau):
-    """Shift a descending nonnegative spectrum down by tau, clipped at 0."""
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if np.any(sigma < 0):
-        raise ValueError("sigma entries must be nonnegative")
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
-    return np.maximum(sigma - tau, 0.0)
-
-
 def svt_solve(data, config):
     """Iterate gradient step + spectral soft threshold until the relative
     step falls below tol or max_iter is reached.
@@ -57,19 +51,21 @@ def svt_solve(data, config):
         raise TypeError("svt_solve expects MaskedData")
     config.validate()
     flat, vals = data.flat_idx, data.values
-    threshold = config.tau * config.step
+    branch_one = np.ones(min(data.rows, data.cols), dtype=np.int64)
+
+    def update(X, resid):
+        """(next iterate, its spectrum) from X and its masked residual."""
+        # copy() is row-major, so ravel() is a view and the scatter lands in W.
+        W = X.copy()
+        W.ravel()[flat] -= config.step * resid
+        return prox_matrix_with_spectrum(W, branch_one, config.tau * config.step, 1.0)
 
     X = data.observed_matrix()
+    resid = np.take(X, flat) - vals
     trace = []
     status = "max_iter"
     for k in range(config.max_iter):
-        # copy() is row-major, so ravel() is a view and the scatter lands in W.
-        W = X.copy()
-        W.ravel()[flat] -= config.step * (np.take(X, flat) - vals)
-        factors = svd(W)
-        shrunk = soft_threshold_sigma(factors.sigma, threshold)
-        X_next = (factors.U * shrunk) @ factors.V.T
-
+        X_next, shrunk = update(X, resid)
         step_norm = frobenius_norm(X_next - X)
         resid = np.take(X_next, flat) - vals
         objective = 0.5 * float(np.sum(resid * resid)) + config.tau * float(
@@ -94,16 +90,10 @@ def svt_solve(data, config):
             status = "converged"
             break
 
-    W = X.copy()
-    W.ravel()[flat] -= config.step * (np.take(X, flat) - vals)
-    factors = svd(W)
-    fixed_point_gap = frobenius_norm(
-        (factors.U * soft_threshold_sigma(factors.sigma, threshold)) @ factors.V.T - X
-    )
     return SolveResult(
         X_final=X,
         status=status,
         trace=trace,
-        stationarity_residual=fixed_point_gap,
+        stationarity_residual=frobenius_norm(update(X, resid)[0] - X),
         objective_gap=0.0,
     )

@@ -7,7 +7,8 @@ gradients against central finite differences, and the branch-free loss
 kernel against the two-branch Huber form. The paper-form SPG pieces
 (the quadratic model, one prox step, and a backtracking search from a
 cold start) are written here from their definitions, so the solver's
-fused loop can be checked against them.
+fused loop can be checked against them, and so is the SVT baseline's
+loop, with its own SVD and soft threshold.
 """
 
 import numpy as np
@@ -149,3 +150,28 @@ def central_difference_gradient(fun, X, h=1e-6):
 def random_orthogonal(n, rng):
     Q, R = np.linalg.qr(rng.standard_normal((n, n)))
     return Q * np.sign(np.diag(R))
+
+
+def svt_reference(data, tau, step, iterations):
+    """`iterations` SVT updates X <- S_{tau step}(X - step * P_omega(X - M))
+    from the zero-filled observations, where S shrinks every singular
+    value by tau * step and clips at 0. Returns the final X, the
+    objective 0.5 ||P_omega(X - M)||^2 + tau ||X||_* after each update,
+    and ||S(X - step * P_omega(X - M)) - X|| at the final X."""
+    rows, cols = np.unravel_index(data.flat_idx, (data.rows, data.cols))
+
+    def update(X):
+        G = np.zeros_like(X)
+        G[rows, cols] = X[rows, cols] - data.values
+        U, s, Vh = np.linalg.svd(X - step * G, full_matrices=False)
+        shrunk = np.maximum(s - tau * step, 0.0)
+        return U @ np.diag(shrunk) @ Vh, shrunk
+
+    X = np.zeros((data.rows, data.cols))
+    X[rows, cols] = data.values
+    objectives = []
+    for _ in range(iterations):
+        X, shrunk = update(X)
+        resid = X[rows, cols] - data.values
+        objectives.append(0.5 * float(resid @ resid) + tau * float(shrunk.sum()))
+    return X, objectives, float(np.linalg.norm(update(X)[0] - X))

@@ -170,6 +170,19 @@ def test_monte_carlo_records_failures_without_raising():
     assert math.isnan(summary.mean_rmse)
 
 
+def test_monte_carlo_rejects_invalid_config_once():
+    spec = TrialSpec(m=8, n=8, r=2, sr=0.8, noise=NOISE, seed=0)
+    with pytest.raises(ValueError, match="^mu0"):
+        monte_carlo(spec, "spg", trials=3, solver_config=spglr.SolverConfig(mu0=-1.0))
+    with pytest.raises(ValueError, match="^tau"):
+        monte_carlo(spec, "svt", trials=3, svt_config=spglr.SvtConfig(tau=0.0))
+
+
+def test_trial_spec_rejects_negative_seed():
+    with pytest.raises(ValueError, match="^seed"):
+        TrialSpec(m=4, n=4, r=1, sr=0.5, noise=NOISE, seed=-1)
+
+
 def test_monte_carlo_svt_choice():
     spec = TrialSpec(m=10, n=10, r=2, sr=0.9, noise=NOISE, seed=2)
     summary = monte_carlo(

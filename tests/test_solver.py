@@ -473,6 +473,14 @@ def test_solver_config_validation():
         SolverConfig(gamma_lo=2.0, gamma_hi=1.0).validate()
 
 
+def test_solve_result_rank_is_last_record_rank():
+    rng = np.random.default_rng(8)
+    result = solve(random_completion(rng), SolverConfig(max_iter=20))
+    assert result.rank == result.trace[-1].rank_estimate
+    empty = spglr.SolveResult(np.zeros((2, 2)), "max_iter", [], 0.0, 0.0)
+    assert empty.rank == 0
+
+
 # ---------------------------------------------------------------------------
 # truncated spectral prox inside solve
 

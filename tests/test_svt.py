@@ -3,7 +3,10 @@ import pytest
 
 import spglr
 from spglr.losses import MaskedData
-from spglr.svt import SvtConfig, soft_threshold_sigma, svt_solve
+from spglr.penalty import prox_vector
+from spglr.svt import SvtConfig, svt_solve
+
+from oracles import svt_reference
 
 
 def full_mask_data(M):
@@ -12,18 +15,36 @@ def full_mask_data(M):
     return MaskedData(m, n, flat // n, flat % n, M.flatten())
 
 
+def soft_threshold(s, tau):
+    """The soft threshold svt_solve applies: the prox with every d_i = 1, nu = 1."""
+    return prox_vector(s, np.ones(len(s), dtype=int), tau, 1.0)
+
+
 def test_soft_threshold_examples():
-    assert soft_threshold_sigma(np.array([3.0, 1.0, 0.2]), 0.5).tolist() == [2.5, 0.5, 0.0]
-    s = np.array([2.0, 1.0])
-    assert np.array_equal(soft_threshold_sigma(s, 0.0), s)
-    assert np.all(soft_threshold_sigma(s, 5.0) == 0.0)
+    assert soft_threshold(np.array([3.0, 1.0, 0.2]), 0.5).tolist() == [2.5, 0.5, 0.0]
+    assert np.all(soft_threshold(np.array([2.0, 1.0]), 5.0) == 0.0)
 
 
 def test_soft_threshold_keeps_order():
     rng = np.random.default_rng(0)
     s = np.sort(rng.uniform(0, 3, 8))[::-1]
-    out = soft_threshold_sigma(s, 0.7)
+    out = soft_threshold(s, 0.7)
     assert np.all(np.diff(out) <= 0)
+
+
+def test_svt_matches_reference_loop():
+    spec = spglr.TrialSpec(
+        m=9, n=7, r=2, sr=0.6, noise=spglr.GmmNoiseParams(1e-4, 0.1, 0.1), seed=5
+    )
+    _, data = spglr.build_trial_data(spec)
+    cfg = SvtConfig(tau=0.05, step=0.9, max_iter=40, tol=1e-9)
+    result = svt_solve(data, cfg)
+    X_ref, objectives, gap = svt_reference(data, cfg.tau, cfg.step, result.iterations)
+    np.testing.assert_allclose(result.X_final, X_ref, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(
+        [rec.energy for rec in result.trace], objectives, rtol=1e-12
+    )
+    np.testing.assert_allclose(result.stationarity_residual, gap, rtol=1e-12)
 
 
 def test_svt_zero_observations():
