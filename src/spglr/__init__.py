@@ -14,7 +14,6 @@ from .linalg import (
     svd,
 )
 from .penalty import (
-    CappedPenaltyParams,
     PenaltyCapAdvisory,
     capped_surrogate,
     d_vector,
@@ -22,7 +21,7 @@ from .penalty import (
     prox_matrix,
     prox_vector,
 )
-from .losses import CompletionLoss, MaskedData, RpcaLoss, huber, huber_grad
+from .losses import CompletionLoss, MaskedData, RpcaLoss
 from .solver import (
     IterationRecord,
     SolveResult,
@@ -51,7 +50,6 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CappedPenaltyParams",
     "CompletionLoss",
     "DecompositionError",
     "GmmNoiseParams",
@@ -74,8 +72,6 @@ __all__ = [
     "frobenius_norm",
     "gen_low_rank",
     "gmm_noise",
-    "huber",
-    "huber_grad",
     "monte_carlo",
     "phi_d",
     "prox_matrix",

@@ -137,7 +137,8 @@ def _out_dir(args):
     return out
 
 
-def _write_metrics(path, metrics):
+def _metrics_json(metrics):
+    """Indented, key-sorted JSON text of `metrics`, newline-terminated."""
     # +/- infinity is not valid JSON; keep the documented "+inf" sentinel.
     clean = {}
     for key, value in metrics.items():
@@ -145,7 +146,7 @@ def _write_metrics(path, metrics):
             clean[key] = "+inf" if value > 0 else "-inf"
         else:
             clean[key] = value
-    path.write_text(json.dumps(clean, indent=2, sort_keys=True) + "\n", "utf-8")
+    return json.dumps(clean, indent=2, sort_keys=True) + "\n"
 
 
 def _svt_config(run_cfg):
@@ -217,7 +218,7 @@ def _write_solution(out, result, wall, choice, truth, **extra):
     if truth is not None:
         metrics["rmse"] = rmse(result.X_final, truth)
         metrics["psnr"] = psnr(result.X_final, truth)
-    _write_metrics(out / "metrics.json", metrics)
+    (out / "metrics.json").write_text(_metrics_json(metrics), "utf-8")
 
 
 def _cmd_rpca(args):
@@ -251,19 +252,17 @@ def _cmd_inpaint(args):
     (out / "recovered.pgm").write_bytes(io_formats.pgm_write(result.X_final))
     (out / "trace.csv").write_text(io_formats.trace_csv_write(result.trace), "utf-8")
     recovered = np.clip(result.X_final, 0.0, 1.0)
-    _write_metrics(
-        out / "metrics.json",
-        {
-            "solver": "spg",
-            "status": result.status,
-            "iterations": result.iterations,
-            "rank": result.rank,
-            "stationarity_residual": result.stationarity_residual,
-            "rmse": rmse(recovered, image),
-            "psnr": psnr(recovered, image),
-            "wall_time_s": wall,
-        },
-    )
+    metrics = {
+        "solver": "spg",
+        "status": result.status,
+        "iterations": result.iterations,
+        "rank": result.rank,
+        "stationarity_residual": result.stationarity_residual,
+        "rmse": rmse(recovered, image),
+        "psnr": psnr(recovered, image),
+        "wall_time_s": wall,
+    }
+    (out / "metrics.json").write_text(_metrics_json(metrics), "utf-8")
     return 0
 
 
@@ -320,13 +319,12 @@ def _cmd_eval(args):
     reference = io_formats.matrix_csv_read(
         Path(args.reference).read_text(encoding="utf-8")
     )
-    value = psnr(recovered, reference)
     metrics = {
         "rmse": rmse(recovered, reference),
-        "psnr": "+inf" if math.isinf(value) else value,
+        "psnr": psnr(recovered, reference),
         "rank": rank_estimate(svd(recovered).sigma),
     }
-    print(json.dumps(metrics, indent=2, sort_keys=True))
+    print(_metrics_json(metrics), end="")
     return 0
 
 

@@ -110,14 +110,20 @@ def gmm_noise(count, params, seed, return_components=False):
     return samples
 
 
-def rmse(X_star, M):
-    """Root-mean-square entrywise error between two matrices."""
+def _squared_error(X_star, M):
+    """(sum of squared entrywise differences, entry count) of two matrices."""
     X_star = as_matrix(X_star)
     M = as_matrix(M)
     if X_star.shape != M.shape:
         raise ValueError(f"shape mismatch: {X_star.shape} vs {M.shape}")
     diff = X_star - M
-    return math.sqrt(float(np.sum(diff * diff)) / diff.size)
+    return float(np.sum(diff * diff)), diff.size
+
+
+def rmse(X_star, M):
+    """Root-mean-square entrywise error between two matrices."""
+    err2, size = _squared_error(X_star, M)
+    return math.sqrt(err2 / size)
 
 
 def psnr(X_star, M):
@@ -125,15 +131,10 @@ def psnr(X_star, M):
 
     Returns math.inf when the matrices agree exactly.
     """
-    X_star = as_matrix(X_star)
-    M = as_matrix(M)
-    if X_star.shape != M.shape:
-        raise ValueError(f"shape mismatch: {X_star.shape} vs {M.shape}")
-    diff = X_star - M
-    err2 = float(np.sum(diff * diff))
+    err2, size = _squared_error(X_star, M)
     if err2 == 0.0:
         return math.inf
-    return 10.0 * math.log10(diff.size / err2)
+    return 10.0 * math.log10(size / err2)
 
 
 def build_trial_data(spec):

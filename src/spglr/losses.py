@@ -37,33 +37,12 @@ def _tube(a, mu, out=None):
     return np.maximum(np.subtract(mu, a, out=out), 0.0, out=out)
 
 
-def _l1_plus_tube(l1, tube_sq, mu):
-    """The smoothed loss from its l1 part and its squared tube part."""
-    return l1 + tube_sq / (2.0 * mu)
-
-
 def _clip_grad(s, mu):
     """Derivative of the smoothed term: clip(s, -mu, mu) / mu, which is
     sign(s) outside the tube and s / mu inside."""
     g = np.clip(s, -mu, mu)
     g /= mu
     return g
-
-
-def huber(s, mu):
-    """Smoothed absolute value; accepts scalars or arrays."""
-    _check_positive(mu)
-    a = np.abs(np.asarray(s, dtype=np.float64))
-    t = _tube(a, mu)
-    out = _l1_plus_tube(a, t * t, mu)
-    return float(out) if out.ndim == 0 else out
-
-
-def huber_grad(s, mu):
-    """Derivative of huber in s: sign outside the tube, s/mu inside."""
-    _check_positive(mu)
-    out = _clip_grad(np.asarray(s, dtype=np.float64), mu)
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -110,10 +89,6 @@ class MaskedData:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def n_observed(self):
-        return int(self.values.size)
-
     def observed_matrix(self):
         """Dense matrix with observed values filled in, zeros elsewhere."""
         M = np.zeros((self.rows, self.cols))
@@ -139,7 +114,6 @@ class _L1Loss:
         self._flat_idx = flat_idx
         self.n_terms = target.size
         self.kappa = self.n_terms / 2.0
-        self.grad_lipschitz_L = 1.0
         self.loss_lipschitz_Lf = math.sqrt(self.n_terms)
 
     def residuals(self, X):
@@ -176,7 +150,7 @@ class _L1Loss:
         if mu == 0:
             return l1, l1
         t = _tube(a, mu, out=a)
-        return float(_l1_plus_tube(l1, np.vdot(t, t), mu)), l1
+        return l1 + float(np.vdot(t, t)) / (2.0 * mu), l1
 
     def gradient_at(self, r, mu):
         """`gradient` at the iterate whose residual vector is r."""

@@ -9,8 +9,6 @@ piece per singular value and makes the majorizing penalty smooth, which
 is what gives the prox its closed form.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import _BLOCK_PAD, _leading_svd, svd
@@ -26,24 +24,6 @@ _TRUNCATE_MIN_SIZE = 10_000
 class PenaltyCapAdvisory(UserWarning):
     """The cap threshold nu is too large relative to lam and the loss
     Lipschitz constant for the clean-rank guarantees to apply."""
-
-
-@dataclass(frozen=True)
-class CappedPenaltyParams:
-    """Penalty weight `lam` and cap threshold `nu`, both positive."""
-
-    lam: float
-    nu: float
-
-    def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if not self.nu > 0:
-            raise ValueError(f"nu must be positive, got {self.nu}")
-
-    def cap_advisory(self, loss_lipschitz):
-        """True when nu >= lam / loss_lipschitz (advisory only)."""
-        return self.nu >= self.lam / loss_lipschitz
 
 
 def capped_surrogate(sigma, nu):

@@ -33,7 +33,6 @@ import numpy as np
 
 from .linalg import rank_estimate, svd
 from .penalty import (
-    CappedPenaltyParams,
     PenaltyCapAdvisory,
     ProxWarmStart,
     capped_surrogate,
@@ -90,9 +89,6 @@ class SolverConfig:
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
-    def penalty(self):
-        return CappedPenaltyParams(self.lam, self.nu)
-
 
 @dataclass
 class IterationRecord:
@@ -132,22 +128,21 @@ class SolveResult:
         return self.trace[-1].rank_estimate if self.trace else 0
 
 
-def _prox_step(X_k, G, mu_k, gamma, d_k, params, warm=None):
+def _prox_step(X_k, G, mu_k, gamma, d_k, config, warm=None):
     """Prox of the gradient step: (X_hat, spectrum of X_hat)."""
     W = X_k - (mu_k / gamma) * G
-    tau = params.lam * mu_k / gamma
-    return prox_matrix_with_spectrum(W, d_k, tau, params.nu, warm)
+    tau = config.lam * mu_k / gamma
+    return prox_matrix_with_spectrum(W, d_k, tau, config.nu, warm)
 
 
-def _line_search_inner(
-    X_k, f_k, G, norm_scale, mu_k, gamma_init, d_k, binding, params, rho, warm=None
-):
+def _line_search_inner(X_k, f_k, G, norm_scale, mu_k, gamma_init, d_k, binding, config, warm=None):
     """Backtracking loop reusing the loss value and gradient at X_k.
 
-    Tries gamma_init, rho * gamma_init, ... In `solve`, gamma_init is the
-    last accepted gamma (or gamma / rho after a run of first-candidate
-    accepts), so the first candidate is usually accepted. norm_scale is
-    max(1, ||X_k||); `warm` is passed on to the prox.
+    Tries gamma_init, rho * gamma_init, ... with rho = config.rho. In
+    `solve`, gamma_init is the last accepted gamma (or gamma / rho after
+    a run of first-candidate accepts), so the first candidate is usually
+    accepted. norm_scale is max(1, ||X_k||); `warm` is passed on to the
+    prox.
 
     Returns (gamma, X_next, sigma_next, r_next, loss_next, l1_next, step):
     sigma_next is the descending spectrum of X_next taken from the prox,
@@ -159,7 +154,7 @@ def _line_search_inner(
     """
     gamma = gamma_init
     while True:
-        X_hat, sigma_hat = _prox_step(X_k, G, mu_k, gamma, d_k, params, warm)
+        X_hat, sigma_hat = _prox_step(X_k, G, mu_k, gamma, d_k, config, warm)
         diff = X_hat - X_k
         step = float(np.linalg.norm(diff))
         r = binding.residuals(X_hat)
@@ -170,7 +165,7 @@ def _line_search_inner(
         # accept it to avoid chasing rounding noise at fixed points.
         if lhs <= rhs or step <= 1e-14 * norm_scale:
             return gamma, X_hat, sigma_hat, r, lhs, l1, step
-        gamma *= rho
+        gamma *= config.rho
 
 
 def update_mu(k, mu_k, energy_new, energy_old, alpha, mu0, sigma_exp):
@@ -181,36 +176,40 @@ def update_mu(k, mu_k, energy_new, energy_old, alpha, mu0, sigma_exp):
     return mu0 / (k + 1) ** sigma_exp
 
 
-def energy(binding, X, mu, params):
-    """Smoothed objective plus the kappa * mu slack term.
+def energy(binding, X, mu, config):
+    """Smoothed objective plus the kappa * mu slack term, with lam and nu
+    from the SolverConfig `config`, which is validated first.
 
     At mu = 0 this is the exact objective loss(X) + lam * penalty.
     """
+    config.validate()
     if mu < 0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
     sigma = svd(X).sigma
-    return _energy_from_parts(binding.value(X, mu), sigma, mu, binding, params)
+    return _energy_from_parts(binding.value(X, mu), sigma, mu, binding, config)
 
 
-def _energy_from_parts(loss_value, sigma, mu, binding, params):
-    return loss_value + params.lam * capped_surrogate(sigma, params.nu) + binding.kappa * mu
+def _energy_from_parts(loss_value, sigma, mu, binding, config):
+    return loss_value + config.lam * capped_surrogate(sigma, config.nu) + binding.kappa * mu
 
 
-def stationarity_residual(X, mu_probe, binding, params):
+def stationarity_residual(X, mu_probe, binding, config):
     """Approximate first-order residual at X using a smoothed gradient.
 
     Rotates the gradient into the singular basis, G = U.T @ grad @ V,
     and measures how far the diagonal is from the balance the optimality
     condition requires for each branch, minimizing over the valid
     subgradient scalars of |.| at each singular value. Adds the largest
-    off-diagonal magnitude of G within the leading support block.
+    off-diagonal magnitude of G within the leading support block. lam
+    and nu come from the SolverConfig `config`, which is validated first.
     """
+    config.validate()
     if not mu_probe > 0:
         raise ValueError(f"mu_probe must be positive, got {mu_probe}")
     factors = svd(X)
     sigma = factors.sigma
     G = factors.U.T @ binding.gradient(X, mu_probe) @ factors.V
-    ratio = params.lam / params.nu
+    ratio = config.lam / config.nu
     r_supp = rank_estimate(sigma)
 
     worst = 0.0
@@ -218,7 +217,7 @@ def stationarity_residual(X, mu_probe, binding, params):
         g = float(G[i, i])
         if i < r_supp:
             # s_i = 1; the branch-2 slope lam/nu cancels the ratio term.
-            target = ratio if sigma[i] >= params.nu else 0.0
+            target = ratio if sigma[i] >= config.nu else 0.0
             resid = abs(g + ratio - target)
         else:
             # s_i ranges over [-1, 1]; take the closest admissible point.
@@ -243,11 +242,10 @@ def solve(binding, config):
     of each iteration.
     """
     config.validate()
-    params = config.penalty()
-    if params.cap_advisory(binding.loss_lipschitz_Lf):
+    if config.nu >= config.lam / binding.loss_lipschitz_Lf:
         warnings.warn(
-            f"nu={params.nu} is at or above lam / L_f = "
-            f"{params.lam / binding.loss_lipschitz_Lf:.3g}; the clean-rank "
+            f"nu={config.nu} is at or above lam / L_f = "
+            f"{config.lam / binding.loss_lipschitz_Lf:.3g}; the clean-rank "
             "lower bound on nonzero singular values is not guaranteed",
             PenaltyCapAdvisory,
             stacklevel=2,
@@ -258,7 +256,7 @@ def solve(binding, config):
     mu = config.mu0
     r = binding.residuals(X)
     f_k = binding.value_at(r, mu)
-    energy_prev = _energy_from_parts(f_k, sigma, mu, binding, params)
+    energy_prev = _energy_from_parts(f_k, sigma, mu, binding, config)
     gamma = 1.0
     warm = ProxWarmStart(config.seed)
     first_try_streak = 0
@@ -280,11 +278,11 @@ def solve(binding, config):
         norm_scale = max(1.0, float(np.linalg.norm(X)))
 
         gamma, X_next, sigma_next, r, loss_next, l1_next, step = _line_search_inner(
-            X, f_k, G, norm_scale, mu, gamma_init, d_k, binding, params, config.rho, warm
+            X, f_k, G, norm_scale, mu, gamma_init, d_k, binding, config, warm
         )
         first_try_streak = first_try_streak + 1 if gamma == gamma_init else 0
 
-        penalty_next = params.lam * capped_surrogate(sigma_next, params.nu)
+        penalty_next = config.lam * capped_surrogate(sigma_next, config.nu)
         smoothed_obj = loss_next + penalty_next
         energy_now = smoothed_obj + binding.kappa * mu
         exact_obj = l1_next + penalty_next
@@ -325,12 +323,10 @@ def solve(binding, config):
             status = "converged"
             break
 
-    residual = stationarity_residual(X, 10.0 * config.mu_stop, binding, params)
+    residual = stationarity_residual(X, 10.0 * config.mu_stop, binding, config)
     # The loss terms cancel in the gap; only the penalty vs the counted
     # numerical rank remains.
-    gap = params.lam * abs(
-        rank_estimate(sigma) - capped_surrogate(sigma, params.nu)
-    )
+    gap = config.lam * abs(rank_estimate(sigma) - capped_surrogate(sigma, config.nu))
     return SolveResult(
         X_final=X,
         status=status,

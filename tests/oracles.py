@@ -4,11 +4,13 @@ These deliberately avoid the closed-form code paths they check: the
 vector prox is verified against per-coordinate grid minimization, the
 matrix prox against random-perturbation sampling of its objective,
 gradients against central finite differences, and the branch-free loss
-kernel against the two-branch Huber form. The paper-form SPG pieces
-(the quadratic model, one prox step, and a backtracking search from a
-cold start) are written here from their definitions, so the solver's
-fused loop can be checked against them, and so is the SVT baseline's
-loop, with its own SVD and soft threshold.
+kernel against the two-branch Huber form. The quadratic model of the
+paper's SPG step is written here from its definition, and so is the
+SVT baseline's loop, with its own SVD and soft threshold. One prox step
+(`spg_step`) and a backtracking search from a cold start
+(`line_search`) are thin wrappers around the solver's private
+`_prox_step` and `_line_search_inner`; the tests check them against
+`q_model`.
 """
 
 import numpy as np
@@ -31,7 +33,7 @@ def huber_grad_reference(s, mu):
     return np.where(np.abs(s) > mu, np.sign(s), s / mu)
 
 
-def q_model(X, Z, mu, gamma, d, binding, params):
+def q_model(X, Z, mu, gamma, d, binding, config):
     """Quadratic model of the smoothed objective around Z.
 
     Smoothed loss at Z plus its linearization toward X, a proximal
@@ -47,11 +49,11 @@ def q_model(X, Z, mu, gamma, d, binding, params):
     value = binding.value(Z, mu)
     value += float(np.sum(diff * binding.gradient(Z, mu)))
     value += 0.5 * (gamma / mu) * float(np.sum(diff * diff))
-    value += params.lam * phi_d(svd(X).sigma, d, params.nu)
+    value += config.lam * phi_d(svd(X).sigma, d, config.nu)
     return value
 
 
-def spg_step(X_k, mu_k, gamma_k, d_k, binding, params):
+def spg_step(X_k, mu_k, gamma_k, d_k, binding, config):
     """Global minimizer of the quadratic model: one prox step.
 
     Gradient step W = X_k - (mu_k / gamma_k) * grad, then the spectral
@@ -60,26 +62,27 @@ def spg_step(X_k, mu_k, gamma_k, d_k, binding, params):
     if not mu_k > 0 or not gamma_k > 0:
         raise ValueError("mu_k and gamma_k must be positive")
     G = binding.gradient(X_k, mu_k)
-    X_hat, _ = _prox_step(X_k, G, mu_k, gamma_k, d_k, params)
+    X_hat, _ = _prox_step(X_k, G, mu_k, gamma_k, d_k, config)
     return X_hat
 
 
-def line_search(X_k, mu_k, gamma_init, d_k, binding, params, rho):
+def line_search(X_k, mu_k, gamma_init, d_k, binding, config):
     """Backtracking on gamma until the model majorizes the smoothed loss.
 
-    Tries gamma_init, rho * gamma_init, ... and returns the first
-    accepted pair (gamma, X_next). Acceptance compares the smoothed loss
-    at the candidate against the quadratic upper model; the penalty
-    terms cancel identically on both sides, so they are omitted. The
-    test always passes once gamma reaches the gradient Lipschitz
-    constant of the smoothed loss, so termination is guaranteed.
+    Tries gamma_init, rho * gamma_init, ... with rho = config.rho, and
+    returns the first accepted pair (gamma, X_next). Acceptance compares
+    the smoothed loss at the candidate against the quadratic upper model;
+    the penalty terms cancel identically on both sides, so they are
+    omitted. The test always passes once gamma reaches the gradient
+    Lipschitz constant of the smoothed loss, so termination is
+    guaranteed.
     """
     X_k = as_matrix(X_k)
     f_k = binding.value(X_k, mu_k)
     G = binding.gradient(X_k, mu_k)
     norm_scale = max(1.0, float(np.linalg.norm(X_k)))
     gamma, X_next, *_ = _line_search_inner(
-        X_k, f_k, G, norm_scale, mu_k, gamma_init, d_k, binding, params, rho
+        X_k, f_k, G, norm_scale, mu_k, gamma_init, d_k, binding, config
     )
     return gamma, X_next
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from spglr import penalty as penalty_module
 from spglr.linalg import svd
 from spglr.penalty import (
-    CappedPenaltyParams,
     ProxWarmStart,
     capped_surrogate,
     d_vector,
@@ -203,16 +202,6 @@ def test_prox_matrix_local_optimality_sampling():
         E *= delta / np.linalg.norm(E, axis=(1, 2), keepdims=True)
         vals = batch_matrix_prox_objectives(X_hat[None] + E, W, d, tau, nu)
         assert np.all(base <= vals + 1e-12)
-
-
-def test_params_validation_and_advisory():
-    with pytest.raises(ValueError):
-        CappedPenaltyParams(lam=0.0, nu=0.5)
-    with pytest.raises(ValueError):
-        CappedPenaltyParams(lam=0.5, nu=-1.0)
-    p = CappedPenaltyParams(lam=0.1, nu=0.05)
-    assert p.cap_advisory(loss_lipschitz=36.0)  # 0.05 >= 0.1/36
-    assert not p.cap_advisory(loss_lipschitz=1.0)
 
 
 # ---------------------------------------------------------------------------

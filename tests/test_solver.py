@@ -7,7 +7,7 @@ import spglr
 from spglr import penalty as penalty_module
 from spglr import solver as solver_module
 from spglr.losses import CompletionLoss, MaskedData, RpcaLoss
-from spglr.penalty import CappedPenaltyParams, PenaltyCapAdvisory, capped_surrogate
+from spglr.penalty import PenaltyCapAdvisory, capped_surrogate
 from spglr.solver import (
     SolverConfig,
     energy,
@@ -38,12 +38,12 @@ def random_completion(rng, m=6, n=5, frac=0.7):
 def test_q_model_at_z_reduces_to_loss_plus_penalty():
     rng = np.random.default_rng(0)
     binding = random_completion(rng)
-    params = CappedPenaltyParams(0.3, 0.2)
+    cfg = SolverConfig(lam=0.3, nu=0.2)
     Z = rng.standard_normal(binding.shape)
-    d = spglr.d_vector(spglr.svd(Z).sigma, params.nu)
-    val = q_model(Z, Z, 0.5, 2.0, d, binding, params)
-    expected = binding.value(Z, 0.5) + params.lam * spglr.phi_d(
-        spglr.svd(Z).sigma, d, params.nu
+    d = spglr.d_vector(spglr.svd(Z).sigma, cfg.nu)
+    val = q_model(Z, Z, 0.5, 2.0, d, binding, cfg)
+    expected = binding.value(Z, 0.5) + cfg.lam * spglr.phi_d(
+        spglr.svd(Z).sigma, d, cfg.nu
     )
     assert val == pytest.approx(expected, rel=1e-12)
 
@@ -51,13 +51,13 @@ def test_q_model_at_z_reduces_to_loss_plus_penalty():
 def test_q_model_recomposed_from_parts_without_penalty():
     rng = np.random.default_rng(1)
     binding = random_completion(rng)
-    # tiny lam stands in for lam = 0, which the params type does not allow
-    params = CappedPenaltyParams(1e-300, 0.2)
+    # tiny lam stands in for lam = 0, which SolverConfig does not allow
+    cfg = SolverConfig(lam=1e-300, nu=0.2)
     X = rng.standard_normal(binding.shape)
     Z = rng.standard_normal(binding.shape)
     mu, gamma = 0.4, 1.7
-    d = spglr.d_vector(spglr.svd(X).sigma, params.nu)
-    val = q_model(X, Z, mu, gamma, d, binding, params)
+    d = spglr.d_vector(spglr.svd(X).sigma, cfg.nu)
+    val = q_model(X, Z, mu, gamma, d, binding, cfg)
     G = binding.gradient(Z, mu)
     by_hand = (
         binding.value(Z, mu)
@@ -70,25 +70,25 @@ def test_q_model_recomposed_from_parts_without_penalty():
 def test_q_model_grows_with_radius():
     rng = np.random.default_rng(2)
     binding = random_completion(rng)
-    params = CappedPenaltyParams(0.1, 0.2)
+    cfg = SolverConfig(lam=0.1, nu=0.2)
     Z = rng.standard_normal(binding.shape)
     E = rng.standard_normal(binding.shape)
     E /= np.linalg.norm(E)
-    d = spglr.d_vector(spglr.svd(Z).sigma, params.nu)
+    d = spglr.d_vector(spglr.svd(Z).sigma, cfg.nu)
     gamma = 1e6
-    q1 = q_model(Z + 0.1 * E, Z, 0.5, gamma, d, binding, params)
-    q2 = q_model(Z + 0.2 * E, Z, 0.5, gamma, d, binding, params)
+    q1 = q_model(Z + 0.1 * E, Z, 0.5, gamma, d, binding, cfg)
+    q2 = q_model(Z + 0.2 * E, Z, 0.5, gamma, d, binding, cfg)
     assert q2 > q1
 
 
 def test_q_model_rejects_bad_mu_gamma():
     binding = scalar_completion()
-    params = CappedPenaltyParams(0.1, 0.5)
+    cfg = SolverConfig(lam=0.1, nu=0.5)
     X = np.zeros((1, 1))
     with pytest.raises(ValueError):
-        q_model(X, X, 0.0, 1.0, np.array([1]), binding, params)
+        q_model(X, X, 0.0, 1.0, np.array([1]), binding, cfg)
     with pytest.raises(ValueError):
-        q_model(X, X, 1.0, -1.0, np.array([1]), binding, params)
+        q_model(X, X, 1.0, -1.0, np.array([1]), binding, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -99,22 +99,22 @@ def test_spg_step_scalar_hand_value():
     # observed value 2, X = 0, mu = 0.5, gamma = 1: gradient is -1, so the
     # prox input is 0.5 and the branch-1 shrink by tau/nu = 0.1 leaves 0.4
     binding = scalar_completion(2.0)
-    params = CappedPenaltyParams(0.1, 0.5)
-    X_hat = spg_step(np.zeros((1, 1)), 0.5, 1.0, np.array([1]), binding, params)
+    cfg = SolverConfig(lam=0.1, nu=0.5)
+    X_hat = spg_step(np.zeros((1, 1)), 0.5, 1.0, np.array([1]), binding, cfg)
     assert X_hat[0, 0] == pytest.approx(0.4, abs=1e-12)
 
 
 def test_spg_step_scalar_matches_q_model_scan():
     binding = scalar_completion(2.0)
-    params = CappedPenaltyParams(0.1, 0.5)
+    cfg = SolverConfig(lam=0.1, nu=0.5)
     d = np.array([1])
-    X_hat = spg_step(np.zeros((1, 1)), 0.5, 1.0, d, binding, params)
+    X_hat = spg_step(np.zeros((1, 1)), 0.5, 1.0, d, binding, cfg)
     grid = np.linspace(-1.0, 3.0, 8001)
     vals = [
-        q_model(np.array([[x]]), np.zeros((1, 1)), 0.5, 1.0, d, binding, params)
+        q_model(np.array([[x]]), np.zeros((1, 1)), 0.5, 1.0, d, binding, cfg)
         for x in grid
     ]
-    assert q_model(X_hat, np.zeros((1, 1)), 0.5, 1.0, d, binding, params) <= min(vals) + 1e-9
+    assert q_model(X_hat, np.zeros((1, 1)), 0.5, 1.0, d, binding, cfg) <= min(vals) + 1e-9
 
 
 def test_spg_step_fixed_point_when_gradient_zero_and_spectrum_above_cap():
@@ -125,27 +125,27 @@ def test_spg_step_fixed_point_when_gradient_zero_and_spectrum_above_cap():
     flat = np.arange(9)
     data = MaskedData(3, 3, flat // 3, flat % 3, M.flatten())
     binding = CompletionLoss(data)
-    params = CappedPenaltyParams(0.1, 0.5)
-    d = spglr.d_vector(spglr.svd(M).sigma, params.nu)
+    cfg = SolverConfig(lam=0.1, nu=0.5)
+    d = spglr.d_vector(spglr.svd(M).sigma, cfg.nu)
     assert np.all(d == 2)
-    X_hat = spg_step(M, 0.25, 1.0, d, binding, params)
+    X_hat = spg_step(M, 0.25, 1.0, d, binding, cfg)
     assert np.allclose(X_hat, M, atol=1e-12)
 
 
 def test_spg_step_minimizes_q_model_under_perturbations():
     rng = np.random.default_rng(4)
     binding = random_completion(rng, m=5, n=4)
-    params = CappedPenaltyParams(0.3, 0.3)
+    cfg = SolverConfig(lam=0.3, nu=0.3)
     X_k = rng.standard_normal((5, 4))
     mu, gamma = 0.4, 0.9
-    d = spglr.d_vector(spglr.svd(X_k).sigma, params.nu)
-    X_hat = spg_step(X_k, mu, gamma, d, binding, params)
-    base = q_model(X_hat, X_k, mu, gamma, d, binding, params)
+    d = spglr.d_vector(spglr.svd(X_k).sigma, cfg.nu)
+    X_hat = spg_step(X_k, mu, gamma, d, binding, cfg)
+    base = q_model(X_hat, X_k, mu, gamma, d, binding, cfg)
     for delta in (1e-3, 1e-2):
         for _ in range(500):
             E = rng.standard_normal((5, 4))
             E *= delta / np.linalg.norm(E)
-            assert base <= q_model(X_hat + E, X_k, mu, gamma, d, binding, params) + 1e-10
+            assert base <= q_model(X_hat + E, X_k, mu, gamma, d, binding, cfg) + 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +154,8 @@ def test_spg_step_minimizes_q_model_under_perturbations():
 
 def test_line_search_accepts_sufficient_curvature_immediately():
     binding = scalar_completion(2.0)
-    params = CappedPenaltyParams(0.1, 0.5)
-    gamma, _ = line_search(np.zeros((1, 1)), 0.5, 4.0, np.array([1]), binding, params, 2.0)
+    cfg = SolverConfig(lam=0.1, nu=0.5)
+    gamma, _ = line_search(np.zeros((1, 1)), 0.5, 4.0, np.array([1]), binding, cfg)
     assert gamma == 4.0
 
 
@@ -163,10 +163,10 @@ def test_line_search_bounded_by_rho_times_lipschitz():
     # starting below the Lipschitz constant 1, backtracking cannot pass rho
     rng = np.random.default_rng(5)
     binding = random_completion(rng)
-    params = CappedPenaltyParams(0.2, 0.1)
+    cfg = SolverConfig(lam=0.2, nu=0.1)
     X = rng.standard_normal(binding.shape)
-    d = spglr.d_vector(spglr.svd(X).sigma, params.nu)
-    gamma, _ = line_search(X, 0.05, 0.3, d, binding, params, 2.0)
+    d = spglr.d_vector(spglr.svd(X).sigma, cfg.nu)
+    gamma, _ = line_search(X, 0.05, 0.3, d, binding, cfg)
     assert gamma <= 2.0
 
 
@@ -174,11 +174,11 @@ def test_line_search_constructed_backtrack():
     # an iterate inside the quadratic tube, so the true curvature 1/mu
     # exceeds the gamma = 0.3 model and forces backtracking
     binding = scalar_completion(2.0)
-    params = CappedPenaltyParams(0.1, 0.5)
+    cfg = SolverConfig(lam=0.1, nu=0.5)
     X_k = np.array([[1.8]])
     mu = 0.5
     d = np.array([2])
-    gamma, X_next = line_search(X_k, mu, 0.3, d, binding, params, 2.0)
+    gamma, X_next = line_search(X_k, mu, 0.3, d, binding, cfg)
     assert gamma in (0.6, 1.2)
     assert gamma == pytest.approx(1.2)
     # the acceptance inequality holds at the returned point
@@ -221,20 +221,20 @@ class _StubLoss:
 
 
 def test_energy_composition():
-    params = CappedPenaltyParams(0.1, 0.5)
+    cfg = SolverConfig(lam=0.1, nu=0.5)
     X = np.diag([2.0, 2.0])  # penalty value 2 at nu = 0.5
-    assert energy(_StubLoss(), X, 0.5, params) == pytest.approx(1.0 + 0.2 + 1.5)
+    assert energy(_StubLoss(), X, 0.5, cfg) == pytest.approx(1.0 + 0.2 + 1.5)
 
 
 def test_energy_at_mu_zero_is_exact_objective():
     rng = np.random.default_rng(6)
     binding = random_completion(rng)
-    params = CappedPenaltyParams(0.2, 0.3)
+    cfg = SolverConfig(lam=0.2, nu=0.3)
     X = rng.standard_normal(binding.shape)
-    expected = binding.value(X, 0.0) + params.lam * capped_surrogate(
-        spglr.svd(X).sigma, params.nu
+    expected = binding.value(X, 0.0) + cfg.lam * capped_surrogate(
+        spglr.svd(X).sigma, cfg.nu
     )
-    assert energy(binding, X, 0.0, params) == pytest.approx(expected, rel=1e-12)
+    assert energy(binding, X, 0.0, cfg) == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +251,17 @@ def test_stationarity_zero_at_solved_scalar_instance():
 def test_stationarity_zero_matrix_absorbed_by_subgradient():
     data = MaskedData(2, 2, np.array([0, 1]), np.array([0, 1]), np.array([0.3, -0.2]))
     binding = CompletionLoss(data)
-    params = CappedPenaltyParams(0.6, 0.5)  # lam/nu = 1.2 >= max gradient entry
-    assert stationarity_residual(np.zeros((2, 2)), 0.01, binding, params) == 0.0
+    cfg = SolverConfig(lam=0.6, nu=0.5)  # lam/nu = 1.2 >= max gradient entry
+    assert stationarity_residual(np.zeros((2, 2)), 0.01, binding, cfg) == 0.0
+
+
+def test_energy_and_stationarity_validate_config():
+    binding = scalar_completion(2.0)
+    X = np.ones((1, 1))
+    with pytest.raises(ValueError, match="^lam must be positive$"):
+        energy(binding, X, 0.5, SolverConfig(lam=0.0))
+    with pytest.raises(ValueError, match="^lam must be positive$"):
+        stationarity_residual(X, 0.5, binding, SolverConfig(lam=0.0))
 
 
 def test_stationarity_positive_at_random_point():
@@ -263,7 +272,7 @@ def test_stationarity_positive_at_random_point():
         MaskedData(m, n, flat // n, flat % n, rng.standard_normal(30))
     )
     X = rng.standard_normal((m, n))
-    resid = stationarity_residual(X, 1e-5, binding, CappedPenaltyParams(0.1, 0.05))
+    resid = stationarity_residual(X, 1e-5, binding, SolverConfig(lam=0.1, nu=0.05))
     # reference run measured 3.3282 for this seed
     assert resid > 0.01
 
@@ -366,7 +375,7 @@ def test_solve_energy_identity_with_public_energy():
     rec = result.trace[k]
     # recompute the recorded energy with the public function
     X, sigma = _replay_iterate(binding, cfg, k)
-    assert energy(binding, X, rec.mu_k, cfg.penalty()) == pytest.approx(
+    assert energy(binding, X, rec.mu_k, cfg) == pytest.approx(
         rec.energy, rel=1e-9
     )
     # the exact objective, taken from the accepted residual, is the public
@@ -396,8 +405,16 @@ def test_solve_emits_cap_advisory_warning():
     rng = np.random.default_rng(11)
     binding = random_completion(rng, m=8, n=8, frac=0.9)
     cfg = SolverConfig(lam=0.1, nu=0.05, max_iter=3)  # nu >= lam / sqrt(terms)
-    with pytest.warns(PenaltyCapAdvisory):
+    with pytest.warns(PenaltyCapAdvisory, match=r"^nu=0.05 is at or above lam / L_f = 0.0132;"):
         solve(binding, cfg)
+
+
+@pytest.mark.filterwarnings("error::spglr.penalty.PenaltyCapAdvisory")
+def test_solve_below_cap_emits_no_advisory():
+    rng = np.random.default_rng(11)
+    binding = random_completion(rng, m=8, n=8, frac=0.9)
+    # lam / L_f = 0.1 / sqrt(57) = 0.0132
+    solve(binding, SolverConfig(lam=0.1, nu=0.013, max_iter=3))
 
 
 @pytest.mark.parametrize(
@@ -461,6 +478,10 @@ def test_solver_config_validation():
         SolverConfig(gamma_lo=2.0, gamma_hi=1.0).validate()
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0).validate()
+    with pytest.raises(ValueError, match="^lam must be positive$"):
+        SolverConfig(lam=0.0).validate()
+    with pytest.raises(ValueError, match="^nu must be positive$"):
+        SolverConfig(nu=-1.0).validate()
     SolverConfig(alpha=math.inf).validate()  # ablation mode is valid
     # one message per field, each led by the field's name
     with pytest.raises(ValueError, match="^mu0 must be finite$"):

@@ -44,6 +44,7 @@ IGNORED = {"metrics.json": "wall_time_s", "results.csv": "mean_runtime_s"}
 # name: (config changes, a None value drops the key; extra solve flags)
 ERROR_CASES = {
     "nu_negative": ({"nu": -0.05}, []),
+    "lambda_zero": ({"lambda": 0.0}, []),
     "unknown_key": ({"lamda": 0.75}, []),
     "missing_sr": ({"sr": None}, []),
     "gamma_lo_above_hi": ({"gamma_lo": 9.0, "gamma_hi": 1.0}, []),
