@@ -74,6 +74,36 @@ _BLOCK_PAD = 5
 _MAX_SWEEPS = 30
 # A kept triplet has converged once ||W v_i - s_i u_i|| <= _RESIDUAL_TOL * s_1.
 _RESIDUAL_TOL = 1e-13
+# Cost model of the Gram start, in flops of the Gram product, for a
+# q x p input (p <= q) and a block of b columns: the p x p Gram matrix and
+# its eigendecomposition cost 2 q p^2 + _EIGH_COST * p^3, against
+# _SAVED_SWEEP_COST * 4 q p b for the subspace sweeps it saves. Fitted on
+# medians of 200 timings with one BLAS thread on a 2-vCPU Xeon: eigh took
+# 0.53 ms at p = 60, 1.56 ms at 100, 5.79 ms at 200 and 49 ms at 500,
+# i.e. 83, 62, 43 and 20 Gram flops per p^3. One sweep at b = 8 to 16
+# took 7 to 16 times the Gram's time per flop (thin products and a tall
+# QR: 1600x60 0.65 ms, 7x; 120x100 0.16 ms, 17x; 200x200 0.24 ms, 11x),
+# say 8, and warm-started sweeps ran 4.0 per call on the 1600x60
+# perfbench video, of which the Gram start saves 3: 3 * 8 = 24.
+_EIGH_COST = 60
+_SAVED_SWEEP_COST = 24
+
+
+def _gram_start_pays(m, n, b):
+    """True when starting from the short-side Gram matrix of an m x n
+    input is cheaper by the model above than warm-started sweeps with a
+    block of b columns. 1600x60 and 400x30 take it at b = 8, 120x100
+    does not below b = 55, and a square input would need b >= 0.65 p,
+    past the block limit p / 2."""
+    p, q = min(m, n), max(m, n)
+    return 2 * q * p * p + _EIGH_COST * p**3 <= _SAVED_SWEEP_COST * 4 * q * p * b
+
+
+def _gram_basis(W, b):
+    """Orthonormal (m, b) basis of the leading left singular subspace of a
+    W with m <= n: the top b eigenvectors of the m x m Gram matrix W W^T."""
+    vectors = np.linalg.eigh(W @ W.T)[1]
+    return vectors[:, ::-1][:, :b]
 
 
 def _leading_svd(W, k_min, threshold, V0, rng, tail):
@@ -81,12 +111,23 @@ def _leading_svd(W, k_min, threshold, V0, rng, tail):
     value at or above `threshold`.
 
     Block subspace iteration (Halko, Martinsson & Tropp, SIAM Review
-    2011) from the columns of V0 (or none) plus Gaussian columns drawn
-    from `rng`. Each sweep orthonormalises W @ V by QR and takes the
-    Rayleigh-Ritz triplets from the SVD of the small matrix W.T @ Q. It
-    keeps k = max(k_min, #{s_i > threshold}) triplets once each has
+    2011). Each sweep takes an orthonormal left basis Q, the Rayleigh-Ritz
+    triplets from the SVD of the small matrix W.T @ Q, and the next Q from
+    the QR of W @ V, V their right vectors. It keeps
+    k = max(k_min, #{s_i > threshold}) triplets once each has
     ||W v_i - s_i u_i|| <= 1e-13 * s_1, and returns them only with a
     proof that sigma_{k+1}(W) < threshold.
+
+    The first Q comes from one of two starts. When _gram_start_pays says
+    so for W's shape and the block, W is handled in its wide orientation
+    (transposed when tall, with the factors swapped back) and Q is the top
+    eigenvectors of the short-side Gram matrix, which hold the leading
+    subspace to rounding, so one sweep is usually the Rayleigh-Ritz step
+    that finishes the call (Golub & Van Loan, Matrix Computations, 8.6).
+    The Gram squares the singular values, so small kept values can lose
+    their digits there; the residual test then fails and the sweeps go on
+    as below. Otherwise Q is the QR of W @ V for V the columns of V0 (or
+    none) plus Gaussian columns drawn from `rng`.
 
     The proof is carried from an earlier call when it can be. `tail` is
     None or (W_ref, B, k_ref) from the last call that ran a certificate,
@@ -113,10 +154,11 @@ def _leading_svd(W, k_min, threshold, V0, rng, tail):
     factorisation counts as one certificate.
 
     Neither proof, or no convergence within _MAX_SWEEPS, doubles the
-    block. Returns (factors, tail, certificates): factors is SvdFactors
-    with k columns, or None once the block would exceed min(m, n) / 2,
-    where the full SVD is the cheaper way to the same triplets; tail is
-    the state for the next call, None when factors is.
+    block. Returns (factors, tail, certificates, sweeps): factors is
+    SvdFactors with k columns, or None once the block would exceed
+    min(m, n) / 2, where the full SVD is the cheaper way to the same
+    triplets; tail is the state for the next call, None when factors is;
+    sweeps counts the Rayleigh-Ritz steps over every block size.
     """
     W = as_matrix(W)
     m, n = W.shape
@@ -124,47 +166,63 @@ def _leading_svd(W, k_min, threshold, V0, rng, tail):
     start = np.empty((n, 0)) if V0 is None else V0
     b = max(k_min, start.shape[1]) + _BLOCK_PAD
     if b > limit:
-        return None, None, 0
+        return None, None, 0, 0
     certificates = 0
     carried, k_ref = math.inf, 0
     if tail is not None and tail[0].shape == W.shape:
         W_ref, B, k_ref = tail
         carried = B + float(np.linalg.norm(W - W_ref)) * (1 + 1e-12)
-    V = np.hstack([start, rng.standard_normal((n, b - start.shape[1]))])
-    Y = W @ V
-    sweeps = 0
+    given = W
+    gram = _gram_start_pays(m, n, b)
+    flip = gram and m > n
+    if flip:
+        W = W.T
+        m, n = n, m
+    if gram:
+        try:
+            Q = _gram_basis(W, b)
+        except np.linalg.LinAlgError:
+            return None, None, 0, 0
+    else:
+        V = np.hstack([start, rng.standard_normal((n, b - start.shape[1]))])
+        Q = np.linalg.qr(W @ V)[0]
+    sweeps = total = 0
     while True:
-        Q = np.linalg.qr(Y)[0]
         try:
             P, s, Ht = np.linalg.svd(W.T @ Q, full_matrices=False)
         except np.linalg.LinAlgError:
-            return None, None, certificates
+            return None, None, certificates, total
         U = Q @ Ht.T
         Y = W @ P
         sweeps += 1
+        total += 1
         k = max(k_min, int(np.count_nonzero(s > threshold)))
         grow = k == b or sweeps == _MAX_SWEEPS
         if k < b:
             resid = np.linalg.norm(Y[:, :k] - U[:, :k] * s[:k], axis=0)
             if resid.max(initial=0.0) <= _RESIDUAL_TOL * s[0]:
-                factors = SvdFactors(U[:, :k], s[:k], P[:, :k])
+                if flip:
+                    factors = SvdFactors(P[:, :k], s[:k], U[:, :k])
+                else:
+                    factors = SvdFactors(U[:, :k], s[:k], P[:, :k])
                 if carried < threshold and k >= k_ref and (k == 0 or s[k - 1] > threshold):
-                    return factors, tail, certificates
+                    return factors, tail, certificates, total
                 R = W - Y[:, :k] @ P[:, :k].T
                 G = R.T @ R if m >= n else R @ R.T
                 margin = 0.5 * (threshold + s[k])
                 for bound in (margin, threshold) if margin < threshold else (threshold,):
                     certificates += 1
                     if _norm_below(G, bound):
-                        return factors, (W.copy(), bound, k), certificates
+                        return factors, (given.copy(), bound, k), certificates, total
                 grow = True
         if grow:
             if 2 * b > limit:
-                return None, None, certificates
+                return None, None, certificates, total
             V = np.hstack([P, rng.standard_normal((n, b))])
             b *= 2
             Y = W @ V
             sweeps = 0
+        Q = np.linalg.qr(Y)[0]
 
 
 def _norm_below(G, bound):

@@ -15,9 +15,10 @@ from .linalg import _BLOCK_PAD, _leading_svd, svd
 
 # Inputs with at least this many entries take the truncated prox when a
 # warm start is given. Measured as solve time per prox call on square
-# completion solves with one BLAS thread, truncated against full SVD:
-# 60x60 1.62 vs 1.43 ms, 70x70 1.71 vs 1.78 ms, 100x100 2.04 vs 3.36 ms.
-# The cutoff keeps a margin above that break-even point.
+# completion solves with one BLAS thread (r = 5, sr 0.8, 500 iterations,
+# median of 5), truncated against full SVD: 60x60 1.48 vs 1.34 ms,
+# 70x70 1.44 vs 1.59 ms, 100x100 1.73 vs 3.49 ms. The cutoff keeps a
+# margin above that break-even point.
 _TRUNCATE_MIN_SIZE = 10_000
 
 
@@ -99,9 +100,9 @@ class ProxWarmStart:
     a new W at the cost of ||W - W_ref||_F; see linalg._leading_svd. A
     call that runs the full SVD, by fallback or directly, clears it.
     `calls` counts prox calls, `fallbacks` the truncated-path calls
-    whose certificate failed, so that they ran the full SVD, and
+    whose certificate failed, so that they ran the full SVD,
     `certificates` the Cholesky factorisations the truncated path ran,
-    retries included.
+    retries included, and `sweeps` its Rayleigh-Ritz steps.
     """
 
     def __init__(self, seed):
@@ -111,6 +112,7 @@ class ProxWarmStart:
         self.calls = 0
         self.fallbacks = 0
         self.certificates = 0
+        self.sweeps = 0
 
 
 def prox_matrix_with_spectrum(W, d, tau, nu, warm=None):
@@ -123,13 +125,15 @@ def prox_matrix_with_spectrum(W, d, tau, nu, warm=None):
     With a ProxWarmStart `warm`, a W of at least _TRUNCATE_MIN_SIZE
     entries is decomposed only as far as the prox needs: every d = 2
     triplet and every singular value above tau / nu, since the rest
-    shrink to exactly zero. The truncated SVD starts from warm.V and
-    proves that the next singular value is below tau / nu, by carrying
-    warm.tail forward when the drift of W since that proof leaves room,
-    else by a Cholesky certificate; when neither works, the full SVD
-    runs instead and warm.fallbacks counts it. A W whose first block,
-    the d = 2 count plus _BLOCK_PAD, already exceeds half its smaller
-    side goes to the full SVD directly, uncounted.
+    shrink to exactly zero. The truncated SVD starts from warm.V, or on
+    thin inputs from the short-side Gram matrix (see
+    linalg._leading_svd), and proves that the next singular value is
+    below tau / nu, by carrying warm.tail forward when the drift of W
+    since that proof leaves room, else by a Cholesky certificate; when
+    neither works, the full SVD runs instead and warm.fallbacks counts
+    it. A W whose first block, the d = 2 count plus _BLOCK_PAD, already
+    exceeds half its smaller side goes to the full SVD directly,
+    uncounted.
     """
     _check_tau_nu(tau, nu)
     factors = None
@@ -139,10 +143,11 @@ def prox_matrix_with_spectrum(W, d, tau, nu, warm=None):
         if np.size(W) >= _TRUNCATE_MIN_SIZE:
             k_min = int(np.count_nonzero(np.asarray(d) == 2))
             if k_min + _BLOCK_PAD <= min(np.shape(W)) // 2:
-                factors, warm.tail, certificates = _leading_svd(
+                factors, warm.tail, certificates, sweeps = _leading_svd(
                     W, k_min, tau / nu, warm.V, warm.rng, tail
                 )
                 warm.certificates += certificates
+                warm.sweeps += sweeps
                 if factors is None:
                     warm.fallbacks += 1
     U, s, V = factors or svd(W)

@@ -17,7 +17,8 @@ up by a rounding-level rejection does not stay up for good.
 
 On inputs large enough for it, the prox decomposes W only as far as its
 output needs, warm-started from the right factor of the previous prox
-output; see penalty.prox_matrix_with_spectrum. Its random starting
+output, or on thin inputs from the short-side Gram matrix; see
+penalty.prox_matrix_with_spectrum. Its random starting
 columns come from a generator seeded with SolverConfig.seed per solve,
 so a solve is deterministic.
 
@@ -113,10 +114,13 @@ class SolveResult:
     stationarity_residual: float
     objective_gap: float
     grad_norms: list = field(default_factory=list)
-    # Spectral prox calls, and those of them on the truncated path that
-    # fell back to the full SVD.
+    # Spectral prox calls, those of them on the truncated path that fell
+    # back to the full SVD, and the Cholesky certificates and Rayleigh-Ritz
+    # sweeps that path ran (see penalty.ProxWarmStart).
     prox_calls: int = 0
     prox_fallbacks: int = 0
+    prox_certificates: int = 0
+    prox_sweeps: int = 0
 
     @property
     def iterations(self):
@@ -336,4 +340,6 @@ def solve(binding, config):
         grad_norms=grad_norms,
         prox_calls=warm.calls,
         prox_fallbacks=warm.fallbacks,
+        prox_certificates=warm.certificates,
+        prox_sweeps=warm.sweeps,
     )

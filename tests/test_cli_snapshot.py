@@ -18,8 +18,10 @@ def test_two_snapshots_compare_identical(tmp_path, capsys):
     capsys.readouterr()
     assert tool.main(["--compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 0
     lines = capsys.readouterr().out.splitlines()
-    # 4 inputs and 23 outputs, then 9 error configs and their 9 records
-    assert len(lines) == 27 + 2 * len(tool.ERROR_CASES)
+    # 4 inputs and 23 outputs, the thin rpca's 3 inputs and 4 outputs,
+    # then each error case's config and record
+    assert len(lines) == 27 + 7 + 2 * len(tool.ERROR_CASES)
+    assert sum("thin400x30/rpca/" in line for line in lines) == 4
     assert all(line.startswith("identical: ") for line in lines)
 
     # a changed trace cell is reported by its column

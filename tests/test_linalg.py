@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spglr import linalg as linalg_module
 from spglr.linalg import (
     as_matrix,
     frobenius_norm,
@@ -80,3 +81,14 @@ def test_rank_estimate():
     assert rank_estimate(np.array([1.0, 1e-12, 0.0])) == 1
     assert rank_estimate(np.zeros(4)) == 0
     assert rank_estimate(np.array([5.0, 3.0, 2.0])) == 3
+
+
+def test_gram_start_is_chosen_for_thin_shapes_only():
+    # thin inputs take it at the first block of a rank-3 iterate...
+    for shape in [(1600, 60), (60, 1600), (400, 30)]:
+        assert linalg_module._gram_start_pays(*shape, 3 + linalg_module._BLOCK_PAD)
+    # ...square and near-square ones never do, at any block up to the limit
+    square = [(100, 100), (120, 120), (200, 200), (500, 500)]
+    for shape in [*square, (120, 100), (100, 120), (130, 100)]:
+        blocks = range(1, min(shape) // 2 + 1)
+        assert not any(linalg_module._gram_start_pays(*shape, b) for b in blocks)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spglr import linalg as linalg_module
 from spglr import penalty as penalty_module
 from spglr.linalg import svd
 from spglr.penalty import (
@@ -332,6 +333,100 @@ def test_truncated_prox_cold_start_certifies_before_returning_zero():
     truncated, exact, _ = truncated_and_exact(W, selector(0, 100))
     assert exact[1][0] == pytest.approx(0.02, rel=1e-8)
     assert_prox_agrees(truncated, exact)
+
+
+# ---------------------------------------------------------------------------
+# the Gram start on thin inputs
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(1600, 60), (60, 1600)], ids=["tall", "wide"])
+@pytest.mark.parametrize("case", sorted(TRUNCATED_CASES))
+def test_gram_start_certifies_thin_inputs_in_one_sweep(monkeypatch, shape, case):
+    grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
+    sigma, twos = TRUNCATED_CASES[case]
+    W = spectral_matrix(shape, sigma[:60], seed=3)
+    warm = ProxWarmStart(0)
+    truncated, exact, fallbacks = truncated_and_exact(W, selector(twos, 60), warm)
+    assert fallbacks == 0
+    assert warm.sweeps == len(grams) == 1
+    assert_prox_agrees(truncated, exact)
+    assert warm.V.shape == (shape[1], int(np.count_nonzero(exact[1])))
+
+
+@pytest.mark.parametrize("shape", [(1600, 60), (60, 1600)], ids=["tall", "wide"])
+def test_gram_start_that_loses_small_values_keeps_sweeping(monkeypatch, shape):
+    # sigma_1 / sigma_3 = 5e6: the squared spectrum leaves the kept value 2
+    # with an eigenvector error far above the residual test, so the
+    # first sweep fails it and the call sweeps on from there.
+    fallbacks_seen = []
+    leading_svd = penalty_module._leading_svd
+
+    def recording(*args):
+        result = leading_svd(*args)
+        fallbacks_seen.append(result[0] is None)
+        return result
+
+    monkeypatch.setattr(penalty_module, "_leading_svd", recording)
+    grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
+    sigma = np.r_[1e7, 1e3, 2.0, noise_tail(57, 0.5, 0.9)]
+    W = spectral_matrix(shape, sigma, seed=5)
+    warm = ProxWarmStart(0)
+    truncated, exact, fallbacks = truncated_and_exact(W, selector(0, 60), warm)
+    assert len(grams) == 1
+    assert warm.sweeps > 1
+    assert fallbacks == sum(fallbacks_seen)
+    assert_prox_agrees(truncated, exact)
+
+
+def test_gram_start_carries_the_tail_bound_while_w_drifts():
+    # the bound is proven on the transposed input and carried on W itself
+    W = spectral_matrix((1600, 60), CARRIED_SIGMA[:60], seed=11)
+    d = selector(3, 60)
+    warm = ProxWarmStart(2)
+    assert certified_step(W, d, warm) == (1, 0)
+    for j in range(1, 4):
+        W = perturbed(W, 1e-3, seed=j)
+        assert certified_step(W, d, warm) == (0, 0)
+    assert warm.sweeps == 4
+
+
+def test_gram_start_that_fails_to_decompose_falls_back_to_the_exact_path(monkeypatch):
+    def fail(*args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(linalg_module, "_gram_basis", fail)
+    W = spectral_matrix((1600, 60), CARRIED_SIGMA[:60], seed=12)
+    (X_t, x_t), (X_e, x_e), fallbacks = truncated_and_exact(W, selector(3, 60))
+    assert fallbacks == 1
+    assert np.array_equal(X_t, X_e) and np.array_equal(x_t, x_e)
+
+
+@pytest.mark.parametrize("shape", [(200, 200), (120, 100), (100, 120)])
+def test_square_and_near_square_inputs_never_form_the_gram(monkeypatch, shape):
+    def refuse(*args):
+        raise AssertionError(f"the Gram start ran on a {shape} input")
+
+    monkeypatch.setattr(linalg_module, "_gram_basis", refuse)
+    sigma, twos = TRUNCATED_CASES["r2_beyond_threshold"]
+    p = min(shape)
+    W = spectral_matrix(shape, np.r_[sigma, noise_tail(p - 100, 0.1, 0.9)][:p], seed=4)
+    warm = ProxWarmStart(0)
+    for j in range(2):
+        W = perturbed(W, 1e-3, seed=j)
+        assert certified_step(W, selector(twos, p), warm)[1] == 0
+    assert warm.sweeps >= 2
 
 
 # ---------------------------------------------------------------------------

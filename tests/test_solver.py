@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import spglr
+from spglr import linalg as linalg_module
 from spglr import penalty as penalty_module
 from spglr import solver as solver_module
 from spglr.losses import CompletionLoss, MaskedData, RpcaLoss
@@ -562,6 +563,7 @@ def test_solve_carries_the_tail_bound_past_most_certificates(monkeypatch):
     result = solve(binding, SolverConfig(lam=1.0, nu=0.05, mu0=100.0, max_iter=500))
     (warm,) = made
     assert warm.calls == result.prox_calls
+    assert (result.prox_certificates, result.prox_sweeps) == (warm.certificates, warm.sweeps)
     assert result.prox_fallbacks == 0
     assert 0 < warm.certificates <= 0.4 * warm.calls
 
@@ -583,6 +585,28 @@ def test_solve_thin_input_above_cutoff_counts_no_fallbacks(monkeypatch):
     exact = solve(RpcaLoss(L), cfg)
     assert np.array_equal(result.X_final, exact.X_final)
     assert result.trace == exact.trace
+
+
+def test_solve_thin_input_takes_the_gram_start_in_one_sweep_per_prox(monkeypatch):
+    # 400 x 30: a thin input whose prox starts from the 30 x 30 Gram matrix
+    rng = np.random.default_rng(11)
+    truth = spglr.gen_low_rank(400, 30, 3, 11)
+    L = truth.copy()
+    hit = rng.random(L.shape) < 0.1
+    L[hit] += rng.uniform(-1.0, 1.0, int(hit.sum()))
+    assert L.size >= penalty_module._TRUNCATE_MIN_SIZE
+    cfg = SolverConfig(lam=1.0, nu=0.05, max_iter=300)
+    grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
+    result = solve(RpcaLoss(L), cfg)
+    assert len(grams) == result.prox_calls
+    assert result.prox_fallbacks == 0
+    assert result.prox_sweeps == result.prox_calls
+    energies = [r.energy for r in result.trace]
+    assert all(e1 <= e0 + 1e-10 for e0, e1 in zip(energies, energies[1:]))
+    monkeypatch.setattr(penalty_module, "_TRUNCATE_MIN_SIZE", math.inf)
+    exact = solve(RpcaLoss(L), cfg)
+    assert result.rank == exact.rank == 3
+    assert spglr.rmse(result.X_final, truth) <= 1.01 * spglr.rmse(exact.X_final, truth)
 
 
 @pytest.mark.parametrize(

@@ -9,9 +9,11 @@ and runs, for each size N (default 60, the README example config, and
 `solve --mask --truth`, synthetic `solve`, `solve --solver svt` (synthetic
 and with `--mask --truth`), `solve --trials 3`, `rpca --truth` on a
 rank-3 plus 10 % sparse N x N input, and `inpaint` on a smooth N x N PGM.
-Every output lands under OUT_DIR/mN/<command>/. The inputs the tool makes
-itself depend only on N, so two snapshots of different source trees see
-the same files.
+Every output lands under OUT_DIR/mN/<command>/. One more `rpca --truth`
+runs on a thin 400 x 30 input of the same kind (THIN_RPCA), whose prox
+starts from the short-side Gram matrix, into OUT_DIR/thin400x30/rpca/.
+The inputs the tool makes itself depend only on their shape, so two
+snapshots of different source trees see the same files.
 
 It also runs a fixed set of invalid `solve` commands (ERROR_CASES: the
 README config at m = 60 with one key or flag wrong) and writes each
@@ -40,6 +42,8 @@ import numpy as np
 
 CHECKOUT_SRC = Path(__file__).resolve().parents[1] / "src"
 IGNORED = {"metrics.json": "wall_time_s", "results.csv": "mean_runtime_s"}
+# Shape of the thin rpca input.
+THIN_RPCA = (400, 30)
 
 # name: (config changes, a None value drops the key; extra solve flags)
 ERROR_CASES = {
@@ -69,14 +73,15 @@ def _matrix_csv(X):
     return "".join(",".join(repr(float(v)) for v in row) + "\n" for row in X)
 
 
-def rpca_inputs(size):
-    """Rank-3 background plus 10 % sparse outliers: (observed, truth)."""
-    rng = np.random.default_rng(size)
-    truth = rng.standard_normal((size, 3)) @ rng.standard_normal((3, size))
+def write_rpca_inputs(inputs, m, n):
+    """Rank-3 background plus 10 % sparse outliers: L.csv and L_truth.csv."""
+    rng = np.random.default_rng(m)
+    truth = rng.standard_normal((m, 3)) @ rng.standard_normal((3, n))
     observed = truth.copy()
-    hit = rng.random((size, size)) < 0.1
+    hit = rng.random((m, n)) < 0.1
     observed[hit] += rng.uniform(-5.0, 5.0, int(hit.sum()))
-    return observed, truth
+    (inputs / "L.csv").write_text(_matrix_csv(observed), "utf-8")
+    (inputs / "L_truth.csv").write_text(_matrix_csv(truth), "utf-8")
 
 
 def smooth_pgm(size):
@@ -99,9 +104,7 @@ def snapshot(out_dir, src, sizes, max_iter):
         inputs.mkdir(parents=True, exist_ok=True)
         config = inputs / "config.json"
         config.write_text(json.dumps(readme_config(size, max_iter)), "utf-8")
-        observed, truth = rpca_inputs(size)
-        (inputs / "L.csv").write_text(_matrix_csv(observed), "utf-8")
-        (inputs / "L_truth.csv").write_text(_matrix_csv(truth), "utf-8")
+        write_rpca_inputs(inputs, size, size)
         (inputs / "image.pgm").write_bytes(smooth_pgm(size))
         mask = ["--mask", str(root / "synth" / "mask.csv"), "--truth", str(root / "synth" / "M.csv")]
         commands = {
@@ -120,6 +123,19 @@ def snapshot(out_dir, src, sizes, max_iter):
             print(f"m{size}/{name}: exit {code}", flush=True)
             if code != 0:
                 failed.append(f"m{size}/{name}")
+    m, n = THIN_RPCA
+    root = Path(out_dir) / f"thin{m}x{n}"
+    inputs = root / "inputs"
+    inputs.mkdir(parents=True, exist_ok=True)
+    config = inputs / "config.json"
+    config.write_text(json.dumps({**readme_config(n, max_iter), "m": m}), "utf-8")
+    write_rpca_inputs(inputs, m, n)
+    code = cli.run(["rpca", "--input", str(inputs / "L.csv"),
+                    "--truth", str(inputs / "L_truth.csv"),
+                    "--config", str(config), "--out-dir", str(root / "rpca")])
+    print(f"{root.name}/rpca: exit {code}", flush=True)
+    if code != 0:
+        failed.append(f"{root.name}/rpca")
     snapshot_errors(Path(out_dir) / "errors", cli, max_iter)
     return failed
 
