@@ -167,6 +167,8 @@ def _cmd_solve(args):
     choice = args.solver or run_cfg.solver_choice
     if args.trials < 1:
         raise ConfigError('"trials": must be at least 1')
+    if args.mask is not None and args.trials != 1:
+        raise ConfigError('"trials": must be 1 with --mask, which gives one observation set')
     out = _out_dir(args)
 
     if args.mask is not None:

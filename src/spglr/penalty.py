@@ -11,15 +11,7 @@ is what gives the prox its closed form.
 
 import numpy as np
 
-from .linalg import _BLOCK_PAD, _leading_svd, svd
-
-# Inputs with at least this many entries take the truncated prox when a
-# warm start is given. Measured as solve time per prox call on square
-# completion solves with one BLAS thread (r = 5, sr 0.8, 500 iterations,
-# median of 5), truncated against full SVD: 60x60 1.48 vs 1.34 ms,
-# 70x70 1.44 vs 1.59 ms, 100x100 1.73 vs 3.49 ms. The cutoff keeps a
-# margin above that break-even point.
-_TRUNCATE_MIN_SIZE = 10_000
+from .linalg import _leading_svd, svd
 
 
 class PenaltyCapAdvisory(UserWarning):
@@ -88,33 +80,6 @@ def prox_matrix(W, d, tau, nu):
     return X
 
 
-class ProxWarmStart:
-    """State one solve carries from prox to prox on the truncated path.
-
-    V is the right factor of the last prox output (None before the
-    first), rng draws the random starting columns, and `tail` is the
-    proof that the next call may carry forward instead of forming a
-    Gram matrix: (W_ref, B, k_ref), a private copy of the W of the last
-    call that ran a certificate, a proven bound B on its singular value
-    k_ref + 1, and k_ref, or None. Weyl's inequality moves the bound to
-    a new W at the cost of ||W - W_ref||_F; see linalg._leading_svd. A
-    call that runs the full SVD, by fallback or directly, clears it.
-    `calls` counts prox calls, `fallbacks` the truncated-path calls
-    whose certificate failed, so that they ran the full SVD,
-    `certificates` the Cholesky factorisations the truncated path ran,
-    retries included, and `sweeps` its Rayleigh-Ritz steps.
-    """
-
-    def __init__(self, seed):
-        self.V = None
-        self.rng = np.random.default_rng(seed)
-        self.tail = None
-        self.calls = 0
-        self.fallbacks = 0
-        self.certificates = 0
-        self.sweeps = 0
-
-
 def prox_matrix_with_spectrum(W, d, tau, nu, warm=None):
     """prox_matrix plus the output spectrum, which equals
     prox_vector(sigma(W), d, tau, nu) and is descending.
@@ -122,34 +87,17 @@ def prox_matrix_with_spectrum(W, d, tau, nu, warm=None):
     X is rebuilt from the leading triplets whose shrunk value is nonzero;
     the descending order puts every zero after them.
 
-    With a ProxWarmStart `warm`, a W of at least _TRUNCATE_MIN_SIZE
-    entries is decomposed only as far as the prox needs: every d = 2
-    triplet and every singular value above tau / nu, since the rest
-    shrink to exactly zero. The truncated SVD starts from warm.V, or on
-    thin inputs from the short-side Gram matrix (see
-    linalg._leading_svd), and proves that the next singular value is
-    below tau / nu, by carrying warm.tail forward when the drift of W
-    since that proof leaves room, else by a Cholesky certificate; when
-    neither works, the full SVD runs instead and warm.fallbacks counts
-    it. A W whose first block, the d = 2 count plus _BLOCK_PAD, already
-    exceeds half its smaller side goes to the full SVD directly,
-    uncounted.
+    With a linalg.ProxWarmStart `warm`, linalg._leading_svd may supply
+    just the triplets the prox needs: every d = 2 triplet and every
+    singular value above tau / nu, since the rest shrink to exactly
+    zero. When it returns None, the full SVD runs. warm.V keeps the
+    right factor of the output.
     """
     _check_tau_nu(tau, nu)
     factors = None
     if warm is not None:
-        warm.calls += 1
-        tail, warm.tail = warm.tail, None
-        if np.size(W) >= _TRUNCATE_MIN_SIZE:
-            k_min = int(np.count_nonzero(np.asarray(d) == 2))
-            if k_min + _BLOCK_PAD <= min(np.shape(W)) // 2:
-                factors, warm.tail, certificates, sweeps = _leading_svd(
-                    W, k_min, tau / nu, warm.V, warm.rng, tail
-                )
-                warm.certificates += certificates
-                warm.sweeps += sweeps
-                if factors is None:
-                    warm.fallbacks += 1
+        k_min = int(np.count_nonzero(np.asarray(d) == 2))
+        factors = _leading_svd(W, k_min, tau / nu, warm)
     U, s, V = factors or svd(W)
     d = _check_d(d, min(U.shape[0], V.shape[0]))
     if np.any(np.diff(d) > 0):

@@ -18,9 +18,8 @@ up by a rounding-level rejection does not stay up for good.
 On inputs large enough for it, the prox decomposes W only as far as its
 output needs, warm-started from the right factor of the previous prox
 output, or on thin inputs from the short-side Gram matrix; see
-penalty.prox_matrix_with_spectrum. Its random starting
-columns come from a generator seeded with SolverConfig.seed per solve,
-so a solve is deterministic.
+linalg._leading_svd. Its random starting columns come from a generator
+seeded with SolverConfig.seed per solve, so a solve is deterministic.
 
 The energy value loss~(X, mu) + lam * penalty + kappa * mu is
 nonincreasing along the iterates, which is what drives the schedule.
@@ -32,10 +31,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .linalg import rank_estimate, svd
+from .linalg import ProxWarmStart, rank_estimate, svd
 from .penalty import (
     PenaltyCapAdvisory,
-    ProxWarmStart,
     capped_surrogate,
     d_vector,
     prox_matrix_with_spectrum,
@@ -116,7 +114,7 @@ class SolveResult:
     grad_norms: list = field(default_factory=list)
     # Spectral prox calls, those of them on the truncated path that fell
     # back to the full SVD, and the Cholesky certificates and Rayleigh-Ritz
-    # sweeps that path ran (see penalty.ProxWarmStart).
+    # sweeps that path ran (see linalg.ProxWarmStart).
     prox_calls: int = 0
     prox_fallbacks: int = 0
     prox_certificates: int = 0
@@ -216,17 +214,17 @@ def stationarity_residual(X, mu_probe, binding, config):
     ratio = config.lam / config.nu
     r_supp = rank_estimate(sigma)
 
-    worst = 0.0
-    for i in range(sigma.size):
-        g = float(G[i, i])
-        if i < r_supp:
-            # s_i = 1; the branch-2 slope lam/nu cancels the ratio term.
-            target = ratio if sigma[i] >= config.nu else 0.0
-            resid = abs(g + ratio - target)
-        else:
-            # s_i ranges over [-1, 1]; take the closest admissible point.
-            resid = max(0.0, abs(g) - ratio)
-        worst = max(worst, resid)
+    g = np.diagonal(G)
+    # On the support s_i = 1 and the branch-2 slope lam/nu cancels the
+    # ratio term; off it s_i ranges over [-1, 1], so take the closest
+    # admissible point.
+    target = np.where(sigma >= config.nu, ratio, 0.0)
+    resid = np.where(
+        np.arange(sigma.size) < r_supp,
+        np.abs(g + ratio - target),
+        np.maximum(0.0, np.abs(g) - ratio),
+    )
+    worst = float(resid.max(initial=0.0))
 
     off_diag = 0.0
     if r_supp > 1:

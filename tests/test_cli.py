@@ -181,6 +181,17 @@ def test_bad_input_rejected_before_any_output(tmp_path, capsys, argv, key):
     assert not out.exists()
 
 
+def test_solve_with_mask_rejects_more_than_one_trial(tmp_path, capsys):
+    cfg = write_config(tmp_path, SMALL)
+    data = tmp_path / "data"
+    assert run(["synth", "--config", cfg, "--out-dir", str(data)]) == 0
+    out = tmp_path / "never"
+    argv = ["solve", "--config", cfg, "--mask", str(data / "mask.csv"), "--trials", "5"]
+    assert run([*argv, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith('error: "trials": ')
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["mu0", "sr", "c"])
 def test_integer_beyond_float_range_is_a_config_error(tmp_path, capsys, key):
     cfg = write_config(tmp_path, SMALL)

@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from spglr import linalg as linalg_module
 from spglr import penalty as penalty_module
-from spglr.linalg import svd
+from spglr.linalg import ProxWarmStart, svd
 from spglr.penalty import (
-    ProxWarmStart,
     capped_surrogate,
     d_vector,
     phi_d,
@@ -263,7 +262,7 @@ TRUNCATED_CASES = {
 @pytest.mark.parametrize("case", sorted(TRUNCATED_CASES))
 def test_truncated_prox_matches_full_svd_prox(shape, case):
     sigma, twos = TRUNCATED_CASES[case]
-    assert shape[0] * shape[1] >= penalty_module._TRUNCATE_MIN_SIZE
+    assert shape[0] * shape[1] >= linalg_module._TRUNCATE_MIN_SIZE
     W = spectral_matrix(shape, sigma, seed=3)
     truncated, exact, fallbacks = truncated_and_exact(W, selector(twos, sigma.size))
     assert fallbacks == 0
@@ -287,29 +286,33 @@ def test_truncated_prox_warm_start_reuses_previous_factor():
 
 
 @pytest.mark.parametrize(
-    "sigma, twos, counted",
+    "sigma, twos, last_rank, counted",
     [
         # sixty values above the threshold: the block would pass p / 2,
         # so the certificate fails and the fallback is counted
-        (np.r_[np.full(60, 2.0), noise_tail(40, 0.5, 0.9)], 0, 1),
+        (np.r_[np.full(60, 2.0), noise_tail(40, 0.5, 0.9)], 0, 0, 1),
         # forty-eight d = 2 values: the first block already passes p / 2,
         # so the full SVD runs directly and nothing is counted
-        (noise_tail(100, 5.0, 0.97), 48, 0),
+        (noise_tail(100, 5.0, 0.97), 48, 0, 0),
+        # no d = 2 value, but the last output kept 46 columns: the first
+        # block, 46 + 5, passes p / 2 just the same
+        (noise_tail(100, 5.0, 0.97), 0, 46, 0),
     ],
-    ids=["many_above_threshold", "many_twos"],
+    ids=["many_above_threshold", "many_twos", "many_last_columns"],
 )
-def test_truncated_prox_falls_back_to_the_exact_path(monkeypatch, sigma, twos, counted):
-    calls = []
-    leading_svd = penalty_module._leading_svd
-
-    def counting(*args):
-        calls.append(None)
-        return leading_svd(*args)
-
-    monkeypatch.setattr(penalty_module, "_leading_svd", counting)
+def test_truncated_prox_falls_back_to_the_exact_path(monkeypatch, sigma, twos, last_rank, counted):
+    grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
     W = spectral_matrix((120, 100), sigma, seed=6)
-    (X_t, x_t), (X_e, x_e), fallbacks = truncated_and_exact(W, selector(twos, sigma.size))
-    assert fallbacks == counted == len(calls)
+    warm = ProxWarmStart(0)
+    if last_rank:
+        warm.V = np.linalg.qr(np.random.default_rng(1).standard_normal((100, last_rank)))[0]
+    (X_t, x_t), (X_e, x_e), fallbacks = truncated_and_exact(W, selector(twos, sigma.size), warm)
+    assert fallbacks == counted
+    assert not grams
+    if counted:
+        assert warm.sweeps > 0
+    else:
+        assert warm.certificates == warm.sweeps == 0
     assert np.array_equal(X_t, X_e) and np.array_equal(x_t, x_e)
 
 
@@ -375,7 +378,7 @@ def test_gram_start_that_loses_small_values_keeps_sweeping(monkeypatch, shape):
 
     def recording(*args):
         result = leading_svd(*args)
-        fallbacks_seen.append(result[0] is None)
+        fallbacks_seen.append(result is None)
         return result
 
     monkeypatch.setattr(penalty_module, "_leading_svd", recording)

@@ -516,7 +516,7 @@ def square_completion(m, seed=9):
 
 
 def completion_above_cutoff(m=120):
-    assert m * m >= penalty_module._TRUNCATE_MIN_SIZE
+    assert m * m >= linalg_module._TRUNCATE_MIN_SIZE
     return square_completion(m)
 
 
@@ -537,7 +537,7 @@ def test_solve_on_truncated_path_matches_full_svd_run(monkeypatch):
     cfg = SolverConfig(lam=1.0, nu=0.05, max_iter=150)
     truncated = solve(binding, cfg)
     assert truncated.prox_fallbacks == 0
-    monkeypatch.setattr(penalty_module, "_TRUNCATE_MIN_SIZE", math.inf)
+    monkeypatch.setattr(linalg_module, "_TRUNCATE_MIN_SIZE", math.inf)
     exact = solve(binding, cfg)
     assert exact.prox_calls == truncated.prox_calls
     assert [r.gamma_k for r in truncated.trace] == [r.gamma_k for r in exact.trace]
@@ -553,7 +553,7 @@ def test_solve_carries_the_tail_bound_past_most_certificates(monkeypatch):
     # call; the bound carried by Weyl's inequality skips most of them.
     made = []
 
-    class Recorded(penalty_module.ProxWarmStart):
+    class Recorded(linalg_module.ProxWarmStart):
         def __init__(self, seed):
             super().__init__(seed)
             made.append(self)
@@ -574,14 +574,14 @@ def test_solve_thin_input_above_cutoff_counts_no_fallbacks(monkeypatch):
     rng = np.random.default_rng(4)
     L = spglr.gen_low_rank(1300, 8, 2, 7)
     L.flat[rng.choice(L.size, 500, replace=False)] += rng.uniform(-0.5, 0.5, 500)
-    assert L.size >= penalty_module._TRUNCATE_MIN_SIZE
+    assert L.size >= linalg_module._TRUNCATE_MIN_SIZE
     cfg = SolverConfig(lam=1.0, nu=0.05, max_iter=60)
-    calls = count_calls(monkeypatch, penalty_module, "_leading_svd")
+    grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
     result = solve(RpcaLoss(L), cfg)
     assert result.prox_calls >= result.iterations
-    assert result.prox_fallbacks == 0
-    assert not calls
-    monkeypatch.setattr(penalty_module, "_TRUNCATE_MIN_SIZE", math.inf)
+    assert result.prox_fallbacks == result.prox_certificates == result.prox_sweeps == 0
+    assert not grams
+    monkeypatch.setattr(linalg_module, "_TRUNCATE_MIN_SIZE", math.inf)
     exact = solve(RpcaLoss(L), cfg)
     assert np.array_equal(result.X_final, exact.X_final)
     assert result.trace == exact.trace
@@ -594,7 +594,7 @@ def test_solve_thin_input_takes_the_gram_start_in_one_sweep_per_prox(monkeypatch
     L = truth.copy()
     hit = rng.random(L.shape) < 0.1
     L[hit] += rng.uniform(-1.0, 1.0, int(hit.sum()))
-    assert L.size >= penalty_module._TRUNCATE_MIN_SIZE
+    assert L.size >= linalg_module._TRUNCATE_MIN_SIZE
     cfg = SolverConfig(lam=1.0, nu=0.05, max_iter=300)
     grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
     result = solve(RpcaLoss(L), cfg)
@@ -603,7 +603,7 @@ def test_solve_thin_input_takes_the_gram_start_in_one_sweep_per_prox(monkeypatch
     assert result.prox_sweeps == result.prox_calls
     energies = [r.energy for r in result.trace]
     assert all(e1 <= e0 + 1e-10 for e0, e1 in zip(energies, energies[1:]))
-    monkeypatch.setattr(penalty_module, "_TRUNCATE_MIN_SIZE", math.inf)
+    monkeypatch.setattr(linalg_module, "_TRUNCATE_MIN_SIZE", math.inf)
     exact = solve(RpcaLoss(L), cfg)
     assert result.rank == exact.rank == 3
     assert spglr.rmse(result.X_final, truth) <= 1.01 * spglr.rmse(exact.X_final, truth)
@@ -620,11 +620,11 @@ def test_solve_thin_input_takes_the_gram_start_in_one_sweep_per_prox(monkeypatch
 )
 def test_solve_below_cutoff_stays_on_exact_path(monkeypatch, make_binding):
     def refuse(*args):
-        raise AssertionError("the truncated SVD ran below the size cutoff")
+        raise AssertionError("the Gram start ran below the size cutoff")
 
-    monkeypatch.setattr(penalty_module, "_leading_svd", refuse)
+    monkeypatch.setattr(linalg_module, "_gram_basis", refuse)
     binding = make_binding()
-    assert binding.shape[0] * binding.shape[1] < penalty_module._TRUNCATE_MIN_SIZE
+    assert binding.shape[0] * binding.shape[1] < linalg_module._TRUNCATE_MIN_SIZE
     result = solve(binding, SolverConfig(lam=0.4, nu=0.05, max_iter=40))
     assert result.prox_calls >= result.iterations
-    assert result.prox_fallbacks == 0
+    assert result.prox_fallbacks == result.prox_certificates == result.prox_sweeps == 0

@@ -9,9 +9,10 @@ and runs, for each size N (default 60, the README example config, and
 `solve --mask --truth`, synthetic `solve`, `solve --solver svt` (synthetic
 and with `--mask --truth`), `solve --trials 3`, `rpca --truth` on a
 rank-3 plus 10 % sparse N x N input, and `inpaint` on a smooth N x N PGM.
-Every output lands under OUT_DIR/mN/<command>/. One more `rpca --truth`
-runs on a thin 400 x 30 input of the same kind (THIN_RPCA), whose prox
-starts from the short-side Gram matrix, into OUT_DIR/thin400x30/rpca/.
+Every output lands under OUT_DIR/mN/<command>/. `rpca --truth` also
+runs on two thin inputs of the same kind (THIN_RPCA), into
+OUT_DIR/thinMxN/rpca/: on 400 x 30 the prox starts from the short-side
+Gram matrix, and on 1300 x 8 every prox declines the truncated route.
 The inputs the tool makes itself depend only on their shape, so two
 snapshots of different source trees see the same files.
 
@@ -42,8 +43,8 @@ import numpy as np
 
 CHECKOUT_SRC = Path(__file__).resolve().parents[1] / "src"
 IGNORED = {"metrics.json": "wall_time_s", "results.csv": "mean_runtime_s"}
-# Shape of the thin rpca input.
-THIN_RPCA = (400, 30)
+# Shapes of the thin rpca inputs.
+THIN_RPCA = ((400, 30), (1300, 8))
 
 # name: (config changes, a None value drops the key; extra solve flags)
 ERROR_CASES = {
@@ -123,19 +124,19 @@ def snapshot(out_dir, src, sizes, max_iter):
             print(f"m{size}/{name}: exit {code}", flush=True)
             if code != 0:
                 failed.append(f"m{size}/{name}")
-    m, n = THIN_RPCA
-    root = Path(out_dir) / f"thin{m}x{n}"
-    inputs = root / "inputs"
-    inputs.mkdir(parents=True, exist_ok=True)
-    config = inputs / "config.json"
-    config.write_text(json.dumps({**readme_config(n, max_iter), "m": m}), "utf-8")
-    write_rpca_inputs(inputs, m, n)
-    code = cli.run(["rpca", "--input", str(inputs / "L.csv"),
-                    "--truth", str(inputs / "L_truth.csv"),
-                    "--config", str(config), "--out-dir", str(root / "rpca")])
-    print(f"{root.name}/rpca: exit {code}", flush=True)
-    if code != 0:
-        failed.append(f"{root.name}/rpca")
+    for m, n in THIN_RPCA:
+        root = Path(out_dir) / f"thin{m}x{n}"
+        inputs = root / "inputs"
+        inputs.mkdir(parents=True, exist_ok=True)
+        config = inputs / "config.json"
+        config.write_text(json.dumps({**readme_config(n, max_iter), "m": m}), "utf-8")
+        write_rpca_inputs(inputs, m, n)
+        code = cli.run(["rpca", "--input", str(inputs / "L.csv"),
+                        "--truth", str(inputs / "L_truth.csv"),
+                        "--config", str(config), "--out-dir", str(root / "rpca")])
+        print(f"{root.name}/rpca: exit {code}", flush=True)
+        if code != 0:
+            failed.append(f"{root.name}/rpca")
     snapshot_errors(Path(out_dir) / "errors", cli, max_iter)
     return failed
 
