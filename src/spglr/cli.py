@@ -169,6 +169,8 @@ def _cmd_solve(args):
         raise ConfigError('"trials": must be at least 1')
     if args.mask is not None and args.trials != 1:
         raise ConfigError('"trials": must be 1 with --mask, which gives one observation set')
+    if args.truth is not None and args.mask is None:
+        raise ConfigError('"--truth": needs --mask; without it, solve synthesizes the truth')
     out = _out_dir(args)
 
     if args.mask is not None:
@@ -274,25 +276,23 @@ def _cmd_ablate(args):
         raise ConfigError('"trials": must be at least 1')
     try:
         mu0_values = [float(tok) for tok in args.mu0_list.split(",") if tok.strip()]
-        for mu0 in mu0_values:
-            replace(run_cfg.solver, mu0=mu0).validate()
+        configs = [replace(run_cfg.solver, mu0=mu0) for mu0 in mu0_values]
     except ValueError as exc:
         raise ConfigError(f'"--mu0-list": bad value {args.mu0_list!r} ({exc})') from None
-    if not mu0_values:
+    if not configs:
         raise ConfigError('"--mu0-list": no values')
     out = _out_dir(args)
 
     rows = []
-    for mu0 in mu0_values:
+    for cfg in configs:
         for alpha in (0.8, math.inf):
-            solver_cfg = replace(run_cfg.solver, mu0=mu0, alpha=alpha)
             summary = monte_carlo(
                 run_cfg.trial,
                 solver_choice="spg",
                 trials=args.trials,
-                solver_config=solver_cfg,
+                solver_config=replace(cfg, alpha=alpha),
             )
-            rows.append(_summary_row(summary, run_cfg, mu0, alpha))
+            rows.append(_summary_row(summary, run_cfg, cfg.mu0, alpha))
     (out / "results.csv").write_text(io_formats.results_csv_write(rows), "utf-8")
     return 0
 

@@ -304,7 +304,6 @@ def config_from_dict(doc):
 
     try:
         solver_cfg = SolverConfig(**pick(_SOLVER_FIELDS))
-        solver_cfg.validate()
         noise = GmmNoiseParams(**pick(_NOISE_FIELDS))
         trial = TrialSpec(**pick(_DATA_FIELDS), noise=noise, seed=solver_cfg.seed)
     except ValueError as exc:

@@ -141,6 +141,7 @@ class ProxWarmStart:
 def _leading_svd(W, k_min, threshold, warm):
     """Leading singular triplets of W, certified to cover every singular
     value at or above `threshold`, or None where the full SVD should run.
+    W, a float64 matrix, is not checked; a non-finite one gets None.
 
     Each call counts in warm.calls and takes warm.tail. It declines, with
     nothing else counted, when W has fewer than _TRUNCATE_MIN_SIZE
@@ -198,9 +199,8 @@ def _leading_svd(W, k_min, threshold, warm):
     """
     warm.calls += 1
     tail, warm.tail = warm.tail, None
-    if np.size(W) < _TRUNCATE_MIN_SIZE:
+    if W.size < _TRUNCATE_MIN_SIZE:
         return None
-    W = as_matrix(W)
     m, n = W.shape
     limit = min(m, n) // 2
     start = np.empty((n, 0)) if warm.V is None else warm.V

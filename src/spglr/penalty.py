@@ -11,7 +11,7 @@ is what gives the prox its closed form.
 
 import numpy as np
 
-from .linalg import _leading_svd, svd
+from .linalg import _leading_svd, as_matrix, svd
 
 
 class PenaltyCapAdvisory(UserWarning):
@@ -22,8 +22,7 @@ class PenaltyCapAdvisory(UserWarning):
 def capped_surrogate(sigma, nu):
     """Sum of min(1, sigma_i / nu) over a spectrum; the rank surrogate value."""
     sigma = _check_spectrum(sigma)
-    if not nu > 0:
-        raise ValueError(f"nu must be positive, got {nu}")
+    _check_nu(nu)
     return float(np.sum(np.minimum(1.0, sigma / nu)))
 
 
@@ -33,8 +32,7 @@ def d_vector(sigma, nu):
     For a descending spectrum the result is nonincreasing (all 2s first).
     """
     sigma = _check_spectrum(sigma)
-    if not nu > 0:
-        raise ValueError(f"nu must be positive, got {nu}")
+    _check_nu(nu)
     return np.where(sigma >= nu, 2, 1)
 
 
@@ -47,8 +45,7 @@ def phi_d(sigma, d, nu):
     """
     sigma = _check_spectrum(sigma)
     d = _check_d(d, sigma.size)
-    if not nu > 0:
-        raise ValueError(f"nu must be positive, got {nu}")
+    _check_nu(nu)
     theta = np.where(d == 2, sigma / nu - 1.0, 0.0)
     return float(np.sum(sigma) / nu - np.sum(theta))
 
@@ -76,6 +73,11 @@ def prox_matrix(W, d, tau, nu):
     spectrum); other selectors are rejected because the ordering of the
     output spectrum is only guaranteed in that case.
     """
+    _check_tau_nu(tau, nu)
+    W = as_matrix(W)
+    d = _check_d(d, min(W.shape))
+    if np.any(np.diff(d) > 0):
+        raise ValueError("d must be nonincreasing for the matrix prox")
     X, _ = prox_matrix_with_spectrum(W, d, tau, nu)
     return X
 
@@ -83,6 +85,11 @@ def prox_matrix(W, d, tau, nu):
 def prox_matrix_with_spectrum(W, d, tau, nu, warm=None):
     """prox_matrix plus the output spectrum, which equals
     prox_vector(sigma(W), d, tau, nu) and is descending.
+
+    It trusts d, tau and nu, which prox_matrix checks: d nonincreasing,
+    of 1s and 2s, one per singular value of W; tau, nu > 0. A non-finite
+    W still raises ValueError from svd, which the truncated route falls
+    back to because it cannot certify such a W.
 
     X is rebuilt from the leading triplets whose shrunk value is nonzero;
     the descending order puts every zero after them.
@@ -93,15 +100,10 @@ def prox_matrix_with_spectrum(W, d, tau, nu, warm=None):
     zero. When it returns None, the full SVD runs. warm.V keeps the
     right factor of the output.
     """
-    _check_tau_nu(tau, nu)
     factors = None
     if warm is not None:
-        k_min = int(np.count_nonzero(np.asarray(d) == 2))
-        factors = _leading_svd(W, k_min, tau / nu, warm)
+        factors = _leading_svd(W, int(np.count_nonzero(d == 2)), tau / nu, warm)
     U, s, V = factors or svd(W)
-    d = _check_d(d, min(U.shape[0], V.shape[0]))
-    if np.any(np.diff(d) > 0):
-        raise ValueError("d must be nonincreasing for the matrix prox")
     # Values past the truncation are below tau / nu and have d = 1.
     sigma = np.zeros(d.size)
     sigma[: s.size] = s
@@ -120,6 +122,10 @@ def _shrink(w, d, tau, nu):
 def _check_tau_nu(tau, nu):
     if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
+    _check_nu(nu)
+
+
+def _check_nu(nu):
     if not nu > 0:
         raise ValueError(f"nu must be positive, got {nu}")
 

@@ -44,12 +44,15 @@ from .penalty import (
 _DECREASE_AFTER = 10
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Tuning knobs for `solve`.
+    """Tuning knobs for `solve`, checked when built.
 
     alpha may be math.inf, which forces the mu reset branch every
     iteration. lam and nu are the penalty weight and cap threshold.
+    Construction and dataclasses.replace raise ValueError on a setting
+    outside the solver's assumptions, with a message that starts with
+    the field name; every real but alpha must be finite.
     """
 
     mu0: float = 10.0
@@ -65,12 +68,7 @@ class SolverConfig:
     mu_stop: float = 1e-6
     seed: int = 0
 
-    def validate(self):
-        """Raise ValueError on a setting outside the solver's assumptions.
-
-        The message starts with the field name. Every real but alpha must
-        be finite.
-        """
+    def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type is float and f.name != "alpha" and not math.isfinite(value):
@@ -180,11 +178,10 @@ def update_mu(k, mu_k, energy_new, energy_old, alpha, mu0, sigma_exp):
 
 def energy(binding, X, mu, config):
     """Smoothed objective plus the kappa * mu slack term, with lam and nu
-    from the SolverConfig `config`, which is validated first.
+    from the SolverConfig `config`.
 
     At mu = 0 this is the exact objective loss(X) + lam * penalty.
     """
-    config.validate()
     if mu < 0:
         raise ValueError(f"mu must be nonnegative, got {mu}")
     sigma = svd(X).sigma
@@ -203,9 +200,8 @@ def stationarity_residual(X, mu_probe, binding, config):
     condition requires for each branch, minimizing over the valid
     subgradient scalars of |.| at each singular value. Adds the largest
     off-diagonal magnitude of G within the leading support block. lam
-    and nu come from the SolverConfig `config`, which is validated first.
+    and nu come from the SolverConfig `config`.
     """
-    config.validate()
     if not mu_probe > 0:
         raise ValueError(f"mu_probe must be positive, got {mu_probe}")
     factors = svd(X)
@@ -243,7 +239,6 @@ def solve(binding, config):
     iteration; grad_norms holds the smoothed gradient norm at the start
     of each iteration.
     """
-    config.validate()
     if config.nu >= config.lam / binding.loss_lipschitz_Lf:
         warnings.warn(
             f"nu={config.nu} is at or above lam / L_f = "

@@ -19,14 +19,16 @@ from .penalty import prox_matrix_with_spectrum
 from .solver import IterationRecord, SolveResult
 
 
-@dataclass
+@dataclass(frozen=True)
 class SvtConfig:
+    """Settings of `svt_solve`, checked when built, as SolverConfig is."""
+
     tau: float = 0.05
     step: float = 1.0
     max_iter: int = 500
     tol: float = 1e-6
 
-    def validate(self):
+    def __post_init__(self):
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if not self.step > 0:
@@ -44,12 +46,11 @@ def svt_solve(data, config):
     The trace reuses the shared record schema: the three objective
     columns all carry the nuclear-norm objective, mu_k is 0 and gamma_k
     is the gradient step size. The stationarity_residual field holds the
-    final fixed-point gap (the norm of one more update), and
-    objective_gap is not meaningful for this model and is reported as 0.
+    final fixed-point gap, the norm of one more update (counted in
+    prox_calls); objective_gap is not meaningful here and is 0.
     """
     if not isinstance(data, MaskedData):
         raise TypeError("svt_solve expects MaskedData")
-    config.validate()
     flat, vals = data.flat_idx, data.values
     branch_one = np.ones(min(data.rows, data.cols), dtype=np.int64)
 
@@ -96,4 +97,5 @@ def svt_solve(data, config):
         trace=trace,
         stationarity_residual=frobenius_norm(update(X, resid)[0] - X),
         objective_gap=0.0,
+        prox_calls=len(trace) + 1,
     )

@@ -192,6 +192,18 @@ def test_solve_with_mask_rejects_more_than_one_trial(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("trials", ["1", "2"])
+def test_solve_rejects_truth_without_mask(tmp_path, capsys, trials):
+    # without --mask, solve synthesizes its own ground truth; the file is
+    # never read, so it need not exist
+    cfg = write_config(tmp_path, SMALL)
+    out = tmp_path / "never"
+    argv = ["solve", "--config", cfg, "--truth", str(tmp_path / "T.csv"), "--trials", trials]
+    assert run([*argv, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith('error: "--truth": ')
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["mu0", "sr", "c"])
 def test_integer_beyond_float_range_is_a_config_error(tmp_path, capsys, key):
     cfg = write_config(tmp_path, SMALL)

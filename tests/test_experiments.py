@@ -170,12 +170,12 @@ def test_monte_carlo_records_failures_without_raising():
     assert math.isnan(summary.mean_rmse)
 
 
-def test_monte_carlo_rejects_invalid_config_once():
-    spec = TrialSpec(m=8, n=8, r=2, sr=0.8, noise=NOISE, seed=0)
+def test_invalid_arm_configs_fail_before_monte_carlo():
+    # monte_carlo cannot be handed a bad config: building one raises
     with pytest.raises(ValueError, match="^mu0"):
-        monte_carlo(spec, "spg", trials=3, solver_config=spglr.SolverConfig(mu0=-1.0))
+        spglr.SolverConfig(mu0=-1.0)
     with pytest.raises(ValueError, match="^tau"):
-        monte_carlo(spec, "svt", trials=3, svt_config=spglr.SvtConfig(tau=0.0))
+        spglr.SvtConfig(tau=0.0)
 
 
 def test_trial_spec_rejects_negative_seed():

@@ -292,7 +292,7 @@ KEY_CASES = {
 def build_owner(field, value):
     """Give `value` to the dataclass that owns `field`, as the codec does."""
     if field in {f.name for f in fields(SolverConfig)}:
-        SolverConfig(**{field: value}).validate()
+        SolverConfig(**{field: value})
     elif field in {f.name for f in fields(GmmNoiseParams)}:
         GmmNoiseParams(**{field: value})
     else:

@@ -152,6 +152,20 @@ def test_prox_matrix_rejects_increasing_d():
         prox_matrix(np.eye(2), np.array([1, 2]), 0.2, 0.5)
 
 
+def test_prox_matrix_checks_what_the_spectral_prox_trusts():
+    W, d = np.eye(2), np.array([2, 1])
+    with pytest.raises(ValueError, match="^tau must be positive, got 0.0$"):
+        prox_matrix(W, d, 0.0, 0.5)
+    with pytest.raises(ValueError, match="^nu must be positive, got nan$"):
+        prox_matrix(W, d, 0.2, np.nan)
+    with pytest.raises(ValueError, match="^d has length 3, expected 2$"):
+        prox_matrix(W, np.array([2, 1, 1]), 0.2, 0.5)
+    with pytest.raises(ValueError, match="^d entries must be 1 or 2$"):
+        prox_matrix(W, np.array([2, 0]), 0.2, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        prox_matrix(np.array([[1.0, np.inf], [0.0, 1.0]]), d, 0.2, 0.5)
+
+
 def test_prox_matrix_spectrum_matches_vector_prox():
     rng = np.random.default_rng(7)
     for _ in range(25):
@@ -571,8 +585,11 @@ def test_shared_warm_start_on_degenerate_inputs():
             W = perturbed(W, 1e-4 * scale, seed=j)
             certified_step(W, selector(3, 100), scaled, tau=0.05 * scale)
         assert scaled.fallbacks == 0
-    bad = spectral_matrix((120, 100), CARRIED_SIGMA, seed=10)
-    certified_step(bad, selector(3, 100), warm)
-    bad[5, 7] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        prox_matrix_with_spectrum(bad, selector(3, 100), 0.05, 0.05, warm)
+    # a non-finite W cannot be certified, so the route falls back to svd,
+    # which rejects it
+    for value in (np.nan, np.inf):
+        bad = spectral_matrix((120, 100), CARRIED_SIGMA, seed=10)
+        certified_step(bad, selector(3, 100), warm)
+        bad[5, 7] = value
+        with pytest.raises(ValueError, match="finite"):
+            prox_matrix_with_spectrum(bad, selector(3, 100), 0.05, 0.05, warm)

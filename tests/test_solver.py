@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -256,13 +257,16 @@ def test_stationarity_zero_matrix_absorbed_by_subgradient():
     assert stationarity_residual(np.zeros((2, 2)), 0.01, binding, cfg) == 0.0
 
 
-def test_energy_and_stationarity_validate_config():
+def test_energy_and_stationarity_check_only_their_own_arguments():
+    # the config was checked when built, so a bad one never reaches them
+    with pytest.raises(ValueError, match="^lam must be positive$"):
+        SolverConfig(lam=0.0)
     binding = scalar_completion(2.0)
     X = np.ones((1, 1))
-    with pytest.raises(ValueError, match="^lam must be positive$"):
-        energy(binding, X, 0.5, SolverConfig(lam=0.0))
-    with pytest.raises(ValueError, match="^lam must be positive$"):
-        stationarity_residual(X, 0.5, binding, SolverConfig(lam=0.0))
+    with pytest.raises(ValueError, match="^mu must be nonnegative, got -0.5$"):
+        energy(binding, X, -0.5, SolverConfig())
+    with pytest.raises(ValueError, match="^mu_probe must be positive, got 0.0$"):
+        stationarity_residual(X, 0.0, binding, SolverConfig())
 
 
 def test_stationarity_positive_at_random_point():
@@ -443,11 +447,34 @@ def test_solve_pays_about_one_prox_per_iteration(monkeypatch, make_binding, cfg)
     assert len(residual_calls) <= result.prox_calls + 2
 
 
-def test_solve_checks_d_once_per_prox_call(monkeypatch):
+def test_solve_checks_neither_d_nor_the_truncated_w(monkeypatch):
+    # d, tau, nu and W come from the algorithm and a config checked when
+    # built; the prox trusts them, and the truncated route trusts its W.
     check_calls = count_calls(monkeypatch, penalty_module, "_check_d")
-    result = solve(noisy_completion(), SolverConfig(lam=0.75, nu=0.05, max_iter=120))
-    # d_vector builds d and does not check it; only the prox does
-    assert len(check_calls) == result.prox_calls
+    leading_svd, as_matrix = penalty_module._leading_svd, linalg_module.as_matrix
+    inside, routed, checked = [], [], []
+
+    def recording_leading_svd(*args):
+        inside.append(None)
+        try:
+            factors = leading_svd(*args)
+        finally:
+            inside.pop()
+        routed.append(factors is not None)
+        return factors
+
+    def recording_as_matrix(*args):
+        if inside:
+            checked.append(None)
+        return as_matrix(*args)
+
+    monkeypatch.setattr(penalty_module, "_leading_svd", recording_leading_svd)
+    monkeypatch.setattr(linalg_module, "as_matrix", recording_as_matrix)
+    _, binding = completion_above_cutoff(m=100)
+    result = solve(binding, SolverConfig(lam=1.0, nu=0.05, max_iter=60, seed=3))
+    assert routed == [True] * result.prox_calls
+    assert check_calls == []
+    assert checked == []
 
 
 def test_solve_retries_smaller_gamma_after_an_increase(monkeypatch):
@@ -470,29 +497,34 @@ def test_solve_rpca_splits_sparse_corruption():
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(mu0=-1.0).validate()
+        SolverConfig(mu0=-1.0)
     with pytest.raises(ValueError):
-        SolverConfig(rho=1.0).validate()
+        SolverConfig(rho=1.0)
     with pytest.raises(ValueError):
-        SolverConfig(sigma_exp=1.0).validate()
+        SolverConfig(sigma_exp=1.0)
     with pytest.raises(ValueError):
-        SolverConfig(gamma_lo=2.0, gamma_hi=1.0).validate()
+        SolverConfig(gamma_lo=2.0, gamma_hi=1.0)
     with pytest.raises(ValueError):
-        SolverConfig(max_iter=0).validate()
+        SolverConfig(max_iter=0)
     with pytest.raises(ValueError, match="^lam must be positive$"):
-        SolverConfig(lam=0.0).validate()
+        SolverConfig(lam=0.0)
     with pytest.raises(ValueError, match="^nu must be positive$"):
-        SolverConfig(nu=-1.0).validate()
-    SolverConfig(alpha=math.inf).validate()  # ablation mode is valid
+        SolverConfig(nu=-1.0)
+    SolverConfig(alpha=math.inf)  # ablation mode is valid
     # one message per field, each led by the field's name
     with pytest.raises(ValueError, match="^mu0 must be finite$"):
-        SolverConfig(mu0=math.inf).validate()
+        SolverConfig(mu0=math.inf)
     with pytest.raises(ValueError, match="^nu must be finite$"):
-        SolverConfig(nu=math.nan).validate()
+        SolverConfig(nu=math.nan)
     with pytest.raises(ValueError, match="^seed must be nonnegative$"):
-        SolverConfig(seed=-1).validate()
+        SolverConfig(seed=-1)
     with pytest.raises(ValueError, match="^gamma_lo must not exceed gamma_hi$"):
-        SolverConfig(gamma_lo=2.0, gamma_hi=1.0).validate()
+        SolverConfig(gamma_lo=2.0, gamma_hi=1.0)
+    # a config that exists is valid: replace checks, and fields are frozen
+    with pytest.raises(ValueError, match="^lam must be positive$"):
+        dataclasses.replace(SolverConfig(), lam=0.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SolverConfig().lam = 0.0
 
 
 def test_solve_result_rank_is_last_record_rank():

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import spglr
+from spglr import svt as svt_module
 from spglr.losses import MaskedData
 from spglr.penalty import prox_vector
 from spglr.svt import SvtConfig, svt_solve
@@ -83,7 +86,15 @@ def test_svt_objective_nonincreasing_for_unit_step():
     assert all(o1 <= o0 + 1e-10 for o0, o1 in zip(objs, objs[1:]))
 
 
-def test_svt_trace_schema():
+def test_svt_trace_schema(monkeypatch):
+    prox = svt_module.prox_matrix_with_spectrum
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return prox(*args)
+
+    monkeypatch.setattr(svt_module, "prox_matrix_with_spectrum", counting)
     data = MaskedData(3, 3, np.array([0]), np.array([0]), np.array([1.0]))
     result = svt_solve(data, SvtConfig(tau=0.1, step=0.9, max_iter=10))
     rec = result.trace[0]
@@ -93,12 +104,18 @@ def test_svt_trace_schema():
     assert not rec.mu_reset
     assert result.status in ("converged", "max_iter")
     assert result.objective_gap == 0.0
+    # one prox per iteration plus one for the final fixed-point gap
+    assert result.prox_calls == len(calls) == result.iterations + 1
 
 
 def test_svt_config_validation():
     with pytest.raises(ValueError):
-        SvtConfig(tau=0.0).validate()
+        SvtConfig(tau=0.0)
     with pytest.raises(ValueError):
-        SvtConfig(step=-1.0).validate()
+        SvtConfig(step=-1.0)
+    with pytest.raises(ValueError, match="^max_iter must be at least 1, got 0$"):
+        dataclasses.replace(SvtConfig(), max_iter=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SvtConfig().tau = 1.0
     with pytest.raises(TypeError):
         svt_solve("not data", SvtConfig())

@@ -58,6 +58,8 @@ ERROR_CASES = {
     "solver_magic": ({"solver": "magic"}, []),
     "trials_zero": ({}, ["--trials", "0"]),
     "seed_negative": ({}, ["--seed", "-1"]),
+    # rejected before any read, so the file need not exist
+    "truth_without_mask": ({}, ["--truth", "no-such-truth.csv"]),
 }
 
 
