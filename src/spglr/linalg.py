@@ -94,6 +94,8 @@ _RESIDUAL_TOL = 1e-13
 # perfbench video, of which the Gram start saves 3: 3 * 8 = 24.
 _EIGH_COST = 60
 _SAVED_SWEEP_COST = 24
+# u, the unit roundoff of float64.
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
 def _gram_start_pays(m, n, b):
@@ -106,32 +108,67 @@ def _gram_start_pays(m, n, b):
     return 2 * q * p * p + _EIGH_COST * p**3 <= _SAVED_SWEEP_COST * 4 * q * p * b
 
 
-def _gram_basis(W, b):
-    """Orthonormal (m, b) basis of the leading left singular subspace of a
-    W with m <= n: the top b eigenvectors of the m x m Gram matrix W W^T."""
-    vectors = np.linalg.eigh(W @ W.T)[1]
-    return vectors[:, ::-1][:, :b]
+def _gram_basis(W):
+    """The m x m Gram matrix C = W W^T of a W with m <= n, with its
+    eigenvalues in descending order and the matching orthonormal
+    eigenvectors, whose leading columns span the leading left singular
+    subspace of W."""
+    C = W @ W.T
+    values, vectors = np.linalg.eigh(C)
+    return C, values[::-1], vectors[:, ::-1]
+
+
+def _gram_residual(C, Y, n):
+    """(G, delta): G = C - Y Y^T, the Gram matrix R R^T of the residual
+    R = W - Y P^T of a W with C = W W^T, Y = W P and P n x k with
+    orthonormal columns, and a bound delta on how far the computed G can
+    sit below R R^T in the 2-norm.
+
+    The identity holds because P^T P = I. For the rounding, let u be the
+    unit roundoff, gamma_j = j u / (1 - j u) and t = trace(C) = ||W||_F^2,
+    which bounds ||W||_2^2 and ||Y||_F^2. Every entry of a computed
+    product of A and B is an inner product, within gamma_j (|A| |B|) of
+    the exact one for an inner length j (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, section 3.5). So the computed C is
+    within gamma_n t of C; each row of the computed W P has k entries,
+    each a length-n product with a unit column, so Y is within gamma_n
+    sqrt(k t) in the Frobenius norm and Y Y^T moves by at most
+    2 gamma_n sqrt(k) t and the second-order term; the product Y Y^T adds
+    gamma_k t. These sum to about ((1 + 2 sqrt(k)) n + k) u t, and
+    delta = c (n + k) u t with c = 2 (1 + sqrt(k)) leaves room for the
+    subtraction, the second-order terms and P's orthonormality, which
+    holds to rounding. The Gram squares the spectrum, so delta is set by
+    sigma_1(W)^2, not by the tail: no bound at or below sqrt(delta), which
+    is at least sigma_1 sqrt(c (n + k) u), can be proven from it.
+    """
+    k = Y.shape[1]
+    G = C - Y @ Y.T
+    delta = 2 * (1 + math.sqrt(k)) * (n + k) * _UNIT_ROUNDOFF * float(np.trace(C))
+    return G, delta
 
 
 class ProxWarmStart:
     """State one solve carries from prox to prox for _leading_svd.
 
     V is the right factor of the last prox output (None before the
-    first), rng draws the random starting columns, and `tail` is the
-    proof that the next call may carry forward instead of forming a
-    Gram matrix: (W_ref, B, k_ref), a private copy of the W of the last
-    call that ran a certificate, a proven bound B on its singular value
-    k_ref + 1, and k_ref, or None. A call that does not return factors
-    clears it. `calls` counts the calls, `fallbacks` those that tried
-    the truncated route and returned no factors, `certificates` the
-    Cholesky factorisations, retries included, and `sweeps` the
-    Rayleigh-Ritz steps.
+    first) and rng draws the random starting columns. `tail` is the
+    proof that the next call on the subspace route may carry forward
+    instead of running a certificate: (W_ref, B, k_ref), a private copy
+    of the W of the last call that ran one, a proven bound B on its
+    singular value k_ref + 1, and k_ref, or None. A call that does not
+    return factors from that route clears it. `hold` is the rank at
+    which the route is declined after a fallback (math.inf when none).
+    `calls` counts the calls, `fallbacks` those that tried the truncated
+    route and returned no factors, `certificates` the Cholesky
+    factorisations, retries included, and `sweeps` the Rayleigh-Ritz
+    steps.
     """
 
     def __init__(self, seed):
         self.V = None
         self.rng = np.random.default_rng(seed)
         self.tail = None
+        self.hold = math.inf
         self.calls = 0
         self.fallbacks = 0
         self.certificates = 0
@@ -143,87 +180,129 @@ def _leading_svd(W, k_min, threshold, warm):
     value at or above `threshold`, or None where the full SVD should run.
     W, a float64 matrix, is not checked; a non-finite one gets None.
 
-    Each call counts in warm.calls and takes warm.tail. It declines, with
-    nothing else counted, when W has fewer than _TRUNCATE_MIN_SIZE
-    entries or its first block, max(k_min, columns of warm.V) +
-    _BLOCK_PAD, exceeds min(m, n) / 2.
+    Each call counts in warm.calls and takes warm.tail. With rank =
+    max(k_min, columns of warm.V), it declines, with nothing else
+    counted, when W has fewer than _TRUNCATE_MIN_SIZE entries, while
+    rank >= warm.hold, or when its first block, rank + _BLOCK_PAD,
+    exceeds min(m, n) / 2. A call below the hold clears it.
 
-    Block subspace iteration (Halko, Martinsson & Tropp, SIAM Review
-    2011). Each sweep takes an orthonormal left basis Q, the Rayleigh-Ritz
-    triplets from the SVD of the small matrix W.T @ Q, and the next Q from
-    the QR of W @ V, V their right vectors. It keeps
-    k = max(k_min, #{s_i > threshold}) triplets once each has
-    ||W v_i - s_i u_i|| <= 1e-13 * s_1, and returns them only with a
-    proof that sigma_{k+1}(W) < threshold.
+    A call that tries the route and returns no factors counts in
+    warm.fallbacks and sets warm.hold = max(1, rank). Within a solve the
+    iterate's rank seldom falls far, so a retry at that rank or above
+    would most likely fail again and pay for the failed block on top of
+    the full SVD; one released at every small drop in rank would retry
+    the same large block call after call. The hold keeps such a solve on
+    the full SVD after one attempt.
 
-    The first Q comes from one of two starts. When _gram_start_pays says
-    so for W's shape and the block, W is handled in its wide orientation
-    (transposed when tall, with the factors swapped back) and Q is the top
-    eigenvectors of the short-side Gram matrix, which hold the leading
-    subspace to rounding, so one sweep is usually the Rayleigh-Ritz step
-    that finishes the call (Golub & Van Loan, Matrix Computations, 8.6).
-    The Gram squares the singular values, so small kept values can lose
-    their digits there; the residual test then fails and the sweeps go on
-    as below. Otherwise Q is the QR of W @ V for V the columns of warm.V
-    plus Gaussian columns drawn from warm.rng.
-
-    The proof is carried from an earlier call when it can be. With
-    (W_ref, B, k_ref) the taken tail, sigma_{k_ref+1}(W_ref) <= B, Weyl's
-    inequality gives sigma_{k+1}(W) <= sigma_{k_ref+1}(W) <= B +
-    ||W - W_ref||_2, and the Frobenius norm bounds the 2-norm. So when W
-    has W_ref's shape, k >= k_ref, every kept Ritz value is above
-    `threshold`, and B + ||W - W_ref||_F (1 + 1e-12) < threshold, nothing
-    else runs and the tail is handed on unchanged: by the triangle
-    inequality, keeping W_ref as the anchor is never looser than chaining
-    from call to call. The kept triplets are then the top k: Ritz values
-    interlace, s_i <= sigma_i(W), so sigma_k(W) >= s_k > threshold >
-    sigma_{k+1}(W). A kept value at or below the threshold, as a d = 2
-    triplet the prox must keep, breaks that chain: the block may then
-    hold a smaller direction in place of a missed one above the
-    threshold, which sigma_{k+1}(W) < threshold does not rule out.
-
-    Otherwise the residual R = W - (W V_k) V_k.T proves it: a Cholesky
-    factorisation of beta^2 * I - G succeeds, G the smaller Gram matrix
-    of R, so sigma_{k+1}(W) <= ||R||_2 < beta. beta is first the margin
-    (threshold + s_{k+1}) / 2, s_{k+1} the block's next Ritz value, so
-    that the bound has room to carry, then the threshold itself. The
-    proven beta becomes the new warm.tail, with a copy of W and k. Each
-    factorisation adds to warm.certificates and each sweep, over every
-    block size, to warm.sweeps.
-
-    Neither proof, or no convergence within _MAX_SWEEPS, doubles the
-    block. Returns SvdFactors with k columns, or None, counted in
-    warm.fallbacks, once the block would exceed min(m, n) / 2, where the
-    full SVD is the cheaper way to the same triplets, or when a
-    decomposition fails.
+    Otherwise the triplets come from block subspace iteration (Halko,
+    Martinsson & Tropp, SIAM Review 2011); see _certified_triplets.
+    Returns SvdFactors with k columns, or None.
     """
     warm.calls += 1
     tail, warm.tail = warm.tail, None
     if W.size < _TRUNCATE_MIN_SIZE:
         return None
+    start = np.empty((W.shape[1], 0)) if warm.V is None else warm.V
+    rank = max(k_min, start.shape[1])
+    if rank >= warm.hold:
+        return None
+    warm.hold = math.inf
+    b = rank + _BLOCK_PAD
+    if b > min(W.shape) // 2:
+        return None
+    factors = _certified_triplets(W, k_min, threshold, warm, start, b, tail)
+    if factors is None:
+        warm.fallbacks += 1
+        warm.hold = max(1, rank)
+    return factors
+
+
+def _certified_triplets(W, k_min, threshold, warm, start, b, tail):
+    """The route behind _leading_svd, from a first block of b <= min(m, n)
+    / 2 columns, b at least the columns of `start` + _BLOCK_PAD.
+
+    Each sweep takes an orthonormal left basis Q, the Rayleigh-Ritz
+    triplets from the SVD of the small matrix W.T @ Q, and the next Q from
+    the QR of W @ V, V their right vectors. It keeps
+    k = max(k_min, #{s_i > threshold}) triplets once each has
+    ||W v_i - s_i u_i|| <= 1e-13 * s_1, and returns them only with a
+    proof that sigma_{k+1}(W) < threshold. Each sweep, over every block
+    size, adds to warm.sweeps.
+
+    The first Q comes from one of two routes. On the Gram route, taken
+    when _gram_start_pays says so for W's shape and b, W is handled in
+    its wide orientation (transposed when tall, with the factors swapped
+    back) and _gram_basis gives the short-side Gram matrix C = W W^T
+    with its eigenvalues and eigenvectors. When at least b eigenvalues
+    exceed threshold^2, b becomes their count + _BLOCK_PAD, so that the
+    block holds every value above the threshold and a gap past it, and
+    the call fails if that b exceeds min(m, n) / 2; otherwise b stays.
+    Q is the top b eigenvectors, which hold the leading subspace to
+    rounding, so one sweep is usually the Rayleigh-Ritz step that
+    finishes the call (Golub & Van Loan, Matrix Computations, 8.6). The
+    Gram squares the singular values, so small kept values can lose
+    their digits there; the residual test then fails and the sweeps go
+    on. On the subspace route, Q is the QR of W @ V for V the columns of
+    `start` plus Gaussian columns drawn from warm.rng.
+
+    The proof is a Cholesky factorisation of beta^2 * I - G that
+    succeeds, for G the Gram matrix of the residual R = W - (W V_k) V_k.T
+    on its short side, so sigma_{k+1}(W) <= ||R||_2 < beta (W V_k V_k.T
+    has rank k). beta is first the margin (threshold + s_{k+1}) / 2,
+    s_{k+1} the block's next Ritz value, so that the bound has room to
+    carry, then the threshold itself. Each factorisation adds to
+    warm.certificates. On the Gram route, G is C - Y_k Y_k^T, with
+    Y = W V, and the factorisation runs at beta^2 minus the rounding
+    bound of _gram_residual: an m x m proof with no pass over R. It
+    neither takes nor leaves a tail, because the ||W - W_ref|| pass
+    below would cost more than it.
+
+    On the subspace route the proof is carried from an earlier call when
+    it can be. With (W_ref, B, k_ref) the taken tail,
+    sigma_{k_ref+1}(W_ref) <= B, Weyl's inequality gives
+    sigma_{k+1}(W) <= sigma_{k_ref+1}(W) <= B + ||W - W_ref||_2, and the
+    Frobenius norm bounds the 2-norm. So when W has W_ref's shape,
+    k >= k_ref, every kept Ritz value is above `threshold`, and
+    B + ||W - W_ref||_F (1 + 1e-12) < threshold, nothing else runs and
+    the tail is handed on unchanged: by the triangle inequality, keeping
+    W_ref as the anchor is never looser than chaining from call to call.
+    The kept triplets are then the top k: Ritz values interlace,
+    s_i <= sigma_i(W), so sigma_k(W) >= s_k > threshold > sigma_{k+1}(W).
+    A kept value at or below the threshold, as a d = 2 triplet the prox
+    must keep, breaks that chain: the block may then hold a smaller
+    direction in place of a missed one above the threshold, which
+    sigma_{k+1}(W) < threshold does not rule out. Otherwise G = R.T @ R
+    or R @ R.T proves it, and the proven beta becomes the new warm.tail,
+    with a copy of W and k.
+
+    Neither proof, or no convergence within _MAX_SWEEPS, doubles the
+    block. Returns SvdFactors with k columns, or None once the block
+    would exceed min(m, n) / 2, where the full SVD is the cheaper way to
+    the same triplets, or when a decomposition fails.
+    """
     m, n = W.shape
     limit = min(m, n) // 2
-    start = np.empty((n, 0)) if warm.V is None else warm.V
-    b = max(k_min, start.shape[1]) + _BLOCK_PAD
-    if b > limit:
-        return None
-    carried, k_ref = math.inf, 0
-    if tail is not None and tail[0].shape == W.shape:
-        W_ref, B, k_ref = tail
-        carried = B + float(np.linalg.norm(W - W_ref)) * (1 + 1e-12)
-    given = W
     gram = _gram_start_pays(m, n, b)
     flip = gram and m > n
     if flip:
         W = W.T
         m, n = n, m
+    carried, k_ref = math.inf, 0
     if gram:
         try:
-            Q = _gram_basis(W, b)
+            C, values, vectors = _gram_basis(W)
         except np.linalg.LinAlgError:
-            warm.fallbacks += 1
             return None
+        above = int(np.count_nonzero(values > threshold * threshold))
+        if above >= b:
+            b = above + _BLOCK_PAD
+            if b > limit:
+                return None
+        Q = vectors[:, :b]
     else:
+        if tail is not None and tail[0].shape == W.shape:
+            W_ref, B, k_ref = tail
+            carried = B + float(np.linalg.norm(W - W_ref)) * (1 + 1e-12)
         V = np.hstack([start, warm.rng.standard_normal((n, b - start.shape[1]))])
         Q = np.linalg.qr(W @ V)[0]
     sweeps = 0
@@ -231,7 +310,7 @@ def _leading_svd(W, k_min, threshold, warm):
         try:
             P, s, Ht = np.linalg.svd(W.T @ Q, full_matrices=False)
         except np.linalg.LinAlgError:
-            break
+            return None
         U = Q @ Ht.T
         Y = W @ P
         sweeps += 1
@@ -248,34 +327,37 @@ def _leading_svd(W, k_min, threshold, warm):
                 if carried < threshold and k >= k_ref and (k == 0 or s[k - 1] > threshold):
                     warm.tail = tail
                     return factors
-                R = W - Y[:, :k] @ P[:, :k].T
-                G = R.T @ R if m >= n else R @ R.T
+                if gram:
+                    G, slack = _gram_residual(C, Y[:, :k], n)
+                else:
+                    R = W - Y[:, :k] @ P[:, :k].T
+                    G, slack = R.T @ R if m >= n else R @ R.T, 0.0
                 margin = 0.5 * (threshold + s[k])
                 for bound in (margin, threshold) if margin < threshold else (threshold,):
                     warm.certificates += 1
-                    if _norm_below(G, bound):
-                        warm.tail = (given.copy(), bound, k)
+                    if _norm_below(G, bound, slack):
+                        if not gram:
+                            warm.tail = (W.copy(), bound, k)
                         return factors
                 grow = True
         if grow:
             if 2 * b > limit:
-                break
+                return None
             V = np.hstack([P, warm.rng.standard_normal((n, b))])
             b *= 2
             Y = W @ V
             sweeps = 0
         Q = np.linalg.qr(Y)[0]
-    warm.fallbacks += 1
-    return None
 
 
-def _norm_below(G, bound):
-    """True when the Cholesky factorisation of bound^2 * I - G succeeds;
-    for G the Gram matrix of R, that proves ||R||_2 < bound."""
-    C = -G
-    C.flat[:: C.shape[0] + 1] += bound * bound
+def _norm_below(G, bound, slack=0.0):
+    """True when the Cholesky factorisation of (bound^2 - slack) * I - G
+    succeeds; for G within slack of the Gram matrix of R, that proves
+    ||R||_2 < bound."""
+    A = -G
+    A.flat[:: A.shape[0] + 1] += bound * bound - slack
     try:
-        np.linalg.cholesky(C)
+        np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
         return False
     return True

@@ -6,14 +6,18 @@ thresholding. The squared loss is deliberate: the baseline exists to
 show how an l2 data fit degrades under heavy-tailed noise.
 
 The soft threshold is the capped penalty's prox with every branch
-selector on branch 1 and nu = 1, whose majorizer is ||X||_*.
+selector on branch 1 and nu = 1, whose majorizer is ||X||_*. It runs
+with a warm start of its own, as in `solve`, so on large inputs it
+computes only the triplets above tau * step, certified, and falls back
+to the full SVD otherwise (see linalg._leading_svd). A high-rank iterate
+falls back once and then holds the full SVD.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import frobenius_norm, rank_estimate
+from .linalg import ProxWarmStart, rank_estimate
 from .losses import MaskedData
 from .penalty import prox_matrix_with_spectrum
 from .solver import IterationRecord, SolveResult
@@ -48,18 +52,22 @@ def svt_solve(data, config):
     is the gradient step size. The stationarity_residual field holds the
     final fixed-point gap, the norm of one more update (counted in
     prox_calls); objective_gap is not meaningful here and is 0.
+    prox_fallbacks, prox_certificates and prox_sweeps count the truncated
+    route's work, as in `solve`. The warm start is seeded with 0 for
+    every call, so repeated calls on the same data agree.
     """
     if not isinstance(data, MaskedData):
         raise TypeError("svt_solve expects MaskedData")
     flat, vals = data.flat_idx, data.values
     branch_one = np.ones(min(data.rows, data.cols), dtype=np.int64)
+    warm = ProxWarmStart(0)
 
     def update(X, resid):
         """(next iterate, its spectrum) from X and its masked residual."""
         # copy() is row-major, so ravel() is a view and the scatter lands in W.
         W = X.copy()
         W.ravel()[flat] -= config.step * resid
-        return prox_matrix_with_spectrum(W, branch_one, config.tau * config.step, 1.0)
+        return prox_matrix_with_spectrum(W, branch_one, config.tau * config.step, 1.0, warm)
 
     X = data.observed_matrix()
     resid = np.take(X, flat) - vals
@@ -67,7 +75,7 @@ def svt_solve(data, config):
     status = "max_iter"
     for k in range(config.max_iter):
         X_next, shrunk = update(X, resid)
-        step_norm = frobenius_norm(X_next - X)
+        step_norm = float(np.linalg.norm(X_next - X))
         resid = np.take(X_next, flat) - vals
         objective = 0.5 * float(np.sum(resid * resid)) + config.tau * float(
             np.sum(shrunk)
@@ -85,7 +93,7 @@ def svt_solve(data, config):
                 mu_reset=False,
             )
         )
-        rel_step = step_norm / max(1.0, frobenius_norm(X))
+        rel_step = step_norm / max(1.0, float(np.linalg.norm(X)))
         X = X_next
         if rel_step <= config.tol:
             status = "converged"
@@ -95,7 +103,10 @@ def svt_solve(data, config):
         X_final=X,
         status=status,
         trace=trace,
-        stationarity_residual=frobenius_norm(update(X, resid)[0] - X),
+        stationarity_residual=float(np.linalg.norm(update(X, resid)[0] - X)),
         objective_gap=0.0,
-        prox_calls=len(trace) + 1,
+        prox_calls=warm.calls,
+        prox_fallbacks=warm.fallbacks,
+        prox_certificates=warm.certificates,
+        prox_sweeps=warm.sweeps,
     )

@@ -19,10 +19,12 @@ def test_two_snapshots_compare_identical(tmp_path, capsys):
     assert tool.main(["--compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 0
     lines = capsys.readouterr().out.splitlines()
     # 4 inputs and 23 outputs, each thin rpca's 3 inputs and 4 outputs,
-    # then each error case's config and record
-    assert len(lines) == 27 + 7 * len(tool.THIN_RPCA) + 2 * len(tool.ERROR_CASES)
+    # the thin SVT's config and 3 outputs, then each error case's config
+    # and record
+    assert len(lines) == 27 + 7 * len(tool.THIN_RPCA) + 4 + 2 * len(tool.ERROR_CASES)
     assert sum("thin400x30/rpca/" in line for line in lines) == 4
     assert sum("thin1300x8/rpca/" in line for line in lines) == 4
+    assert sum("thin400x30/svt_synth/" in line for line in lines) == 3
     assert all(line.startswith("identical: ") for line in lines)
 
     # a changed trace cell is reported by its column

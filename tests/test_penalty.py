@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -407,15 +409,16 @@ def test_gram_start_that_loses_small_values_keeps_sweeping(monkeypatch, shape):
     assert_prox_agrees(truncated, exact)
 
 
-def test_gram_start_carries_the_tail_bound_while_w_drifts():
-    # the bound is proven on the transposed input and carried on W itself
+def test_gram_start_proves_each_tail_from_its_own_gram():
+    # the m x m proof on C - Y_k Y_k^T replaces the carried bound: every
+    # call runs one certificate and leaves no tail to carry
     W = spectral_matrix((1600, 60), CARRIED_SIGMA[:60], seed=11)
     d = selector(3, 60)
     warm = ProxWarmStart(2)
-    assert certified_step(W, d, warm) == (1, 0)
-    for j in range(1, 4):
+    for j in range(4):
         W = perturbed(W, 1e-3, seed=j)
-        assert certified_step(W, d, warm) == (0, 0)
+        assert certified_step(W, d, warm) == (1, 0)
+        assert warm.tail is None
     assert warm.sweeps == 4
 
 
@@ -428,6 +431,43 @@ def test_gram_start_that_fails_to_decompose_falls_back_to_the_exact_path(monkeyp
     (X_t, x_t), (X_e, x_e), fallbacks = truncated_and_exact(W, selector(3, 60))
     assert fallbacks == 1
     assert np.array_equal(X_t, X_e) and np.array_equal(x_t, x_e)
+
+
+def gram_tail_proof(W, k, beta):
+    """Whether the Gram route's Cholesky proves sigma_{k+1}(W) < beta after
+    one Rayleigh-Ritz sweep from the Gram start, as _leading_svd runs it."""
+    wide = W if W.shape[0] <= W.shape[1] else W.T
+    C, _, vectors = linalg_module._gram_basis(wide)
+    P = np.linalg.svd(wide.T @ vectors[:, : k + linalg_module._BLOCK_PAD], full_matrices=False)[0]
+    G, delta = linalg_module._gram_residual(C, wide @ P[:, :k], wide.shape[1])
+    return linalg_module._norm_below(G, beta, delta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    wide=st.booleans(),
+    k=st.integers(1, 8),
+    ratio=st.floats(0.9, 1.1),
+    log_spread=st.floats(0.0, math.log10(5e6)),
+    seed=st.integers(0, 2**16),
+)
+def test_gram_tail_proof_is_sound(wide, k, ratio, log_spread, seed):
+    # sigma_{k+1} / beta = ratio and sigma_1 / sigma_k up to 5e6: the Gram
+    # squares the spectrum, so its rounding is set by sigma_1^2, which the
+    # proof's margin must cover
+    beta = 0.7
+    top = np.geomspace(1.5 * beta * 10.0**log_spread, 1.5 * beta, k)
+    sigma = np.r_[top, ratio * beta * 0.97 ** np.arange(60 - k)]
+    W = spectral_matrix((60, 1600) if wide else (1600, 60), sigma, seed)
+    if gram_tail_proof(W, k, beta):
+        assert np.linalg.svd(W, compute_uv=False)[k] < beta
+
+
+def test_gram_tail_proof_passes_with_room_to_spare():
+    # not vacuous: a tail 1 % below beta is proven up to sigma_1 / beta = 1.5e4
+    for log_spread in range(5):
+        sigma = np.r_[np.geomspace(1.5 * 10.0**log_spread, 1.5, 3), 0.99 * 0.97 ** np.arange(57)]
+        assert gram_tail_proof(spectral_matrix((1600, 60), sigma, seed=log_spread), 3, 1.0)
 
 
 @pytest.mark.parametrize("shape", [(200, 200), (120, 100), (100, 120)])
@@ -534,15 +574,27 @@ def test_carried_bound_needs_every_kept_value_above_the_threshold():
         assert certified_step(W, d, warm)[0] > 0
 
 
-def test_carried_bound_is_dropped_after_a_fallback():
+def test_fallback_holds_the_full_svd_until_the_rank_drops():
     W = spectral_matrix((120, 100), CARRIED_SIGMA, seed=16)
     d = selector(0, 100)
     warm = ProxWarmStart(6)
     certified_step(W, d, warm)
-    # forty values above the threshold: the block passes p / 2 first
+    assert warm.V.shape[1] == 3
+    # forty values above the threshold: the block passes p / 2 first, and
+    # the hold is set at the rank that block was built from
     many = spectral_matrix((120, 100), np.r_[np.full(40, 2.0), noise_tail(60, 0.5, 0.9)], seed=17)
     assert certified_step(many, d, warm)[1] == 1
-    assert certified_step(perturbed(W, 1e-6, seed=18), d, warm)[0] > 0
+    assert (warm.hold, warm.tail) == (3, None)
+    # at rank 40, then 3 and 3 again, calls decline with nothing counted
+    sweeps = warm.sweeps
+    two = spectral_matrix((120, 100), np.r_[10.0, 6.0, 0.9, CARRIED_SIGMA[3:]], seed=16)
+    for X in (W, perturbed(W, 1e-6, seed=18), two):
+        assert certified_step(X, d, warm) == (0, 0)
+    assert (warm.sweeps, warm.fallbacks) == (sweeps, 1)
+    # the last output has rank 2 < 3: the route runs again, and with the
+    # carried bound gone it proves the tail afresh
+    assert certified_step(perturbed(two, 1e-6, seed=19), d, warm)[0] > 0
+    assert warm.hold == math.inf
 
 
 @settings(max_examples=12, deadline=None)

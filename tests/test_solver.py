@@ -612,6 +612,24 @@ def test_solve_carries_the_tail_bound_past_most_certificates(monkeypatch):
     assert 0 < warm.certificates <= 0.4 * warm.calls
 
 
+def test_solve_holds_the_full_svd_after_a_fallback(monkeypatch):
+    # At lam 0.45 the 120 x 120 iterate climbs to rank 39, past where the
+    # block fits in half of the short side. Without the hold, 48 of 163
+    # prox calls each paid for a failed block and then the full SVD.
+    spec = spglr.TrialSpec(
+        m=120, n=120, r=5, sr=0.8, noise=spglr.GmmNoiseParams(1e-4, 0.1, 0.1), seed=7
+    )
+    M, data = spglr.build_trial_data(spec)
+    cfg = SolverConfig(lam=0.45, nu=0.05, max_iter=150)
+    held = solve(CompletionLoss(data), cfg)
+    assert held.prox_fallbacks <= 2
+    monkeypatch.setattr(linalg_module, "_TRUNCATE_MIN_SIZE", math.inf)
+    exact = solve(CompletionLoss(data), cfg)
+    assert held.prox_calls == exact.prox_calls
+    assert held.rank == exact.rank == 39
+    assert spglr.rmse(held.X_final, M) == pytest.approx(spglr.rmse(exact.X_final, M), rel=1e-3)
+
+
 def test_solve_thin_input_above_cutoff_counts_no_fallbacks(monkeypatch):
     # 1300 x 8: above the size cutoff, but the first block of the
     # truncated SVD already exceeds half of the short side

@@ -1,9 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 import spglr
+from spglr import linalg as linalg_module
 from spglr import svt as svt_module
 from spglr.losses import MaskedData
 from spglr.penalty import prox_vector
@@ -87,14 +89,19 @@ def test_svt_objective_nonincreasing_for_unit_step():
 
 
 def test_svt_trace_schema(monkeypatch):
-    prox = svt_module.prox_matrix_with_spectrum
-    calls = []
+    prox, as_matrix = svt_module.prox_matrix_with_spectrum, linalg_module.as_matrix
+    calls, checks = [], []
 
     def counting(*args):
         calls.append(None)
         return prox(*args)
 
+    def counting_checks(*args):
+        checks.append(None)
+        return as_matrix(*args)
+
     monkeypatch.setattr(svt_module, "prox_matrix_with_spectrum", counting)
+    monkeypatch.setattr(linalg_module, "as_matrix", counting_checks)
     data = MaskedData(3, 3, np.array([0]), np.array([0]), np.array([1.0]))
     result = svt_solve(data, SvtConfig(tau=0.1, step=0.9, max_iter=10))
     rec = result.trace[0]
@@ -106,6 +113,46 @@ def test_svt_trace_schema(monkeypatch):
     assert result.objective_gap == 0.0
     # one prox per iteration plus one for the final fixed-point gap
     assert result.prox_calls == len(calls) == result.iterations + 1
+    # below the size cutoff every prox runs the full SVD, whose check of W
+    # is the only one: svt_solve does not check the iterates it builds
+    assert len(checks) == result.prox_calls
+    assert result.prox_fallbacks == result.prox_certificates == result.prox_sweeps == 0
+
+
+def svt_and_full_svd_svt(monkeypatch, data, config):
+    """svt_solve as it runs, and with the truncated route switched off."""
+    routed = svt_solve(data, config)
+    monkeypatch.setattr(linalg_module, "_TRUNCATE_MIN_SIZE", math.inf)
+    return routed, svt_solve(data, config)
+
+
+def test_svt_on_a_high_rank_iterate_falls_back_once(monkeypatch):
+    # the iterate keeps rank 42 of 120, so the first block fails once and
+    # every later prox holds the full SVD, which gives the same iterates
+    spec = spglr.TrialSpec(
+        m=120, n=120, r=5, sr=0.8, noise=spglr.GmmNoiseParams(1e-4, 0.1, 0.1), seed=3
+    )
+    _, data = spglr.build_trial_data(spec)
+    routed, exact = svt_and_full_svd_svt(monkeypatch, data, SvtConfig(tau=1.0))
+    assert routed.prox_fallbacks == 1
+    assert routed.rank == exact.rank == 42
+    assert np.array_equal(routed.X_final, exact.X_final)
+    assert routed.trace == exact.trace
+
+
+def test_svt_on_a_thin_full_observation_takes_the_route(monkeypatch):
+    # 400 x 30 with nine values above tau: the Gram start sizes its block
+    # to hold all nine, and each prox is one sweep and one certificate
+    rng = np.random.default_rng(11)
+    L = spglr.gen_low_rank(400, 30, 3, 11)
+    hit = rng.random(L.shape) < 0.1
+    L[hit] += rng.uniform(-1.0, 1.0, int(hit.sum()))
+    assert L.size >= linalg_module._TRUNCATE_MIN_SIZE
+    routed, exact = svt_and_full_svd_svt(monkeypatch, full_mask_data(L), SvtConfig(tau=4.0))
+    assert routed.prox_fallbacks == 0
+    assert routed.prox_sweeps == routed.prox_certificates == routed.prox_calls
+    assert routed.rank == exact.rank == 9
+    assert np.linalg.norm(routed.X_final - exact.X_final) <= 1e-10 * np.linalg.norm(exact.X_final)
 
 
 def test_svt_config_validation():

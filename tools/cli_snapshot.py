@@ -13,8 +13,11 @@ Every output lands under OUT_DIR/mN/<command>/. `rpca --truth` also
 runs on two thin inputs of the same kind (THIN_RPCA), into
 OUT_DIR/thinMxN/rpca/: on 400 x 30 the prox starts from the short-side
 Gram matrix, and on 1300 x 8 every prox declines the truncated route.
-The inputs the tool makes itself depend only on their shape, so two
-snapshots of different source trees see the same files.
+Synthetic `solve --solver svt` runs on a fully observed THIN_SVT input
+with noise below SVT's default tau, into OUT_DIR/thinMxN/svt_synth/, so
+that every SVT prox takes the Gram route. The inputs the tool makes
+itself depend only on their shape, so two snapshots of different source
+trees see the same files.
 
 It also runs a fixed set of invalid `solve` commands (ERROR_CASES: the
 README config at m = 60 with one key or flag wrong) and writes each
@@ -43,8 +46,9 @@ import numpy as np
 
 CHECKOUT_SRC = Path(__file__).resolve().parents[1] / "src"
 IGNORED = {"metrics.json": "wall_time_s", "results.csv": "mean_runtime_s"}
-# Shapes of the thin rpca inputs.
+# Shapes of the thin rpca inputs, and of the thin synthetic SVT input.
 THIN_RPCA = ((400, 30), (1300, 8))
+THIN_SVT = (400, 30)
 
 # name: (config changes, a None value drops the key; extra solve flags)
 ERROR_CASES = {
@@ -101,6 +105,13 @@ def snapshot(out_dir, src, sizes, max_iter):
     from spglr import cli
 
     failed = []
+
+    def run(label, argv):
+        code = cli.run(argv)
+        print(f"{label}: exit {code}", flush=True)
+        if code != 0:
+            failed.append(label)
+
     for size in sizes:
         root = Path(out_dir) / f"m{size}"
         inputs = root / "inputs"
@@ -121,11 +132,7 @@ def snapshot(out_dir, src, sizes, max_iter):
             "inpaint": ["inpaint", "--image", str(inputs / "image.pgm")],
         }
         for name, argv in commands.items():
-            argv = [*argv, "--config", str(config), "--out-dir", str(root / name)]
-            code = cli.run(argv)
-            print(f"m{size}/{name}: exit {code}", flush=True)
-            if code != 0:
-                failed.append(f"m{size}/{name}")
+            run(f"m{size}/{name}", [*argv, "--config", str(config), "--out-dir", str(root / name)])
     for m, n in THIN_RPCA:
         root = Path(out_dir) / f"thin{m}x{n}"
         inputs = root / "inputs"
@@ -133,12 +140,17 @@ def snapshot(out_dir, src, sizes, max_iter):
         config = inputs / "config.json"
         config.write_text(json.dumps({**readme_config(n, max_iter), "m": m}), "utf-8")
         write_rpca_inputs(inputs, m, n)
-        code = cli.run(["rpca", "--input", str(inputs / "L.csv"),
-                        "--truth", str(inputs / "L_truth.csv"),
-                        "--config", str(config), "--out-dir", str(root / "rpca")])
-        print(f"{root.name}/rpca: exit {code}", flush=True)
-        if code != 0:
-            failed.append(f"{root.name}/rpca")
+        run(f"{root.name}/rpca", ["rpca", "--input", str(inputs / "L.csv"),
+                                  "--truth", str(inputs / "L_truth.csv"),
+                                  "--config", str(config), "--out-dir", str(root / "rpca")])
+    m, n = THIN_SVT
+    root = Path(out_dir) / f"thin{m}x{n}"
+    config = root / "inputs" / "svt_config.json"
+    config.parent.mkdir(parents=True, exist_ok=True)
+    doc = {**readme_config(n, max_iter), "m": m, "sr": 1.0, "var_a": 1e-6, "c": 0.0}
+    config.write_text(json.dumps(doc), "utf-8")
+    run(f"{root.name}/svt_synth", ["solve", "--solver", "svt", "--config", str(config),
+                                   "--out-dir", str(root / "svt_synth")])
     snapshot_errors(Path(out_dir) / "errors", cli, max_iter)
     return failed
 
