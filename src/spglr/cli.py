@@ -20,18 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import io_formats
-from .experiments import (
-    build_trial_data,
-    gmm_noise,
-    monte_carlo,
-    rmse,
-    psnr,
-    sample_mask,
-    timed_solve,
-)
+from .experiments import build_trial_data, monte_carlo, observe, rmse, psnr, timed_solve
 from .io_formats import ConfigError
 from .linalg import DecompositionError, svd, rank_estimate
-from .losses import MaskedData, RpcaLoss
+from .losses import RpcaLoss
 from .solver import solve
 from .svt import SvtConfig
 
@@ -174,12 +166,9 @@ def _cmd_solve(args):
     out = _out_dir(args)
 
     if args.mask is not None:
-        data = io_formats.mask_csv_read(
-            Path(args.mask).read_text(encoding="utf-8"),
-            run_cfg.trial.m,
-            run_cfg.trial.n,
-        )
-        truth = _read_optional_matrix(args.truth)
+        text = Path(args.mask).read_text(encoding="utf-8")
+        data = io_formats.mask_csv_read(text, run_cfg.trial.m, run_cfg.trial.n)
+        truth = _read_matrix(args.truth)
     elif args.trials == 1:
         truth, data = build_trial_data(run_cfg.trial)
     else:
@@ -199,15 +188,16 @@ def _cmd_solve(args):
     return 0
 
 
-def _read_optional_matrix(path):
+def _read_matrix(path):
+    """The matrix in CSV file `path`, or None when no path is given."""
     if not path:
         return None
     return io_formats.matrix_csv_read(Path(path).read_text(encoding="utf-8"))
 
 
-def _write_solution(out, result, wall, choice, truth, **extra):
-    """X.csv, trace.csv and metrics.json; `extra` adds metrics keys."""
-    (out / "X.csv").write_text(io_formats.matrix_csv_write(result.X_final), "utf-8")
+def _write_run(out, result, wall, choice, X, truth, **extra):
+    """trace.csv and metrics.json: the keys every run reports, rmse and
+    psnr of X when a truth is given, and the `extra` keys."""
     (out / "trace.csv").write_text(io_formats.trace_csv_write(result.trace), "utf-8")
     metrics = {
         "solver": choice,
@@ -215,21 +205,27 @@ def _write_solution(out, result, wall, choice, truth, **extra):
         "iterations": result.iterations,
         "rank": result.rank,
         "stationarity_residual": result.stationarity_residual,
-        "objective_gap": result.objective_gap,
         "wall_time_s": wall,
         **extra,
     }
     if truth is not None:
-        metrics["rmse"] = rmse(result.X_final, truth)
-        metrics["psnr"] = psnr(result.X_final, truth)
+        metrics["rmse"] = rmse(X, truth)
+        metrics["psnr"] = psnr(X, truth)
     (out / "metrics.json").write_text(_metrics_json(metrics), "utf-8")
+
+
+def _write_solution(out, result, wall, choice, truth, **extra):
+    """X.csv, then the run files with the objective gap added."""
+    (out / "X.csv").write_text(io_formats.matrix_csv_write(result.X_final), "utf-8")
+    _write_run(out, result, wall, choice, result.X_final, truth,
+               objective_gap=result.objective_gap, **extra)
 
 
 def _cmd_rpca(args):
     run_cfg = _load_config(args)
     out = _out_dir(args)
-    L = io_formats.matrix_csv_read(Path(args.input).read_text(encoding="utf-8"))
-    truth = _read_optional_matrix(args.truth)
+    L = _read_matrix(args.input)
+    truth = _read_matrix(args.truth)
     start = time.perf_counter()
     result = solve(RpcaLoss(L), run_cfg.solver)
     wall = time.perf_counter() - start
@@ -242,31 +238,12 @@ def _cmd_inpaint(args):
     run_cfg = _load_config(args)
     out = _out_dir(args)
     image = io_formats.pgm_read(Path(args.image).read_bytes())
-    m, n = image.shape
     streams = np.random.SeedSequence(run_cfg.solver.seed).spawn(2)
-    row_idx, col_idx = sample_mask(m, n, run_cfg.trial.sr, streams[0])
-    noise = gmm_noise(row_idx.size, run_cfg.trial.noise, streams[1])
-    data = MaskedData(m, n, row_idx, col_idx, image[row_idx, col_idx] + noise)
-
-    observed = np.zeros((m, n))
-    observed[row_idx, col_idx] = np.clip(data.values, 0.0, 1.0)
-    (out / "observed.pgm").write_bytes(io_formats.pgm_write(observed))
-
+    data = observe(image, run_cfg.trial.sr, run_cfg.trial.noise, *streams)
+    (out / "observed.pgm").write_bytes(io_formats.pgm_write(data.observed_matrix()))
     result, wall = timed_solve(data, "spg", run_cfg.solver)
     (out / "recovered.pgm").write_bytes(io_formats.pgm_write(result.X_final))
-    (out / "trace.csv").write_text(io_formats.trace_csv_write(result.trace), "utf-8")
-    recovered = np.clip(result.X_final, 0.0, 1.0)
-    metrics = {
-        "solver": "spg",
-        "status": result.status,
-        "iterations": result.iterations,
-        "rank": result.rank,
-        "stationarity_residual": result.stationarity_residual,
-        "rmse": rmse(recovered, image),
-        "psnr": psnr(recovered, image),
-        "wall_time_s": wall,
-    }
-    (out / "metrics.json").write_text(_metrics_json(metrics), "utf-8")
+    _write_run(out, result, wall, "spg", np.clip(result.X_final, 0.0, 1.0), image)
     return 0
 
 
@@ -315,12 +292,8 @@ def _summary_row(summary, run_cfg, mu0, alpha):
 
 
 def _cmd_eval(args):
-    recovered = io_formats.matrix_csv_read(
-        Path(args.recovered).read_text(encoding="utf-8")
-    )
-    reference = io_formats.matrix_csv_read(
-        Path(args.reference).read_text(encoding="utf-8")
-    )
+    recovered = _read_matrix(args.recovered)
+    reference = _read_matrix(args.reference)
     metrics = {
         "rmse": rmse(recovered, reference),
         "psnr": psnr(recovered, reference),

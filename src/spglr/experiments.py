@@ -137,18 +137,24 @@ def psnr(X_star, M):
     return 10.0 * math.log10(size / err2)
 
 
-def build_trial_data(spec):
-    """Ground truth plus noisy masked observations for one trial.
+def observe(M, sr, noise, mask_seed, noise_seed):
+    """Noisy observations of matrix M: a sample_mask draw at rate sr from
+    mask_seed, plus gmm_noise with `noise` params from noise_seed.
 
     Noise lands on the observed entries only, so recovery error against
-    the clean ground truth is exactly the quantity of interest.
+    the clean M is exactly the quantity of interest.
     """
+    m, n = M.shape
+    row_idx, col_idx = sample_mask(m, n, sr, mask_seed)
+    values = M[row_idx, col_idx] + gmm_noise(row_idx.size, noise, noise_seed)
+    return MaskedData(m, n, row_idx, col_idx, values)
+
+
+def build_trial_data(spec):
+    """Ground truth plus noisy masked observations for one trial."""
     streams = np.random.SeedSequence(spec.seed).spawn(3)
     M = gen_low_rank(spec.m, spec.n, spec.r, streams[0])
-    row_idx, col_idx = sample_mask(spec.m, spec.n, spec.sr, streams[1])
-    noise = gmm_noise(row_idx.size, spec.noise, streams[2])
-    data = MaskedData(spec.m, spec.n, row_idx, col_idx, M[row_idx, col_idx] + noise)
-    return M, data
+    return M, observe(M, spec.sr, spec.noise, streams[1], streams[2])
 
 
 @dataclass

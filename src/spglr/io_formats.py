@@ -25,6 +25,23 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _csv_rows(text):
+    """(line number, cells) for each non-blank line of `text`, split at
+    commas and numbered by physical line. Every row must have as many
+    cells as the first; a reader with a header checks it before pulling
+    the next row."""
+    width = None
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if width is None:
+            width = len(cells)
+        elif len(cells) != width:
+            raise ValueError(f"line {lineno}: expected {width} columns, got {len(cells)}")
+        yield lineno, cells
+
+
 # ---------------------------------------------------------------------------
 # matrix CSV
 
@@ -36,19 +53,9 @@ def matrix_csv_write(X):
 
 def matrix_csv_read(text):
     rows = []
-    width = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        tokens = line.split(",")
-        if width is None:
-            width = len(tokens)
-        elif len(tokens) != width:
-            raise ValueError(
-                f"line {lineno}: expected {width} columns, got {len(tokens)}"
-            )
+    for lineno, cells in _csv_rows(text):
         try:
-            rows.append([float(tok) for tok in tokens])
+            rows.append([float(tok) for tok in cells])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: non-numeric token ({exc})") from None
     if not rows:
@@ -75,18 +82,15 @@ def mask_csv_read(text, rows, cols):
     Range checks, duplicate rejection, and the at-least-one-entry rule
     are enforced by the MaskedData constructor.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != MASK_HEADER:
+    lines = _csv_rows(text)
+    if ",".join(next(lines, (0, ()))[1]).strip() != MASK_HEADER:
         raise ValueError(f"expected header {MASK_HEADER!r}")
     ri, ci, vals = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        tokens = line.split(",")
-        if len(tokens) != 3:
-            raise ValueError(f"line {lineno}: expected 3 columns, got {len(tokens)}")
+    for lineno, (i, j, v) in lines:
         try:
-            ri.append(int(tokens[0]))
-            ci.append(int(tokens[1]))
-            vals.append(float(tokens[2]))
+            ri.append(int(i))
+            ci.append(int(j))
+            vals.append(float(v))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad token ({exc})") from None
     if not ri:
@@ -183,16 +187,13 @@ def trace_csv_write(records):
 
 
 def trace_csv_read(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != ",".join(TRACE_COLUMNS):
+    lines = _csv_rows(text)
+    if tuple(next(lines, (0, ()))[1]) != TRACE_COLUMNS:
         raise ValueError("bad trace header")
     records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        tok = line.split(",")
-        if len(tok) != len(TRACE_COLUMNS):
-            raise ValueError(f"line {lineno}: expected {len(TRACE_COLUMNS)} columns")
+    for lineno, row in lines:
         cells = {}
-        for f, cell in zip(_TRACE_FIELDS, tok):
+        for f, cell in zip(_TRACE_FIELDS, row):
             if f.type is bool and cell not in ("true", "false"):
                 raise ValueError(f"line {lineno}: bad {f.name} flag {cell!r}")
             cells[f.name] = _CELL_PARSE[f.type](cell)

@@ -248,14 +248,14 @@ def _certified_triplets(W, k_min, threshold, warm, start, b, tail):
     The proof is a Cholesky factorisation of beta^2 * I - G that
     succeeds, for G the Gram matrix of the residual R = W - (W V_k) V_k.T
     on its short side, so sigma_{k+1}(W) <= ||R||_2 < beta (W V_k V_k.T
-    has rank k). beta is first the margin (threshold + s_{k+1}) / 2,
-    s_{k+1} the block's next Ritz value, so that the bound has room to
-    carry, then the threshold itself. Each factorisation adds to
-    warm.certificates. On the Gram route, G is C - Y_k Y_k^T, with
-    Y = W V, and the factorisation runs at beta^2 minus the rounding
-    bound of _gram_residual: an m x m proof with no pass over R. It
-    neither takes nor leaves a tail, because the ||W - W_ref|| pass
-    below would cost more than it.
+    has rank k). Each factorisation adds to warm.certificates. On the
+    Gram route, G is C - Y_k Y_k^T, with Y = W V, and one factorisation
+    runs at beta = threshold, less the rounding bound of _gram_residual:
+    an m x m proof with no pass over R. It neither takes nor leaves a
+    tail, because the ||W - W_ref|| pass below would cost more than it.
+    On the subspace route beta is first the margin (threshold + s_{k+1})
+    / 2, s_{k+1} the block's next Ritz value, so that the bound has room
+    to carry, then the threshold itself.
 
     On the subspace route the proof is carried from an earlier call when
     it can be. With (W_ref, B, k_ref) the taken tail,
@@ -333,7 +333,7 @@ def _certified_triplets(W, k_min, threshold, warm, start, b, tail):
                     R = W - Y[:, :k] @ P[:, :k].T
                     G, slack = R.T @ R if m >= n else R @ R.T, 0.0
                 margin = 0.5 * (threshold + s[k])
-                for bound in (margin, threshold) if margin < threshold else (threshold,):
+                for bound in (threshold,) if gram or margin >= threshold else (margin, threshold):
                     warm.certificates += 1
                     if _norm_below(G, bound, slack):
                         if not gram:

@@ -171,6 +171,8 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
         (["ablate", "--trials", "0"], '"trials"'),
         (["ablate", "--mu0-list", "10,-1"], '"--mu0-list"'),
         (["ablate", "--mu0-list", "10,x"], '"--mu0-list"'),
+        (["synth", "--override", "seed"], "KEY=VALUE"),
+        (["ablate", "--mu0-list", ","], '"--mu0-list": no values'),
     ],
 )
 def test_bad_input_rejected_before_any_output(tmp_path, capsys, argv, key):
@@ -370,6 +372,34 @@ def test_cli_trace_equals_library_trace(tmp_path, command):
         result = spglr.solve(binding, config_read(fh.read()).solver)
     assert (out / "trace.csv").read_text() == trace_csv_write(result.trace)
     assert (out / "X.csv").read_text() == matrix_csv_write(result.X_final)
+
+
+@pytest.mark.parametrize("command", ["solve", "rpca"])
+def test_run_without_truth_reports_no_scores(tmp_path, command):
+    if command == "solve":
+        cfg = write_config(tmp_path, SMALL)
+        data_dir = tmp_path / "data"
+        assert run(["synth", "--config", cfg, "--out-dir", str(data_dir)]) == 0
+        args, extra = ["--mask", str(data_dir / "mask.csv")], set()
+    else:
+        _, lpath, _, cfg = write_rpca_inputs(tmp_path)
+        args, extra = ["--input", lpath], {"loss"}
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out-dir", str(out)] + args) == 0
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert set(metrics) == RUN_KEYS | {"objective_gap"} | extra
+
+
+def test_decomposition_failure_is_runtime_error(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "X.csv"
+    path.write_text(matrix_csv_write(np.eye(3)), "utf-8")
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    assert run(["eval", str(path), str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: SVD failed on (3, 3) matrix")
 
 
 def test_inpaint_command(tmp_path):

@@ -18,10 +18,11 @@ def test_two_snapshots_compare_identical(tmp_path, capsys):
     capsys.readouterr()
     assert tool.main(["--compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 0
     lines = capsys.readouterr().out.splitlines()
-    # 4 inputs and 23 outputs, each thin rpca's 3 inputs and 4 outputs,
+    # 4 inputs and 24 outputs, each thin rpca's 3 inputs and 4 outputs,
     # the thin SVT's config and 3 outputs, then each error case's config
     # and record
-    assert len(lines) == 27 + 7 * len(tool.THIN_RPCA) + 4 + 2 * len(tool.ERROR_CASES)
+    assert len(lines) == 28 + 7 * len(tool.THIN_RPCA) + 4 + 2 * len(tool.ERROR_CASES)
+    assert sum("m12/ablate/results.csv" in line for line in lines) == 1
     assert sum("thin400x30/rpca/" in line for line in lines) == 4
     assert sum("thin1300x8/rpca/" in line for line in lines) == 4
     assert sum("thin400x30/svt_synth/" in line for line in lines) == 3

@@ -49,6 +49,8 @@ def test_sample_mask_counts():
     assert np.unique(flat).size == 80
     ri, ci = sample_mask(4, 5, 1.0, 1)
     assert ri.size == 20
+    with pytest.raises(ValueError, match="^sr must lie in"):
+        sample_mask(4, 5, 0.0, 1)
 
 
 def test_sample_mask_rounding_half_up():
@@ -176,6 +178,9 @@ def test_invalid_arm_configs_fail_before_monte_carlo():
         spglr.SolverConfig(mu0=-1.0)
     with pytest.raises(ValueError, match="^tau"):
         spglr.SvtConfig(tau=0.0)
+    spec = TrialSpec(m=4, n=4, r=1, sr=0.5, noise=NOISE)
+    with pytest.raises(ValueError, match="^trials must be at least 1, got 0$"):
+        monte_carlo(spec, "spg", trials=0)
 
 
 def test_trial_spec_rejects_negative_seed():

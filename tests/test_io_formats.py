@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -158,6 +159,14 @@ def test_pgm_malformed_inputs():
         pgm_read(b"P5\n1 1\n0\n\x00")
     with pytest.raises(ValueError, match="truncated"):
         pgm_read(b"P5\n2 2")
+    with pytest.raises(ValueError, match="malformed PGM header field b'x'"):
+        pgm_read(b"P5\nx 1\n255\n\x00")
+    with pytest.raises(ValueError, match="bad PGM dimensions 0x1"):
+        pgm_read(b"P5\n0 1\n255\n")
+    with pytest.raises(ValueError, match="truncated PGM payload: 3 of 4 pixels"):
+        pgm_read(b"P2\n2 2\n255\n0 1 2\n")
+    with pytest.raises(ValueError, match="exceeds maxval"):
+        pgm_read(b"P2\n1 1\n4\n9\n")
 
 
 def test_pgm_write_clamps():
@@ -207,6 +216,46 @@ def test_trace_cells_follow_declared_field_types():
     assert [row[col] for row in rows] == ["1.0"] * len(records)
     back = trace_csv_read(trace_csv_write(records))
     assert all(type(rec.gamma_k) is float for rec in back)
+
+
+def trace_with_blank_line(last_row):
+    """A two-record trace with a blank line before its second record,
+    which `last_row` rewrites; that record sits on physical line 4."""
+    header, first, second = trace_csv_write(sample_records()).splitlines()
+    return "\n".join([header, "", first, last_row(second)]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "read, text, message",
+    [
+        (matrix_csv_read, "1.0,2.0\n\n3.0,4.0\n5.0\n", "line 4: expected 2 columns, got 1"),
+        (matrix_csv_read, "1.0,2.0\n\n3.0,4.0\n5.0,x\n", "line 4: non-numeric token"),
+        (
+            lambda text: mask_csv_read(text, 3, 3),
+            "i,j,value\n\n0,0,1.0\n1,1\n",
+            "line 4: expected 3 columns, got 2",
+        ),
+        (
+            lambda text: mask_csv_read(text, 3, 3),
+            "i,j,value\n\n0,0,1.0\n1,1,x\n",
+            "line 4: bad token",
+        ),
+        (
+            trace_csv_read,
+            trace_with_blank_line(lambda row: row.rsplit(",", 1)[0]),
+            f"line 4: expected {len(TRACE_COLUMNS)} columns, got {len(TRACE_COLUMNS) - 1}",
+        ),
+        (
+            trace_csv_read,
+            trace_with_blank_line(lambda row: row.replace("true", "yes")),
+            "line 4: bad mu_reset flag 'yes'",
+        ),
+    ],
+    ids=["matrix_width", "matrix_token", "mask_width", "mask_token", "trace_width", "trace_flag"],
+)
+def test_csv_readers_name_the_physical_line_of_a_bad_row(read, text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        read(text)
 
 
 def test_results_csv_columns():

@@ -81,6 +81,7 @@ def test_rank_estimate():
     assert rank_estimate(np.array([1.0, 1e-12, 0.0])) == 1
     assert rank_estimate(np.zeros(4)) == 0
     assert rank_estimate(np.array([5.0, 3.0, 2.0])) == 3
+    assert rank_estimate(np.array([])) == 0
 
 
 def test_gram_start_is_chosen_for_thin_shapes_only():

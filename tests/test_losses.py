@@ -48,6 +48,14 @@ def test_masked_data_validation():
         MaskedData(2, 2, np.array([], dtype=int), np.array([], dtype=int), np.array([]))
     with pytest.raises(ValueError, match="finite"):
         MaskedData(2, 2, np.array([0]), np.array([0]), np.array([np.nan]))
+    with pytest.raises(ValueError, match="rows and cols must be positive"):
+        MaskedData(0, 2, np.array([0]), np.array([0]), np.array([1.0]))
+    with pytest.raises(ValueError, match="must be 1-D"):
+        MaskedData(2, 2, np.array([[0]]), np.array([[0]]), np.array([[1.0]]))
+    with pytest.raises(ValueError, match="equal length"):
+        MaskedData(2, 2, np.array([0, 1]), np.array([0]), np.array([1.0]))
+    with pytest.raises(TypeError, match="CompletionLoss expects MaskedData"):
+        CompletionLoss(np.ones((2, 2)))
 
 
 def test_completion_value_examples():

@@ -433,6 +433,25 @@ def test_gram_start_that_fails_to_decompose_falls_back_to_the_exact_path(monkeyp
     assert np.array_equal(X_t, X_e) and np.array_equal(x_t, x_e)
 
 
+def test_gram_block_past_half_the_short_side_falls_back_then_holds(monkeypatch):
+    grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
+    d = selector(0, 60)
+    warm = ProxWarmStart(0)
+    W = spectral_matrix((1600, 60), CARRIED_SIGMA[:60], seed=20)
+    assert certified_step(W, d, warm) == (1, 0)
+    assert warm.V.shape[1] == 3
+    # twenty-eight values above tau / nu = 1: the Gram sizes the block at
+    # 28 + 5 columns, past 60 / 2, so the call falls back before a sweep
+    many = spectral_matrix((1600, 60), np.r_[np.full(28, 2.0), noise_tail(32, 0.5, 0.9)], seed=21)
+    sweeps = warm.sweeps
+    assert certified_step(many, d, warm) == (0, 1)
+    assert (len(grams), warm.sweeps, warm.hold) == (2, sweeps, 3)
+    # at rank 28, then 3: the hold keeps both calls on the full SVD
+    for X in (W, perturbed(W, 1e-6, seed=22)):
+        assert certified_step(X, d, warm) == (0, 0)
+    assert (len(grams), warm.sweeps, warm.fallbacks) == (2, sweeps, 1)
+
+
 def gram_tail_proof(W, k, beta):
     """Whether the Gram route's Cholesky proves sigma_{k+1}(W) < beta after
     one Rayleigh-Ritz sweep from the Gram start, as _leading_svd runs it."""

@@ -162,6 +162,8 @@ def test_svt_config_validation():
         SvtConfig(step=-1.0)
     with pytest.raises(ValueError, match="^max_iter must be at least 1, got 0$"):
         dataclasses.replace(SvtConfig(), max_iter=0)
+    with pytest.raises(ValueError, match="^tol must be positive, got 0$"):
+        SvtConfig(tol=0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         SvtConfig().tau = 1.0
     with pytest.raises(TypeError):

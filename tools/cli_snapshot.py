@@ -8,7 +8,8 @@ and runs, for each size N (default 60, the README example config, and
 120, which takes the truncated prox path), the commands `synth`,
 `solve --mask --truth`, synthetic `solve`, `solve --solver svt` (synthetic
 and with `--mask --truth`), `solve --trials 3`, `rpca --truth` on a
-rank-3 plus 10 % sparse N x N input, and `inpaint` on a smooth N x N PGM.
+rank-3 plus 10 % sparse N x N input, `inpaint` on a smooth N x N PGM,
+and `ablate --trials 2 --mu0-list 10,100`.
 Every output lands under OUT_DIR/mN/<command>/. `rpca --truth` also
 runs on two thin inputs of the same kind (THIN_RPCA), into
 OUT_DIR/thinMxN/rpca/: on 400 x 30 the prox starts from the short-side
@@ -130,6 +131,7 @@ def snapshot(out_dir, src, sizes, max_iter):
             "trials": ["solve", "--trials", "3"],
             "rpca": ["rpca", "--input", str(inputs / "L.csv"), "--truth", str(inputs / "L_truth.csv")],
             "inpaint": ["inpaint", "--image", str(inputs / "image.pgm")],
+            "ablate": ["ablate", "--trials", "2", "--mu0-list", "10,100"],
         }
         for name, argv in commands.items():
             run(f"m{size}/{name}", [*argv, "--config", str(config), "--out-dir", str(root / name)])
