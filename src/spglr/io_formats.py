@@ -196,7 +196,10 @@ def trace_csv_read(text):
         for f, cell in zip(_TRACE_FIELDS, row):
             if f.type is bool and cell not in ("true", "false"):
                 raise ValueError(f"line {lineno}: bad {f.name} flag {cell!r}")
-            cells[f.name] = _CELL_PARSE[f.type](cell)
+            try:
+                cells[f.name] = _CELL_PARSE[f.type](cell)
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad {f.name} value {cell!r}") from None
         records.append(IterationRecord(**cells))
     return records
 

@@ -162,16 +162,6 @@ class _L1Loss:
         G.ravel()[self._flat_idx] = g
         return G
 
-    def initial_iterate(self):
-        """All-zeros start.
-
-        Starting from zero makes the solve rank-incremental: a direction
-        enters the iterate only once the data pulls on it harder than
-        the prox threshold, which avoids locking in the spurious
-        spectrum of the raw observed matrix.
-        """
-        return np.zeros(self.shape)
-
 
 class CompletionLoss(_L1Loss):
     """Masked absolute-deviation loss sum over observed (i, j) of |X_ij - M_ij|."""

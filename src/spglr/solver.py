@@ -9,11 +9,11 @@ keeps the smoothing parameter mu (when the energy value dropped by at
 least alpha * mu) or resets it onto the decaying envelope
 mu0 / (k + 1)^sigma_exp.
 
-Backtracking starts at the last accepted gamma, clamped to
-[gamma_lo, gamma_hi], so a typical iteration pays for one prox. After
-_DECREASE_AFTER consecutive iterations accepted at their first
-candidate, the next one starts at gamma / rho instead, so a gamma pushed
-up by a rounding-level rejection does not stay up for good.
+Every iteration's backtracking starts at gamma = 1, clamped to
+[gamma_lo, gamma_hi]. The smoothed l1 loss has a (1/mu)-Lipschitz
+gradient, so gamma = 1 passes the majorization test in exact arithmetic
+and a typical iteration pays for one prox; no gamma is carried from one
+iteration to the next.
 
 On inputs large enough for it, the prox decomposes W only as far as its
 output needs, warm-started from the right factor of the previous prox
@@ -38,10 +38,6 @@ from .penalty import (
     d_vector,
     prox_matrix_with_spectrum,
 )
-
-# Consecutive first-candidate accepts after which an iteration tries
-# gamma / rho before the last accepted gamma.
-_DECREASE_AFTER = 10
 
 
 @dataclass(frozen=True)
@@ -138,11 +134,12 @@ def _prox_step(X_k, G, mu_k, gamma, d_k, config, warm=None):
 def _line_search_inner(X_k, f_k, G, norm_scale, mu_k, gamma_init, d_k, binding, config, warm=None):
     """Backtracking loop reusing the loss value and gradient at X_k.
 
-    Tries gamma_init, rho * gamma_init, ... with rho = config.rho. In
-    `solve`, gamma_init is the last accepted gamma (or gamma / rho after
-    a run of first-candidate accepts), so the first candidate is usually
-    accepted. norm_scale is max(1, ||X_k||); `warm` is passed on to the
-    prox.
+    Tries gamma_init, rho * gamma_init, ... with rho = config.rho until
+    the quadratic model with curvature gamma / mu_k majorizes the
+    smoothed loss at the candidate. `solve` passes the same gamma_init
+    on every iteration, 1 clamped to [gamma_lo, gamma_hi], which that
+    test accepts in exact arithmetic. norm_scale is max(1, ||X_k||);
+    `warm` is passed on to the prox.
 
     Returns (gamma, X_next, sigma_next, r_next, loss_next, l1_next, step):
     sigma_next is the descending spectrum of X_next taken from the prox,
@@ -233,11 +230,14 @@ def stationarity_residual(X, mu_probe, binding, config):
 def solve(binding, config):
     """Run the full solver loop and return the iterate with diagnostics.
 
-    Starts from the binding's natural initial iterate, stops at max_iter
-    or once mu <= mu_stop and the relative step stays below step_tol for
-    three consecutive iterations. The trace holds one record per
-    iteration; grad_norms holds the smoothed gradient norm at the start
-    of each iteration.
+    Starts from the zero matrix, which makes the solve rank-incremental:
+    a direction enters the iterate only once the data pulls on it harder
+    than the prox threshold, which avoids locking in the spurious
+    spectrum of the raw observed matrix. Stops at max_iter or once
+    mu <= mu_stop and the relative step stays below step_tol for three
+    consecutive iterations. The trace holds one record per iteration;
+    grad_norms holds the smoothed gradient norm at the start of each
+    iteration.
     """
     if config.nu >= config.lam / binding.loss_lipschitz_Lf:
         warnings.warn(
@@ -248,15 +248,14 @@ def solve(binding, config):
             stacklevel=2,
         )
 
-    X = binding.initial_iterate()
-    sigma = svd(X).sigma
+    X = np.zeros(binding.shape)
+    sigma = np.zeros(min(binding.shape))
     mu = config.mu0
     r = binding.residuals(X)
     f_k = binding.value_at(r, mu)
     energy_prev = _energy_from_parts(f_k, sigma, mu, binding, config)
-    gamma = 1.0
+    gamma0 = min(max(1.0, config.gamma_lo), config.gamma_hi)
     warm = ProxWarmStart(config.seed)
-    first_try_streak = 0
     trace = []
     grad_norms = []
     status = "max_iter"
@@ -264,20 +263,13 @@ def solve(binding, config):
 
     for k in range(config.max_iter):
         d_k = d_vector(sigma, config.nu)
-        gamma_init = gamma
-        if first_try_streak >= _DECREASE_AFTER:
-            gamma_init = gamma / config.rho
-            first_try_streak = 0
-        gamma_init = min(max(gamma_init, config.gamma_lo), config.gamma_hi)
-
         G = binding.gradient_at(r, mu)
         grad_norms.append(float(np.linalg.norm(G)))
         norm_scale = max(1.0, float(np.linalg.norm(X)))
 
         gamma, X_next, sigma_next, r, loss_next, l1_next, step = _line_search_inner(
-            X, f_k, G, norm_scale, mu, gamma_init, d_k, binding, config, warm
+            X, f_k, G, norm_scale, mu, gamma0, d_k, binding, config, warm
         )
-        first_try_streak = first_try_streak + 1 if gamma == gamma_init else 0
 
         penalty_next = config.lam * capped_surrogate(sigma_next, config.nu)
         smoothed_obj = loss_next + penalty_next

@@ -39,6 +39,18 @@ def test_two_snapshots_compare_identical(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "differs: m12/solve_mask/trace.csv: energy (1 rows, max rel 1.00e-12)" in out
 
+    # a changed results.csv cell is reported by its row and column, with
+    # both values
+    results = tmp_path / "b" / "m12" / "ablate" / "results.csv"
+    header, first, second, *rest = results.read_text("utf-8").splitlines()
+    cells = second.split(",")
+    col = header.split(",").index("mean_rmse")
+    old, cells[col] = cells[col], "0.5"
+    results.write_text("\n".join([header, first, ",".join(cells), *rest]) + "\n", "utf-8")
+    assert tool.main(["--compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    out = capsys.readouterr().out
+    assert f"differs: m12/ablate/results.csv: row 2 mean_rmse ({old} vs 0.5)\n" in out
+
     # an error record holds the exit code, whether --out-dir was made, and
     # stderr; a changed message is printed on both sides
     record = tmp_path / "b" / "errors" / "seed_negative.txt"

@@ -250,8 +250,21 @@ def trace_with_blank_line(last_row):
             trace_with_blank_line(lambda row: row.replace("true", "yes")),
             "line 4: bad mu_reset flag 'yes'",
         ),
+        (
+            trace_csv_read,
+            trace_with_blank_line(lambda row: "x" + row[row.index(","):]),
+            "line 4: bad k value 'x'",
+        ),
+        (
+            trace_csv_read,
+            trace_with_blank_line(lambda row: ",".join(["1", "ten", *row.split(",")[2:]])),
+            "line 4: bad mu_k value 'ten'",
+        ),
     ],
-    ids=["matrix_width", "matrix_token", "mask_width", "mask_token", "trace_width", "trace_flag"],
+    ids=[
+        "matrix_width", "matrix_token", "mask_width", "mask_token",
+        "trace_width", "trace_flag", "trace_int", "trace_float",
+    ],
 )
 def test_csv_readers_name_the_physical_line_of_a_bad_row(read, text, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):

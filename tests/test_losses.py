@@ -209,11 +209,10 @@ def test_gradient_consistency_as_mu_vanishes():
             assert np.array_equal(G, signs)
 
 
-def test_rpca_value_and_initial_iterate():
+def test_rpca_value_and_gradient_at_zero():
     L = np.array([[1.0, -2.0], [0.5, 0.0]])
     loss = RpcaLoss(L)
     assert loss.value(np.zeros((2, 2)), 0.0) == pytest.approx(3.5)
-    assert np.array_equal(loss.initial_iterate(), np.zeros((2, 2)))
     # gradient points from X toward matching L
     G = loss.gradient(np.zeros((2, 2)), 0.1)
     assert G[0, 0] == -1.0 and G[0, 1] == 1.0

@@ -395,8 +395,8 @@ def _replay_iterate(binding, cfg, upto):
     # deterministic solve: run again and capture the iterate via trace replay
     from spglr.penalty import d_vector, prox_matrix_with_spectrum
 
-    X = binding.initial_iterate()
-    sigma = spglr.svd(X).sigma
+    X = np.zeros(binding.shape)
+    sigma = np.zeros(min(binding.shape))
     for rec in result.trace[: upto + 1]:
         d = d_vector(sigma, cfg.nu)
         G = binding.gradient(X, rec.mu_k)
@@ -426,7 +426,6 @@ def test_solve_below_cap_emits_no_advisory():
     "make_binding, cfg",
     [
         (noisy_completion, SolverConfig(lam=0.75, nu=0.05, max_iter=120)),
-        # unlike the completion run, this one backtracks
         (
             lambda: RpcaLoss(sparse_corrupted_low_rank()[1]),
             SolverConfig(lam=0.4, nu=0.05, max_iter=300),
@@ -477,15 +476,39 @@ def test_solve_checks_neither_d_nor_the_truncated_w(monkeypatch):
     assert checked == []
 
 
-def test_solve_retries_smaller_gamma_after_an_increase(monkeypatch):
-    calls = count_prox_calls(monkeypatch)
+@pytest.mark.parametrize(
+    "bounds",
+    [{}, {"gamma_hi": 0.5}, {"gamma_lo": 2.0}],
+    ids=["defaults", "gamma_hi_below_1", "gamma_lo_above_1"],
+)
+def test_solve_starts_every_backtracking_search_at_gamma0(monkeypatch, bounds):
+    # Record the gammas each iteration hands the prox: every search starts
+    # at 1 clamped to [gamma_lo, gamma_hi], whatever the last one accepted.
+    searches = []
+    line_search_inner, prox_step = solver_module._line_search_inner, solver_module._prox_step
+
+    def recording_line_search(*args):
+        searches.append([])
+        return line_search_inner(*args)
+
+    def recording_prox_step(X_k, G, mu_k, gamma, *args):
+        searches[-1].append(gamma)
+        return prox_step(X_k, G, mu_k, gamma, *args)
+
+    monkeypatch.setattr(solver_module, "_line_search_inner", recording_line_search)
+    monkeypatch.setattr(solver_module, "_prox_step", recording_prox_step)
     _, L = sparse_corrupted_low_rank()
-    result = solve(RpcaLoss(L), SolverConfig(lam=0.4, nu=0.05, max_iter=300))
-    assert len(calls) > result.iterations  # the run backtracks
-    gammas = [rec.gamma_k for rec in result.trace]
-    rises = [k for k in range(1, len(gammas)) if gammas[k] > gammas[k - 1]]
-    assert rises
-    assert any(gammas[k] < gammas[k - 1] for k in range(rises[0] + 1, len(gammas)))
+    cfg = SolverConfig(lam=0.4, nu=0.05, max_iter=300, **bounds)
+    result = solve(RpcaLoss(L), cfg)
+    gamma0 = min(max(1.0, cfg.gamma_lo), cfg.gamma_hi)
+    assert len(searches) == result.iterations
+    for gammas, rec in zip(searches, result.trace):
+        assert gammas == [gamma0 * cfg.rho**i for i in range(len(gammas))]
+        assert gammas[-1] == rec.gamma_k
+    if cfg.gamma_hi < 1.0:
+        # curvature below the loss's own is rejected on some iterations,
+        # and the iteration after such a rise still starts at gamma0
+        assert any(len(gammas) > 1 for gammas in searches[:-1])
 
 
 def test_solve_rpca_splits_sparse_corruption():

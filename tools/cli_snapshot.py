@@ -28,9 +28,10 @@ OUT_DIR/errors/<name>.txt; their configs go to OUT_DIR/errors/inputs/.
 The second form walks both trees and prints one line per file: identical,
 differing, or present on one side only. `wall_time_s` in metrics.json and
 `mean_runtime_s` in results.csv are ignored. For a differing trace.csv it
-names each differing column and its largest relative difference, and for
-a differing errors/*.txt it prints each changed line on both sides. The exit
-status is 0 when every file is identical and 1 otherwise.
+names each differing column and its largest relative difference, for a
+differing results.csv each differing cell by data row and column with
+both values, and for a differing errors/*.txt each changed line on both
+sides. The exit status is 0 when every file is identical and 1 otherwise.
 """
 
 import argparse
@@ -190,13 +191,21 @@ def _csv_rows(data, drop=None):
     return [row[:j] + row[j + 1:] for row in rows]
 
 
-def trace_difference(a, b):
-    """Describe how two trace.csv files differ, column by column."""
-    rows_a, rows_b = _csv_rows(a), _csv_rows(b)
+def _shape_difference(rows_a, rows_b):
+    """How two CSV tables differ in header or row count, or None."""
     if rows_a[:1] != rows_b[:1]:
         return "header differs"
     if len(rows_a) != len(rows_b):
         return f"{len(rows_a) - 1} vs {len(rows_b) - 1} rows"
+    return None
+
+
+def trace_difference(a, b):
+    """Describe how two trace.csv files differ, column by column."""
+    rows_a, rows_b = _csv_rows(a), _csv_rows(b)
+    shape = _shape_difference(rows_a, rows_b)
+    if shape:
+        return shape
     parts = []
     for j, column in enumerate(rows_a[0]):
         cells = [(ra[j], rb[j]) for ra, rb in zip(rows_a[1:], rows_b[1:]) if ra[j] != rb[j]]
@@ -208,6 +217,20 @@ def trace_difference(a, b):
         except ValueError:
             parts.append(f"{column} ({len(cells)} rows)")
     return ", ".join(parts)
+
+
+def results_difference(a, b):
+    """Name each differing results.csv cell by data row and column, with
+    both values; None when only the ignored column differs."""
+    rows_a, rows_b = (_csv_rows(data, IGNORED["results.csv"]) for data in (a, b))
+    if rows_a == rows_b:
+        return None
+    return _shape_difference(rows_a, rows_b) or ", ".join(
+        f"row {i} {column} ({x} vs {y})"
+        for i, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:]), start=1)
+        for column, x, y in zip(rows_a[0], ra, rb)
+        if x != y
+    )
 
 
 def compare_file(name, a, b):
@@ -223,9 +246,7 @@ def compare_file(name, a, b):
         keys = sorted(k for k in ma.keys() | mb.keys() if ma.get(k) != mb.get(k))
         return "keys " + ", ".join(f"{k} ({ma.get(k)!r} vs {mb.get(k)!r})" for k in keys)
     if name == "results.csv":
-        if _csv_rows(a, IGNORED[name]) == _csv_rows(b, IGNORED[name]):
-            return None
-        return "rows differ"
+        return results_difference(a, b)
     if name == "trace.csv":
         return trace_difference(a, b)
     if name.endswith(".txt"):
