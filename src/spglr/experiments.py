@@ -9,8 +9,11 @@ others.
 """
 
 import math
+import os
 import time
+import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -23,6 +26,12 @@ PRNG_DESCRIPTION = (
     "numpy default_rng (PCG64); trial seeds = master seed + trial index; "
     "SeedSequence(seed).spawn(3) for matrix/mask/noise substreams"
 )
+
+# The variables BLAS reads its thread count from at load, first match wins.
+if "mkl" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+    _BLAS_THREAD_VARS = ("MKL_NUM_THREADS", "OMP_NUM_THREADS")
+else:
+    _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -207,21 +216,88 @@ def run_trial(spec, solver_choice="spg", solver_config=None, svt_config=None):
     )
 
 
+def _trial_workers(trials):
+    """Worker processes for a sweep of `trials`: as many as the usable
+    CPUs hold at the BLAS thread count, and never more than the trials.
+
+    Workers whose BLAS threads overcommit the CPUs run several times
+    slower than the serial loop. With no positive count set in
+    _BLAS_THREAD_VARS, BLAS uses every CPU, so the sweep runs in-process.
+    """
+    for name in _BLAS_THREAD_VARS:
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return max(1, min(trials, len(os.sched_getaffinity(0)) // threads))
+    return 1
+
+
+# Filled only in pool workers, by the showwarning _record_warnings installs.
+_worker_warnings = []
+
+
+def _record_warnings():
+    """Pool initializer: keep the warnings a worker would show, as
+    (message, filename, lineno), for _trial_outcome to hand back.
+
+    A worker forks with the caller's filters, so an "error" filter still
+    fails the trial and an "ignore" filter still drops the warning. Trials
+    run in-process are not recorded: warnings.catch_warnings would reset
+    every warning registry, and a "default" warning would repeat once
+    per sweep instead of showing once."""
+    warnings.showwarning = lambda message, category, filename, lineno, *_: (
+        _worker_warnings.append((message, filename, lineno)))
+
+
+def _trial_outcome(trial_spec, solver_choice, solver_config, svt_config):
+    """One trial of monte_carlo: its TrialResult, or the failure string
+    when it raised, and the warnings a pool worker recorded meanwhile."""
+    try:
+        outcome = run_trial(trial_spec, solver_choice, solver_config, svt_config)
+    except Exception as exc:  # noqa: BLE001  (per-trial isolation)
+        outcome = f"trial seed {trial_spec.seed}: {exc}"
+    caught = _worker_warnings[:]
+    _worker_warnings.clear()
+    return outcome, caught
+
+
 def monte_carlo(spec, solver_choice="spg", trials=10, solver_config=None, svt_config=None):
     """Independent repetitions with derived seeds; failures, an unknown
-    arm among them, are recorded per trial instead of aborting the sweep."""
+    arm among them, are recorded per trial instead of aborting the sweep.
+
+    Trials run in _trial_workers(trials) processes, forked, not spawned,
+    so that they inherit the loaded modules, BLAS settings and warning
+    filters without re-running the caller's script. A worker's warnings
+    are shown here, in trial order, once every trial has finished; with
+    one worker the trials run in this process and warn as they go.
+    """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    specs = [replace(spec, seed=spec.seed + t) for t in range(trials)]
+    trial = partial(_trial_outcome, solver_choice=solver_choice,
+                    solver_config=solver_config, svt_config=svt_config)
+    workers = _trial_workers(trials)
+    if workers == 1:
+        outcomes = list(map(trial, specs))
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_record_warnings) as pool:
+            outcomes = list(pool.map(trial, specs))
+    # The registry warnings.warn uses for a warning raised in this module,
+    # so that a "default" filter shows a warning repeated across workers,
+    # or already shown here, as often as the in-process loop would.
+    registry = globals().setdefault("__warningregistry__", {})
     results = []
     failures = []
-    for t in range(trials):
-        trial_spec = replace(spec, seed=spec.seed + t)
-        try:
-            results.append(
-                run_trial(trial_spec, solver_choice, solver_config, svt_config)
-            )
-        except Exception as exc:  # noqa: BLE001  (per-trial isolation)
-            failures.append(f"trial seed {trial_spec.seed}: {exc}")
+    for outcome, caught in outcomes:
+        for message, filename, lineno in caught:
+            warnings.warn_explicit(message, type(message), filename, lineno, registry=registry)
+        (results if isinstance(outcome, TrialResult) else failures).append(outcome)
     if results:
         errs = [r.rmse for r in results]
         mean_rmse = float(np.mean(errs))

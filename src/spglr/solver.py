@@ -46,6 +46,8 @@ class SolverConfig:
 
     alpha may be math.inf, which forces the mu reset branch every
     iteration. lam and nu are the penalty weight and cap threshold.
+    gamma_lo and gamma_hi bound only the start of each backtracking
+    search; the accepted gamma_k, and so the trace, can exceed gamma_hi.
     Construction and dataclasses.replace raise ValueError on a setting
     outside the solver's assumptions, with a message that starts with
     the field name; every real but alpha must be finite.

@@ -1,9 +1,13 @@
 import math
+import os
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import spglr
+from spglr import experiments
 from spglr.experiments import (
     GmmNoiseParams,
     TrialSpec,
@@ -195,3 +199,82 @@ def test_monte_carlo_svt_choice():
     )
     assert summary.solver == "svt"
     assert summary.trials == 2 and not summary.failures
+
+
+# Small enough that forked workers stay quick while BLAS is unpinned.
+POOL_SPEC = TrialSpec(m=20, n=16, r=2, sr=0.8, noise=NOISE, seed=30)
+
+
+def sweep_with_workers(monkeypatch, workers, *args, **kwargs):
+    monkeypatch.setattr(experiments, "_trial_workers", lambda trials: workers)
+    return monte_carlo(POOL_SPEC, *args, **kwargs)
+
+
+def without_runtimes(summary):
+    return replace(summary, mean_runtime_s=None,
+                   results=[replace(r, runtime_s=None) for r in summary.results])
+
+
+@pytest.mark.parametrize(
+    "arm, configs",
+    [
+        ("spg", {"solver_config": quick_config(40)}),
+        ("svt", {"svt_config": spglr.SvtConfig(tau=0.5, max_iter=40)}),
+        ("bogus-solver", {}),
+    ],
+)
+def test_monte_carlo_two_workers_match_one(monkeypatch, arm, configs):
+    serial, pooled = (sweep_with_workers(monkeypatch, workers, arm, trials=3, **configs)
+                      for workers in (1, 2))
+    # repr compares every float bit for bit, and NaN equal to NaN
+    assert repr(without_runtimes(pooled)) == repr(without_runtimes(serial))
+    assert [r.seed for r in pooled.results] == ([30, 31, 32] if arm != "bogus-solver" else [])
+
+
+@pytest.mark.parametrize("action, shown, failed", [("always", 6, 0), ("default", 1, 0),
+                                                   ("error", 0, 6)])
+def test_monte_carlo_workers_warn_as_in_process(monkeypatch, action, shown, failed):
+    # quick_config's nu is above lam / L_f at 20x16, so every trial warns;
+    # two sweeps, as ablate runs, show a "default" warning once in all.
+    seen = []
+    for workers in (1, 2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, spglr.PenaltyCapAdvisory)
+            failures = [f for _ in range(2) for f in sweep_with_workers(
+                monkeypatch, workers, "spg", trials=3, solver_config=quick_config(40)).failures]
+        seen.append(([(w.category, str(w.message), w.filename, w.lineno) for w in caught],
+                     failures))
+    assert seen[1] == seen[0]
+    warned, failures = seen[0]
+    assert len(warned) == shown and len(failures) == failed
+    assert all(category is spglr.PenaltyCapAdvisory for category, *_ in warned)
+    assert all("nu=0.05 is at or above" in f for f in failures)
+
+
+def test_trial_workers_fit_the_blas_thread_budget(monkeypatch):
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    for name in names:
+        monkeypatch.delenv(name, raising=False)
+    cpus = 8  # read by the patched affinity at each call
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    workers = experiments._trial_workers
+    # No thread count set: BLAS fills the box, so the sweep stays serial.
+    assert workers(20) == 1
+    # A variable this build's BLAS does not read changes nothing.
+    for name in set(names) - set(experiments._BLAS_THREAD_VARS):
+        monkeypatch.setenv(name, "1")
+        assert workers(20) == 1
+    first, fallback = experiments._BLAS_THREAD_VARS
+    monkeypatch.setenv(fallback, "1")
+    assert [workers(t) for t in (1, 3, 8, 20)] == [1, 3, 8, 8]
+    monkeypatch.setenv(first, "3")  # read before the fallback
+    assert workers(20) == 2
+    monkeypatch.setenv(first, "many")  # not a count: BLAS reads the fallback
+    assert workers(20) == 8
+    for cpus in range(1, 6):
+        for threads in range(1, 7):
+            monkeypatch.setenv(first, str(threads))
+            for trials in range(1, 8):
+                w = workers(trials)
+                assert 1 <= w <= min(trials, cpus)
+                assert w == 1 or w * threads <= cpus
