@@ -67,13 +67,6 @@ def svd(W):
     return SvdFactors(U, s, Vh.T)
 
 
-# Inputs with at least this many entries may take the truncated route.
-# Measured as solve time per prox call on square completion solves with
-# one BLAS thread (r = 5, sr 0.8, 500 iterations, median of 5), truncated
-# against full SVD: 60x60 1.48 vs 1.34 ms, 70x70 1.44 vs 1.59 ms,
-# 100x100 1.73 vs 3.49 ms. The cutoff keeps a margin above that
-# break-even point.
-_TRUNCATE_MIN_SIZE = 10_000
 # Extra columns carried beyond the triplets a truncated SVD must return;
 # the gap to singular value b + 1 sets how fast the kept ones converge.
 _BLOCK_PAD = 5
@@ -81,38 +74,64 @@ _BLOCK_PAD = 5
 _MAX_SWEEPS = 30
 # A kept triplet has converged once ||W v_i - s_i u_i|| <= _RESIDUAL_TOL * s_1.
 _RESIDUAL_TOL = 1e-13
-# Cost model of the Gram start, in flops of the Gram product, for a
-# q x p input (p <= q) and a block of b columns: the p x p Gram matrix and
-# its eigendecomposition cost 2 q p^2 + _EIGH_COST * p^3, against
-# _SAVED_SWEEP_COST * 4 q p b for the subspace sweeps it saves. Fitted on
-# medians of 200 timings with one BLAS thread on a 2-vCPU Xeon: eigh took
-# 0.53 ms at p = 60, 1.56 ms at 100, 5.79 ms at 200 and 49 ms at 500,
-# i.e. 83, 62, 43 and 20 Gram flops per p^3. One sweep at b = 8 to 16
-# took 7 to 16 times the Gram's time per flop (thin products and a tall
-# QR: 1600x60 0.65 ms, 7x; 120x100 0.16 ms, 17x; 200x200 0.24 ms, 11x),
-# say 8, and warm-started sweeps ran 4.0 per call on the 1600x60
-# perfbench video, of which the Gram start saves 3: 3 * 8 = 24.
-_EIGH_COST = 60
-_SAVED_SWEEP_COST = 24
 # u, the unit roundoff of float64.
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+# Each truncated route's running (sweeps, certificates, calls) before a
+# solve's first call on it: a Gram call takes one sweep and one proof, and a
+# warm-started rank-5 call on the subspace route about 6 sweeps.
+_PRIOR_PACE = {"gram": (1.0, 1.0, 1), "subspace": (6.0, 1.0, 1)}
+# Near ties go to the exact path: a truncated route runs only when priced
+# below this share of the full SVD. Whole solves on the subspace route tie
+# with it at 60 x 60 and take 0.63 of its time at 80 x 80.
+_TIE = 0.8
+
+# Prices are microseconds with one BLAS thread for an m x n input with short
+# side p and long side q, after the operation counts of Halko, Martinsson &
+# Tropp (SIAM Review 2011, section 6). They fit these `python -m timeit`
+# best-of-5 times in ms, on Gaussian inputs with OPENBLAS_NUM_THREADS=1 on a
+# 2-vCPU Xeon (numpy 2.4, OpenBLAS 0.3.31):
+#   full SVD     60^2 0.52, 80^2 1.39, 120^2 3.11, 200^2 10.1, 500^2 81.5,
+#                1600x60 4.92, 400x30 0.54
+#   one sweep    b = 8: 60^2 0.06, 80^2 0.09, 200^2 0.29, 1600x60 0.46;
+#                b = 48: 120^2 1.20, 200^2 1.57
+#   certificate  k = 5: 60^2 0.05, 200^2 0.82, 1600x60 0.60
+#   Gram + eigh  60^2 0.33, 1600x60 0.90, 200^2 5.49
+# A tall SVD costs more per flop than a square one, hence the full SVD's two
+# terms; the eigh costs about half a square SVD. The kernels alone price the
+# subspace route at 0.40 ms against 0.52 at 60 x 60, where whole solves tie,
+# so each call adds 100 us; the Gram route's p x p proof costs 10 us.
 
 
-def _gram_start_pays(m, n, b):
-    """True when starting from the short-side Gram matrix of an m x n
-    input is cheaper by the model above than warm-started sweeps with a
-    block of b columns. 1600x60 and 400x30 take it at b = 8, 120x100
-    does not below b = 55, and a square input would need b >= 0.65 p,
-    past the block limit p / 2."""
+def _prices(m, n, b, pace):
+    """(full, gram, subspace, sweep): the prices of the full SVD, of the two
+    truncated routes from a first block of b columns, each at the rates of
+    its running counts in pace, and of one sweep. A block that leaves under
+    _BLOCK_PAD columns of the short side does the full SVD's work."""
     p, q = min(m, n), max(m, n)
-    return 2 * q * p * p + _EIGH_COST * p**3 <= _SAVED_SWEEP_COST * 4 * q * p * b
+    square = 0.03 * p**2.4
+    full = square + 0.016 * (q - p) * p**1.25
+    sweep = 45 + 4.7e-4 * m * n * b + 1e-3 * (m + n) * b * b
+    if b > p - _BLOCK_PAD:
+        return full, math.inf, math.inf, sweep
+    (gs, gc, gn), (ss, sc, sn) = pace["gram"], pace["subspace"]
+    gram = 100 + 1e-4 * q * p * p + square / 2 + (gs * sweep + gc * 10) / gn
+    subspace = 100 + (ss * sweep + sc * (30 + 1e-4 * q * p * p)) / sn
+    return full, gram, subspace, sweep
+
+
+def _route(m, n, b, pace):
+    """The route predictor: "gram" or "subspace", whichever _prices makes
+    cheaper, or None where the full SVD should run."""
+    full, gram, subspace, _ = _prices(m, n, b, pace)
+    if min(gram, subspace) >= _TIE * full:
+        return None
+    return "gram" if gram < subspace else "subspace"
 
 
 def _gram_basis(W):
-    """The m x m Gram matrix C = W W^T of a W with m <= n, with its
-    eigenvalues in descending order and the matching orthonormal
-    eigenvectors, whose leading columns span the leading left singular
-    subspace of W."""
+    """C = W W^T for a W with m <= n, its eigenvalues in descending order and
+    their orthonormal eigenvectors, whose leading columns span the leading
+    left singular subspace of W."""
     C = W @ W.T
     values, vectors = np.linalg.eigh(C)
     return C, values[::-1], vectors[:, ::-1]
@@ -150,25 +169,23 @@ def _gram_residual(C, Y, n):
 class ProxWarmStart:
     """State one solve carries from prox to prox for _leading_svd.
 
-    V is the right factor of the last prox output (None before the
-    first) and rng draws the random starting columns. `tail` is the
-    proof that the next call on the subspace route may carry forward
-    instead of running a certificate: (W_ref, B, k_ref), a private copy
-    of the W of the last call that ran one, a proven bound B on its
-    singular value k_ref + 1, and k_ref, or None. A call that does not
-    return factors from that route clears it. `hold` is the rank at
-    which the route is declined after a fallback (math.inf when none).
-    `calls` counts the calls, `fallbacks` those that tried the truncated
+    V is the right factor of the last prox output (None before the first)
+    and rng draws the random starting columns. `tail` is the proof the next
+    subspace-route call may carry instead of running a certificate:
+    (W_ref, B, k_ref), a copy of the W of the last call that ran one, a
+    proven bound B on its singular value k_ref + 1, and k_ref, or None; a
+    call that returns no factors from that route clears it. `pace` maps
+    each truncated route to its running (sweeps, certificates, calls).
+    `calls` counts the calls, `fallbacks` those that tried a truncated
     route and returned no factors, `certificates` the Cholesky
-    factorisations, retries included, and `sweeps` the Rayleigh-Ritz
-    steps.
+    factorisations, retries included, and `sweeps` the Rayleigh-Ritz steps.
     """
 
     def __init__(self, seed):
         self.V = None
         self.rng = np.random.default_rng(seed)
         self.tail = None
-        self.hold = math.inf
+        self.pace = dict(_PRIOR_PACE)
         self.calls = 0
         self.fallbacks = 0
         self.certificates = 0
@@ -180,109 +197,89 @@ def _leading_svd(W, k_min, threshold, warm):
     value at or above `threshold`, or None where the full SVD should run.
     W, a float64 matrix, is not checked; a non-finite one gets None.
 
-    Each call counts in warm.calls and takes warm.tail. With rank =
-    max(k_min, columns of warm.V), it declines, with nothing else
-    counted, when W has fewer than _TRUNCATE_MIN_SIZE entries, while
-    rank >= warm.hold, or when its first block, rank + _BLOCK_PAD,
-    exceeds min(m, n) / 2. A call below the hold clears it.
-
-    A call that tries the route and returns no factors counts in
-    warm.fallbacks and sets warm.hold = max(1, rank). Within a solve the
-    iterate's rank seldom falls far, so a retry at that rank or above
-    would most likely fail again and pay for the failed block on top of
-    the full SVD; one released at every small drop in rank would retry
-    the same large block call after call. The hold keeps such a solve on
-    the full SVD after one attempt.
-
-    Otherwise the triplets come from block subspace iteration (Halko,
-    Martinsson & Tropp, SIAM Review 2011); see _certified_triplets.
-    Returns SvdFactors with k columns, or None.
+    Each call counts in warm.calls and takes warm.tail. _route picks the
+    route for a first block of max(k_min, columns of warm.V) + _BLOCK_PAD
+    columns; a declined call counts nothing else, and one that returns no
+    factors counts in warm.fallbacks. A Gram call, or a subspace call warm
+    started from warm.V, adds its sweeps and certificates to its route's
+    warm.pace; a failed one restarts them from its own cost, the full SVD
+    it forced counted in sweeps of its first block, which prices the route
+    above the full SVD at that block and wider ones until the rank falls
+    well below it.
+    See _certified_triplets (Halko, Martinsson & Tropp, SIAM Review 2011).
     """
     warm.calls += 1
     tail, warm.tail = warm.tail, None
-    if W.size < _TRUNCATE_MIN_SIZE:
+    m, n = W.shape
+    start = np.empty((n, 0)) if warm.V is None else warm.V
+    b = max(k_min, start.shape[1]) + _BLOCK_PAD
+    route = _route(m, n, b, warm.pace)
+    if route is None:
         return None
-    start = np.empty((W.shape[1], 0)) if warm.V is None else warm.V
-    rank = max(k_min, start.shape[1])
-    if rank >= warm.hold:
-        return None
-    warm.hold = math.inf
-    b = rank + _BLOCK_PAD
-    if b > min(W.shape) // 2:
-        return None
-    factors = _certified_triplets(W, k_min, threshold, warm, start, b, tail)
+    sweeps, certificates = warm.sweeps, warm.certificates
+    factors = _certified_triplets(W, k_min, threshold, warm, start, b, tail, route == "gram")
+    spent = (warm.sweeps - sweeps, warm.certificates - certificates, 1)
     if factors is None:
         warm.fallbacks += 1
-        warm.hold = max(1, rank)
+        full, _, _, sweep = _prices(m, n, b, warm.pace)
+        warm.pace[route] = (spent[0] + full / sweep, spent[1], 1)
+    elif route == "gram" or start.shape[1]:
+        warm.pace[route] = tuple(map(sum, zip(warm.pace[route], spent)))
     return factors
 
 
-def _certified_triplets(W, k_min, threshold, warm, start, b, tail):
-    """The route behind _leading_svd, from a first block of b <= min(m, n)
-    / 2 columns, b at least the columns of `start` + _BLOCK_PAD.
+def _certified_triplets(W, k_min, threshold, warm, start, b, tail, gram):
+    """The Gram route when `gram`, else the subspace route, for _leading_svd
+    from a first block of b >= _BLOCK_PAD + the columns of `start`.
 
-    Each sweep takes an orthonormal left basis Q, the Rayleigh-Ritz
-    triplets from the SVD of the small matrix W.T @ Q, and the next Q from
-    the QR of W @ V, V their right vectors. It keeps
-    k = max(k_min, #{s_i > threshold}) triplets once each has
-    ||W v_i - s_i u_i|| <= 1e-13 * s_1, and returns them only with a
-    proof that sigma_{k+1}(W) < threshold. Each sweep, over every block
-    size, adds to warm.sweeps.
+    Each sweep, counted in warm.sweeps, takes an orthonormal left basis Q,
+    the Rayleigh-Ritz triplets from the SVD of W.T @ Q and the next Q from
+    the QR of W @ V, V their right vectors. It keeps k = max(k_min,
+    #{s_i > threshold}) triplets once each has ||W v_i - s_i u_i|| <=
+    1e-13 * s_1, and returns them only with a proof that sigma_{k+1}(W) <
+    threshold. Neither proof, or no convergence within _MAX_SWEEPS, doubles
+    the block, unless _prices puts the subspace route with the doubled
+    block at or above the full SVD: then, or when a decomposition fails,
+    it returns None. Otherwise it returns SvdFactors with k columns.
 
-    The first Q comes from one of two routes. On the Gram route, taken
-    when _gram_start_pays says so for W's shape and b, W is handled in
-    its wide orientation (transposed when tall, with the factors swapped
-    back) and _gram_basis gives the short-side Gram matrix C = W W^T
-    with its eigenvalues and eigenvectors. When at least b eigenvalues
-    exceed threshold^2, b becomes their count + _BLOCK_PAD, so that the
-    block holds every value above the threshold and a gap past it, and
-    the call fails if that b exceeds min(m, n) / 2; otherwise b stays.
-    Q is the top b eigenvectors, which hold the leading subspace to
-    rounding, so one sweep is usually the Rayleigh-Ritz step that
-    finishes the call (Golub & Van Loan, Matrix Computations, 8.6). The
-    Gram squares the singular values, so small kept values can lose
-    their digits there; the residual test then fails and the sweeps go
-    on. On the subspace route, Q is the QR of W @ V for V the columns of
-    `start` plus Gaussian columns drawn from warm.rng.
+    On the Gram route W is handled in its wide orientation (the factors
+    swapped back) and _gram_basis gives C = W W^T with its eigenpairs. When
+    b or more eigenvalues exceed threshold^2, b becomes their count +
+    _BLOCK_PAD, so that the block holds every value above the threshold
+    and a gap past it, and the call fails unless _prices puts the Gram
+    route at that b below the full SVD. Q is the top b eigenvectors, which
+    hold the leading subspace to rounding, so one sweep usually finishes
+    (Golub & Van Loan, Matrix Computations, 8.6). The Gram squares the
+    singular values, so small kept values can lose their digits; the
+    residual test then fails and the sweeps go on. On the subspace route Q
+    is the QR of W @ V for V the columns of `start` and Gaussian columns
+    from warm.rng.
 
-    The proof is a Cholesky factorisation of beta^2 * I - G that
-    succeeds, for G the Gram matrix of the residual R = W - (W V_k) V_k.T
-    on its short side, so sigma_{k+1}(W) <= ||R||_2 < beta (W V_k V_k.T
-    has rank k). Each factorisation adds to warm.certificates. On the
-    Gram route, G is C - Y_k Y_k^T, with Y = W V, and one factorisation
-    runs at beta = threshold, less the rounding bound of _gram_residual:
-    an m x m proof with no pass over R. It neither takes nor leaves a
-    tail, because the ||W - W_ref|| pass below would cost more than it.
-    On the subspace route beta is first the margin (threshold + s_{k+1})
-    / 2, s_{k+1} the block's next Ritz value, so that the bound has room
-    to carry, then the threshold itself.
+    The proof is a Cholesky factorisation of beta^2 * I - G that succeeds,
+    counted in warm.certificates, for G the Gram matrix of R = W - (W V_k)
+    V_k.T on its short side: W V_k V_k.T has rank k, so sigma_{k+1}(W) <=
+    ||R||_2 < beta. On the Gram route G is C - Y_k Y_k^T, Y = W V, proven
+    once at beta = threshold less the rounding bound of _gram_residual,
+    with no pass over R and no tail taken or left, as the ||W - W_ref||
+    pass would cost more. On the subspace route beta is first the margin
+    (threshold + s_{k+1}) / 2, s_{k+1} the next Ritz value, so that the
+    bound has room to carry, then the threshold; a proven beta becomes
+    warm.tail with a copy of W and k.
 
-    On the subspace route the proof is carried from an earlier call when
-    it can be. With (W_ref, B, k_ref) the taken tail,
-    sigma_{k_ref+1}(W_ref) <= B, Weyl's inequality gives
-    sigma_{k+1}(W) <= sigma_{k_ref+1}(W) <= B + ||W - W_ref||_2, and the
-    Frobenius norm bounds the 2-norm. So when W has W_ref's shape,
-    k >= k_ref, every kept Ritz value is above `threshold`, and
-    B + ||W - W_ref||_F (1 + 1e-12) < threshold, nothing else runs and
-    the tail is handed on unchanged: by the triangle inequality, keeping
-    W_ref as the anchor is never looser than chaining from call to call.
-    The kept triplets are then the top k: Ritz values interlace,
-    s_i <= sigma_i(W), so sigma_k(W) >= s_k > threshold > sigma_{k+1}(W).
-    A kept value at or below the threshold, as a d = 2 triplet the prox
-    must keep, breaks that chain: the block may then hold a smaller
-    direction in place of a missed one above the threshold, which
-    sigma_{k+1}(W) < threshold does not rule out. Otherwise G = R.T @ R
-    or R @ R.T proves it, and the proven beta becomes the new warm.tail,
-    with a copy of W and k.
-
-    Neither proof, or no convergence within _MAX_SWEEPS, doubles the
-    block. Returns SvdFactors with k columns, or None once the block
-    would exceed min(m, n) / 2, where the full SVD is the cheaper way to
-    the same triplets, or when a decomposition fails.
+    There a taken tail (W_ref, B, k_ref), sigma_{k_ref+1}(W_ref) <= B,
+    replaces the proof when it can: by Weyl's inequality sigma_{k+1}(W) <=
+    sigma_{k_ref+1}(W) <= B + ||W - W_ref||_2 <= B + ||W - W_ref||_F. So
+    when W has W_ref's shape, k >= k_ref, every kept Ritz value is above
+    `threshold` and B + ||W - W_ref||_F (1 + 1e-12) < threshold, nothing
+    else runs and the tail is handed on; keeping W_ref as the anchor is
+    never looser than chaining from call to call. The kept triplets are
+    then the top k: Ritz values interlace, s_i <= sigma_i(W), so sigma_k(W)
+    >= s_k > threshold > sigma_{k+1}(W). A kept value at or below the
+    threshold, as a d = 2 triplet the prox must keep, breaks that chain:
+    the block may hold a smaller direction in place of a missed one above
+    the threshold, which sigma_{k+1}(W) < threshold does not rule out.
     """
     m, n = W.shape
-    limit = min(m, n) // 2
-    gram = _gram_start_pays(m, n, b)
     flip = gram and m > n
     if flip:
         W = W.T
@@ -296,7 +293,8 @@ def _certified_triplets(W, k_min, threshold, warm, start, b, tail):
         above = int(np.count_nonzero(values > threshold * threshold))
         if above >= b:
             b = above + _BLOCK_PAD
-            if b > limit:
+            full, gram_price, _, _ = _prices(m, n, b, warm.pace)
+            if gram_price >= full:
                 return None
         Q = vectors[:, :b]
     else:
@@ -320,10 +318,8 @@ def _certified_triplets(W, k_min, threshold, warm, start, b, tail):
         if k < b:
             resid = np.linalg.norm(Y[:, :k] - U[:, :k] * s[:k], axis=0)
             if resid.max(initial=0.0) <= _RESIDUAL_TOL * s[0]:
-                if flip:
-                    factors = SvdFactors(P[:, :k], s[:k], U[:, :k])
-                else:
-                    factors = SvdFactors(U[:, :k], s[:k], P[:, :k])
+                left, right = (P, U) if flip else (U, P)
+                factors = SvdFactors(left[:, :k], s[:k], right[:, :k])
                 if carried < threshold and k >= k_ref and (k == 0 or s[k - 1] > threshold):
                     warm.tail = tail
                     return factors
@@ -341,7 +337,8 @@ def _certified_triplets(W, k_min, threshold, warm, start, b, tail):
                         return factors
                 grow = True
         if grow:
-            if 2 * b > limit:
+            full, _, subspace, _ = _prices(m, n, 2 * b, warm.pace)
+            if subspace >= full:
                 return None
             V = np.hstack([P, warm.rng.standard_normal((n, b))])
             b *= 2

@@ -15,9 +15,9 @@ gradient, so gamma = 1 passes the majorization test in exact arithmetic
 and a typical iteration pays for one prox; no gamma is carried from one
 iteration to the next.
 
-On inputs large enough for it, the prox decomposes W only as far as its
-output needs, warm-started from the right factor of the previous prox
-output, or on thin inputs from the short-side Gram matrix; see
+Where a cost model prices it below the full SVD, the prox decomposes W
+only as far as its output needs, warm-started from the right factor of
+the previous prox output or started from the short-side Gram matrix; see
 linalg._leading_svd. Its random starting columns come from a generator
 seeded with SolverConfig.seed per solve, so a solve is deterministic.
 

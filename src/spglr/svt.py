@@ -7,10 +7,10 @@ show how an l2 data fit degrades under heavy-tailed noise.
 
 The soft threshold is the capped penalty's prox with every branch
 selector on branch 1 and nu = 1, whose majorizer is ||X||_*. It runs
-with a warm start of its own, as in `solve`, so on large inputs it
-computes only the triplets above tau * step, certified, and falls back
-to the full SVD otherwise (see linalg._leading_svd). A high-rank iterate
-falls back once and then holds the full SVD.
+with a warm start of its own, as in `solve`, so where the cost model
+prices it in, it computes only the triplets above tau * step, certified,
+and falls back to the full SVD otherwise (see linalg._leading_svd). A
+high-rank iterate falls back once and is then priced onto the full SVD.
 """
 
 from dataclasses import dataclass

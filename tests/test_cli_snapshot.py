@@ -39,6 +39,17 @@ def test_two_snapshots_compare_identical(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "differs: m12/solve_mask/trace.csv: energy (1 rows, max rel 1.00e-12)" in out
 
+    # a changed matrix entry is reported with the shape and the largest
+    # relative entry difference
+    M = tmp_path / "b" / "m12" / "synth" / "M.csv"
+    first, *rest = M.read_text("utf-8").splitlines()
+    cells = first.split(",")
+    cells[0] = repr(float(cells[0]) * (1 + 1e-9))
+    M.write_text("\n".join([",".join(cells), *rest]) + "\n", "utf-8")
+    assert tool.main(["--compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    out = capsys.readouterr().out
+    assert "differs: m12/synth/M.csv: shape 12x12, max rel 1.00e-09\n" in out
+
     # a changed results.csv cell is reported by its row and column, with
     # both values
     results = tmp_path / "b" / "m12" / "ablate" / "results.csv"

@@ -84,12 +84,15 @@ def test_rank_estimate():
     assert rank_estimate(np.array([])) == 0
 
 
-def test_gram_start_is_chosen_for_thin_shapes_only():
-    # thin inputs take it at the first block of a rank-3 iterate...
-    for shape in [(1600, 60), (60, 1600), (400, 30)]:
-        assert linalg_module._gram_start_pays(*shape, 3 + linalg_module._BLOCK_PAD)
-    # ...square and near-square ones never do, at any block up to the limit
-    square = [(100, 100), (120, 120), (200, 200), (500, 500)]
-    for shape in [*square, (120, 100), (100, 120), (130, 100)]:
-        blocks = range(1, min(shape) // 2 + 1)
-        assert not any(linalg_module._gram_start_pays(*shape, b) for b in blocks)
+def test_predictor_route_table_at_the_first_rank_5_block():
+    # the choice of _route for a rank-5 iterate's first block under the
+    # prior pace, before a solve has run a call of its own
+    def route(m, n):
+        return linalg_module._route(m, n, 5 + linalg_module._BLOCK_PAD, linalg_module._PRIOR_PACE)
+
+    # small and narrow inputs keep the full SVD; 1300 x 8 has no room for the block
+    assert [route(40, 40), route(60, 60), route(1300, 8)] == [None] * 3
+    assert [route(80, 80), route(120, 100), route(200, 200)] == ["subspace"] * 3
+    assert [route(1600, 60), route(60, 1600), route(400, 30)] == ["gram"] * 3
+    # a block of 97, about the rank of SVT's iterate on a 200 x 200 completion
+    assert linalg_module._route(200, 200, 97, linalg_module._PRIOR_PACE) is None

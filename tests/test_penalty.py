@@ -274,13 +274,28 @@ TRUNCATED_CASES = {
 }
 
 
+def record_routes(monkeypatch):
+    """Whether each prox got its factors from the truncated route, in call order."""
+    routed = []
+    leading_svd = penalty_module._leading_svd
+
+    def recording(*args):
+        factors = leading_svd(*args)
+        routed.append(factors is not None)
+        return factors
+
+    monkeypatch.setattr(penalty_module, "_leading_svd", recording)
+    return routed
+
+
 @pytest.mark.parametrize("shape", [(120, 100), (100, 120)], ids=["tall", "wide"])
 @pytest.mark.parametrize("case", sorted(TRUNCATED_CASES))
-def test_truncated_prox_matches_full_svd_prox(shape, case):
+def test_truncated_prox_matches_full_svd_prox(monkeypatch, shape, case):
     sigma, twos = TRUNCATED_CASES[case]
-    assert shape[0] * shape[1] >= linalg_module._TRUNCATE_MIN_SIZE
+    routed = record_routes(monkeypatch)
     W = spectral_matrix(shape, sigma, seed=3)
     truncated, exact, fallbacks = truncated_and_exact(W, selector(twos, sigma.size))
+    assert routed == [True]
     assert fallbacks == 0
     assert_prox_agrees(truncated, exact)
     if case == "k0":
@@ -304,14 +319,14 @@ def test_truncated_prox_warm_start_reuses_previous_factor():
 @pytest.mark.parametrize(
     "sigma, twos, last_rank, counted",
     [
-        # sixty values above the threshold: the block would pass p / 2,
-        # so the certificate fails and the fallback is counted
+        # sixty values above the threshold: the block doubles until the
+        # next one is priced above the full SVD, and the fallback is counted
         (np.r_[np.full(60, 2.0), noise_tail(40, 0.5, 0.9)], 0, 0, 1),
-        # forty-eight d = 2 values: the first block already passes p / 2,
-        # so the full SVD runs directly and nothing is counted
+        # forty-eight d = 2 values: the first block is already priced above
+        # the full SVD, which runs directly with nothing counted
         (noise_tail(100, 5.0, 0.97), 48, 0, 0),
         # no d = 2 value, but the last output kept 46 columns: the first
-        # block, 46 + 5, passes p / 2 just the same
+        # block, 46 + 5, is priced out just the same
         (noise_tail(100, 5.0, 0.97), 0, 46, 0),
     ],
     ids=["many_above_threshold", "many_twos", "many_last_columns"],
@@ -433,23 +448,46 @@ def test_gram_start_that_fails_to_decompose_falls_back_to_the_exact_path(monkeyp
     assert np.array_equal(X_t, X_e) and np.array_equal(x_t, x_e)
 
 
-def test_gram_block_past_half_the_short_side_falls_back_then_holds(monkeypatch):
+def test_gram_block_priced_out_falls_back_then_holds(monkeypatch):
     grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
     d = selector(0, 60)
     warm = ProxWarmStart(0)
+    # the last output had rank 20
+    warm.V = np.linalg.qr(np.random.default_rng(20).standard_normal((60, 20)))[0]
+
+    def above(count, seed):
+        sigma = np.r_[np.full(count, 2.0), noise_tail(60 - count, 0.5, 0.9)]
+        return spectral_matrix((1600, 60), sigma, seed)
+
+    # forty values above tau / nu = 1: the Gram sizes the block at 40 + 5
+    # columns, where its price passes the full SVD's, so the call falls
+    # back before a sweep
+    assert certified_step(above(40, 21), d, warm) == (0, 1)
+    assert (len(grams), warm.sweeps, warm.V.shape[1]) == (1, 0, 40)
+    # at ranks 40, 40, 44 and then 20, where the failed call started, calls
+    # decline with nothing counted
     W = spectral_matrix((1600, 60), CARRIED_SIGMA[:60], seed=20)
-    assert certified_step(W, d, warm) == (1, 0)
-    assert warm.V.shape[1] == 3
-    # twenty-eight values above tau / nu = 1: the Gram sizes the block at
-    # 28 + 5 columns, past 60 / 2, so the call falls back before a sweep
-    many = spectral_matrix((1600, 60), np.r_[np.full(28, 2.0), noise_tail(32, 0.5, 0.9)], seed=21)
-    sweeps = warm.sweeps
-    assert certified_step(many, d, warm) == (0, 1)
-    assert (len(grams), warm.sweeps, warm.hold) == (2, sweeps, 3)
-    # at rank 28, then 3: the hold keeps both calls on the full SVD
-    for X in (W, perturbed(W, 1e-6, seed=22)):
+    for X in (above(40, 22), above(44, 23), above(20, 24), W):
         assert certified_step(X, d, warm) == (0, 0)
-    assert (len(grams), warm.sweeps, warm.fallbacks) == (2, sweeps, 1)
+    assert (len(grams), warm.sweeps, warm.fallbacks) == (1, 0, 1)
+    # the last output has rank 3, far enough below 20: the Gram route runs again
+    assert certified_step(perturbed(W, 1e-6, seed=25), d, warm) == (1, 0)
+    assert (len(grams), warm.sweeps) == (2, 1)
+
+
+def test_gram_proof_lost_to_the_spread_falls_back_then_holds():
+    # sigma_1 / (tau / nu) = 1.5e6: the Gram's rounding margin is too wide
+    # to prove the tail, so the call falls back after its sweeps, and the
+    # restarted pace keeps the next calls at that rank on the full SVD
+    sigma = np.r_[np.geomspace(1.5e6, 1.5, 3), 0.99 * 0.97 ** np.arange(57)]
+    W = spectral_matrix((1600, 60), sigma, seed=1)
+    d = selector(0, 60)
+    warm = ProxWarmStart(0)
+    assert certified_step(W, d, warm)[1] == 1
+    sweeps = warm.sweeps
+    for j in range(3):
+        assert certified_step(perturbed(W, 1e-6, seed=j), d, warm) == (0, 0)
+    assert (warm.sweeps, warm.fallbacks) == (sweeps, 1)
 
 
 def gram_tail_proof(W, k, beta):
@@ -594,26 +632,30 @@ def test_carried_bound_needs_every_kept_value_above_the_threshold():
 
 
 def test_fallback_holds_the_full_svd_until_the_rank_drops():
-    W = spectral_matrix((120, 100), CARRIED_SIGMA, seed=16)
     d = selector(0, 100)
     warm = ProxWarmStart(6)
-    certified_step(W, d, warm)
-    assert warm.V.shape[1] == 3
-    # forty values above the threshold: the block passes p / 2 first, and
-    # the hold is set at the rank that block was built from
-    many = spectral_matrix((120, 100), np.r_[np.full(40, 2.0), noise_tail(60, 0.5, 0.9)], seed=17)
+    # a solve at rank 30 whose subspace calls have each taken one sweep
+    warm.pace["subspace"] = (1.0, 0.0, 1)
+    warm.V = np.linalg.qr(np.random.default_rng(16).standard_normal((100, 30)))[0]
+    # seventy-five values above the threshold: the blocks of 35 and 70
+    # fill, a block of 140 would pass the short side, and the fallback
+    # restarts the pace from its own cost, the full SVD it forced included
+    many = spectral_matrix((120, 100), np.r_[np.full(75, 2.0), noise_tail(25, 0.5, 0.9)], seed=17)
     assert certified_step(many, d, warm)[1] == 1
-    assert (warm.hold, warm.tail) == (3, None)
-    # at rank 40, then 3 and 3 again, calls decline with nothing counted
+    assert warm.tail is None
+    # at rank 75, then 30 and 30 again, calls decline with nothing counted:
+    # at these blocks the Gram start is priced out as well
     sweeps = warm.sweeps
-    two = spectral_matrix((120, 100), np.r_[10.0, 6.0, 0.9, CARRIED_SIGMA[3:]], seed=16)
-    for X in (W, perturbed(W, 1e-6, seed=18), two):
+    thirty = spectral_matrix((120, 100), np.r_[np.full(30, 2.0), noise_tail(70, 0.5, 0.9)], seed=18)
+    W = spectral_matrix((120, 100), CARRIED_SIGMA, seed=16)
+    for X in (thirty, perturbed(thirty, 1e-6, seed=18), W):
         assert certified_step(X, d, warm) == (0, 0)
     assert (warm.sweeps, warm.fallbacks) == (sweeps, 1)
-    # the last output has rank 2 < 3: the route runs again, and with the
-    # carried bound gone it proves the tail afresh
-    assert certified_step(perturbed(two, 1e-6, seed=19), d, warm)[0] > 0
-    assert warm.hold == math.inf
+    # the last output has rank 3, far enough below 30 for the restarted
+    # pace: the route runs again, and with no carried bound it proves the
+    # tail afresh
+    assert certified_step(perturbed(W, 1e-6, seed=19), d, warm)[0] > 0
+    assert warm.sweeps > sweeps
 
 
 @settings(max_examples=12, deadline=None)
@@ -641,7 +683,7 @@ def test_shared_warm_start_on_degenerate_inputs():
     for _ in range(2):
         (X_t, x_t), (X_e, x_e), _ = truncated_and_exact(zero, selector(0, 100), warm)
         assert np.array_equal(X_t, X_e) and np.array_equal(x_t, x_e)
-    # a single row: the first block exceeds half the short side, so the
+    # a single row: the first block is wider than the short side, so the
     # full SVD runs directly and is neither a fallback nor a certificate
     row = np.random.default_rng(8).standard_normal((1, 20_000))
     thin = ProxWarmStart(8)

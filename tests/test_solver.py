@@ -469,7 +469,7 @@ def test_solve_checks_neither_d_nor_the_truncated_w(monkeypatch):
 
     monkeypatch.setattr(penalty_module, "_leading_svd", recording_leading_svd)
     monkeypatch.setattr(linalg_module, "as_matrix", recording_as_matrix)
-    _, binding = completion_above_cutoff(m=100)
+    _, binding = square_completion(100)
     result = solve(binding, SolverConfig(lam=1.0, nu=0.05, max_iter=60, seed=3))
     assert routed == [True] * result.prox_calls
     assert check_calls == []
@@ -570,13 +570,8 @@ def square_completion(m, seed=9):
     return M, CompletionLoss(data)
 
 
-def completion_above_cutoff(m=120):
-    assert m * m >= linalg_module._TRUNCATE_MIN_SIZE
-    return square_completion(m)
-
-
-def test_solve_on_truncated_path_is_deterministic(monkeypatch):
-    # Record whether each prox got its factors from the truncated route.
+def record_routes(monkeypatch):
+    """Whether each prox got its factors from the truncated route, in call order."""
     routed = []
     leading_svd = penalty_module._leading_svd
 
@@ -586,7 +581,17 @@ def test_solve_on_truncated_path_is_deterministic(monkeypatch):
         return factors
 
     monkeypatch.setattr(penalty_module, "_leading_svd", recording)
-    _, binding = completion_above_cutoff(m=100)
+    return routed
+
+
+def exact_path_only(monkeypatch):
+    """Make the route predictor send every prox to the full SVD."""
+    monkeypatch.setattr(linalg_module, "_route", lambda *args: None)
+
+
+def test_solve_on_truncated_path_is_deterministic(monkeypatch):
+    routed = record_routes(monkeypatch)
+    _, binding = square_completion(100)
     cfg = SolverConfig(lam=1.0, nu=0.05, max_iter=60, seed=3)
     first = solve(binding, cfg)
     assert first.prox_calls > 0
@@ -600,11 +605,13 @@ def test_solve_on_truncated_path_is_deterministic(monkeypatch):
 
 
 def test_solve_on_truncated_path_matches_full_svd_run(monkeypatch):
-    M, binding = completion_above_cutoff()
+    M, binding = square_completion(120)
     cfg = SolverConfig(lam=1.0, nu=0.05, max_iter=150)
+    routed = record_routes(monkeypatch)
     truncated = solve(binding, cfg)
+    assert routed == [True] * truncated.prox_calls
     assert truncated.prox_fallbacks == 0
-    monkeypatch.setattr(linalg_module, "_TRUNCATE_MIN_SIZE", math.inf)
+    exact_path_only(monkeypatch)
     exact = solve(binding, cfg)
     assert exact.prox_calls == truncated.prox_calls
     assert [r.gamma_k for r in truncated.trace] == [r.gamma_k for r in exact.trace]
@@ -626,7 +633,7 @@ def test_solve_carries_the_tail_bound_past_most_certificates(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(solver_module, "ProxWarmStart", Recorded)
-    _, binding = completion_above_cutoff()
+    _, binding = square_completion(120)
     result = solve(binding, SolverConfig(lam=1.0, nu=0.05, mu0=100.0, max_iter=500))
     (warm,) = made
     assert warm.calls == result.prox_calls
@@ -636,9 +643,9 @@ def test_solve_carries_the_tail_bound_past_most_certificates(monkeypatch):
 
 
 def test_solve_holds_the_full_svd_after_a_fallback(monkeypatch):
-    # At lam 0.45 the 120 x 120 iterate climbs to rank 39, past where the
-    # block fits in half of the short side. Without the hold, 48 of 163
-    # prox calls each paid for a failed block and then the full SVD.
+    # At lam 0.45 the 120 x 120 iterate climbs to rank 39. Its warm-started
+    # sweeps grow dear on the way, and the Gram start, then the full SVD,
+    # takes over: a route that kept sweeping until a fallback ran 1040.
     spec = spglr.TrialSpec(
         m=120, n=120, r=5, sr=0.8, noise=spglr.GmmNoiseParams(1e-4, 0.1, 0.1), seed=7
     )
@@ -646,7 +653,8 @@ def test_solve_holds_the_full_svd_after_a_fallback(monkeypatch):
     cfg = SolverConfig(lam=0.45, nu=0.05, max_iter=150)
     held = solve(CompletionLoss(data), cfg)
     assert held.prox_fallbacks <= 2
-    monkeypatch.setattr(linalg_module, "_TRUNCATE_MIN_SIZE", math.inf)
+    assert held.prox_sweeps <= 800
+    exact_path_only(monkeypatch)
     exact = solve(CompletionLoss(data), cfg)
     assert held.prox_calls == exact.prox_calls
     assert held.rank == exact.rank == 39
@@ -654,19 +662,20 @@ def test_solve_holds_the_full_svd_after_a_fallback(monkeypatch):
 
 
 def test_solve_thin_input_above_cutoff_counts_no_fallbacks(monkeypatch):
-    # 1300 x 8: above the size cutoff, but the first block of the
-    # truncated SVD already exceeds half of the short side
+    # 1300 x 8: a large input, but too narrow for the first block of the
+    # truncated SVD and the five columns it needs past it
     rng = np.random.default_rng(4)
     L = spglr.gen_low_rank(1300, 8, 2, 7)
     L.flat[rng.choice(L.size, 500, replace=False)] += rng.uniform(-0.5, 0.5, 500)
-    assert L.size >= linalg_module._TRUNCATE_MIN_SIZE
     cfg = SolverConfig(lam=1.0, nu=0.05, max_iter=60)
     grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
+    routed = record_routes(monkeypatch)
     result = solve(RpcaLoss(L), cfg)
+    assert routed == [False] * result.prox_calls
     assert result.prox_calls >= result.iterations
     assert result.prox_fallbacks == result.prox_certificates == result.prox_sweeps == 0
     assert not grams
-    monkeypatch.setattr(linalg_module, "_TRUNCATE_MIN_SIZE", math.inf)
+    exact_path_only(monkeypatch)
     exact = solve(RpcaLoss(L), cfg)
     assert np.array_equal(result.X_final, exact.X_final)
     assert result.trace == exact.trace
@@ -679,16 +688,17 @@ def test_solve_thin_input_takes_the_gram_start_in_one_sweep_per_prox(monkeypatch
     L = truth.copy()
     hit = rng.random(L.shape) < 0.1
     L[hit] += rng.uniform(-1.0, 1.0, int(hit.sum()))
-    assert L.size >= linalg_module._TRUNCATE_MIN_SIZE
     cfg = SolverConfig(lam=1.0, nu=0.05, max_iter=300)
     grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
+    routed = record_routes(monkeypatch)
     result = solve(RpcaLoss(L), cfg)
+    assert routed == [True] * result.prox_calls
     assert len(grams) == result.prox_calls
     assert result.prox_fallbacks == 0
     assert result.prox_sweeps == result.prox_calls
     energies = [r.energy for r in result.trace]
     assert all(e1 <= e0 + 1e-10 for e0, e1 in zip(energies, energies[1:]))
-    monkeypatch.setattr(linalg_module, "_TRUNCATE_MIN_SIZE", math.inf)
+    exact_path_only(monkeypatch)
     exact = solve(RpcaLoss(L), cfg)
     assert result.rank == exact.rank == 3
     assert spglr.rmse(result.X_final, truth) <= 1.01 * spglr.rmse(exact.X_final, truth)
@@ -705,11 +715,12 @@ def test_solve_thin_input_takes_the_gram_start_in_one_sweep_per_prox(monkeypatch
 )
 def test_solve_below_cutoff_stays_on_exact_path(monkeypatch, make_binding):
     def refuse(*args):
-        raise AssertionError("the Gram start ran below the size cutoff")
+        raise AssertionError("the Gram start ran on a small input")
 
     monkeypatch.setattr(linalg_module, "_gram_basis", refuse)
     binding = make_binding()
-    assert binding.shape[0] * binding.shape[1] < linalg_module._TRUNCATE_MIN_SIZE
+    routed = record_routes(monkeypatch)
     result = solve(binding, SolverConfig(lam=0.4, nu=0.05, max_iter=40))
+    assert routed == [False] * result.prox_calls
     assert result.prox_calls >= result.iterations
     assert result.prox_fallbacks == result.prox_certificates == result.prox_sweeps == 0

@@ -1,11 +1,11 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
 import spglr
 from spglr import linalg as linalg_module
+from spglr import penalty as penalty_module
 from spglr import svt as svt_module
 from spglr.losses import MaskedData
 from spglr.penalty import prox_vector
@@ -113,8 +113,8 @@ def test_svt_trace_schema(monkeypatch):
     assert result.objective_gap == 0.0
     # one prox per iteration plus one for the final fixed-point gap
     assert result.prox_calls == len(calls) == result.iterations + 1
-    # below the size cutoff every prox runs the full SVD, whose check of W
-    # is the only one: svt_solve does not check the iterates it builds
+    # on a 3 x 3 input every prox runs the full SVD, whose check of W is
+    # the only one: svt_solve does not check the iterates it builds
     assert len(checks) == result.prox_calls
     assert result.prox_fallbacks == result.prox_certificates == result.prox_sweeps == 0
 
@@ -122,13 +122,14 @@ def test_svt_trace_schema(monkeypatch):
 def svt_and_full_svd_svt(monkeypatch, data, config):
     """svt_solve as it runs, and with the truncated route switched off."""
     routed = svt_solve(data, config)
-    monkeypatch.setattr(linalg_module, "_TRUNCATE_MIN_SIZE", math.inf)
+    monkeypatch.setattr(linalg_module, "_route", lambda *args: None)
     return routed, svt_solve(data, config)
 
 
 def test_svt_on_a_high_rank_iterate_falls_back_once(monkeypatch):
     # the iterate keeps rank 42 of 120, so the first block fails once and
-    # every later prox holds the full SVD, which gives the same iterates
+    # every later prox is priced onto the full SVD, which gives the same
+    # iterates
     spec = spglr.TrialSpec(
         m=120, n=120, r=5, sr=0.8, noise=spglr.GmmNoiseParams(1e-4, 0.1, 0.1), seed=3
     )
@@ -147,8 +148,17 @@ def test_svt_on_a_thin_full_observation_takes_the_route(monkeypatch):
     L = spglr.gen_low_rank(400, 30, 3, 11)
     hit = rng.random(L.shape) < 0.1
     L[hit] += rng.uniform(-1.0, 1.0, int(hit.sum()))
-    assert L.size >= linalg_module._TRUNCATE_MIN_SIZE
+    routes = []
+    leading_svd = penalty_module._leading_svd
+
+    def recording(*args):
+        factors = leading_svd(*args)
+        routes.append(factors is not None)
+        return factors
+
+    monkeypatch.setattr(penalty_module, "_leading_svd", recording)
     routed, exact = svt_and_full_svd_svt(monkeypatch, full_mask_data(L), SvtConfig(tau=4.0))
+    assert routes[: routed.prox_calls] == [True] * routed.prox_calls
     assert routed.prox_fallbacks == 0
     assert routed.prox_sweeps == routed.prox_certificates == routed.prox_calls
     assert routed.rank == exact.rank == 9

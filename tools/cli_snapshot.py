@@ -29,9 +29,11 @@ The second form walks both trees and prints one line per file: identical,
 differing, or present on one side only. `wall_time_s` in metrics.json and
 `mean_runtime_s` in results.csv are ignored. For a differing trace.csv it
 names each differing column and its largest relative difference, for a
-differing results.csv each differing cell by data row and column with
-both values, and for a differing errors/*.txt each changed line on both
-sides. The exit status is 0 when every file is identical and 1 otherwise.
+differing X.csv, E.csv or M.csv the shape and the largest relative
+entry difference, for a differing results.csv each differing cell by
+data row and column with both values, and for a differing errors/*.txt
+each changed line on both sides. The exit status is 0 when every file
+is identical and 1 otherwise.
 """
 
 import argparse
@@ -48,6 +50,8 @@ import numpy as np
 
 CHECKOUT_SRC = Path(__file__).resolve().parents[1] / "src"
 IGNORED = {"metrics.json": "wall_time_s", "results.csv": "mean_runtime_s"}
+# Matrix outputs whose differences --compare reports by entry.
+MATRICES = {"X.csv", "E.csv", "M.csv"}
 # Shapes of the thin rpca inputs, and of the thin synthetic SVT input.
 THIN_RPCA = ((400, 30), (1300, 8))
 THIN_SVT = (400, 30)
@@ -233,6 +237,20 @@ def results_difference(a, b):
     )
 
 
+def matrix_difference(a, b):
+    """The shape of two matrix CSVs and their largest entrywise relative
+    difference."""
+    try:
+        A, B = (np.array([[float(v) for v in row] for row in _csv_rows(d)]) for d in (a, b))
+    except ValueError:
+        return "bytes differ"
+    dims = ["x".join(map(str, M.shape)) for M in (A, B)]
+    if A.shape != B.shape:
+        return f"shape {dims[0]} vs {dims[1]}"
+    worst = max(map(_relative, A.flat, B.flat), default=0.0)
+    return f"shape {dims[0]}, max rel {worst:.2e}"
+
+
 def compare_file(name, a, b):
     """None when a and b agree, up to the ignored timing fields."""
     if a == b:
@@ -249,6 +267,8 @@ def compare_file(name, a, b):
         return results_difference(a, b)
     if name == "trace.csv":
         return trace_difference(a, b)
+    if name in MATRICES:
+        return matrix_difference(a, b)
     if name.endswith(".txt"):
         pairs = itertools.zip_longest(a.decode().splitlines(), b.decode().splitlines())
         return "; ".join(f"{x!r} vs {y!r}" for x, y in pairs if x != y)
