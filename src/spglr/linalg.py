@@ -20,7 +20,8 @@ class SvdFactors(NamedTuple):
 
     U is (m, k), sigma is (k,) sorted descending, V is (n, k) with
     k = min(m, n) (fewer for a truncated SVD, which keeps the leading
-    triplets). Both factor matrices have orthonormal columns.
+    triplets). Both factor matrices have orthonormal columns, one taken
+    from Gram eigenpairs to about 1e-10.
     """
 
     U: np.ndarray
@@ -77,9 +78,9 @@ _RESIDUAL_TOL = 1e-13
 # u, the unit roundoff of float64.
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 # Each truncated route's running (sweeps, certificates, calls) before a
-# solve's first call on it: a Gram call takes one sweep and one proof, and a
+# solve's first call on it: a Gram call takes one proof and no sweep, and a
 # warm-started rank-5 call on the subspace route about 6 sweeps.
-_PRIOR_PACE = {"gram": (1.0, 1.0, 1), "subspace": (6.0, 1.0, 1)}
+_PRIOR_PACE = {"gram": (0.0, 1.0, 1), "subspace": (6.0, 1.0, 1)}
 # Near ties go to the exact path: a truncated route runs only when priced
 # below this share of the full SVD. Whole solves on the subspace route tie
 # with it at 60 x 60 and take 0.63 of its time at 80 x 80.
@@ -87,19 +88,27 @@ _TIE = 0.8
 
 # Prices are microseconds with one BLAS thread for an m x n input with short
 # side p and long side q, after the operation counts of Halko, Martinsson &
-# Tropp (SIAM Review 2011, section 6). They fit these `python -m timeit`
-# best-of-5 times in ms, on Gaussian inputs with OPENBLAS_NUM_THREADS=1 on a
-# 2-vCPU Xeon (numpy 2.4, OpenBLAS 0.3.31):
-#   full SVD     60^2 0.52, 80^2 1.39, 120^2 3.11, 200^2 10.1, 500^2 81.5,
-#                1600x60 4.92, 400x30 0.54
-#   one sweep    b = 8: 60^2 0.06, 80^2 0.09, 200^2 0.29, 1600x60 0.46;
-#                b = 48: 120^2 1.20, 200^2 1.57
-#   certificate  k = 5: 60^2 0.05, 200^2 0.82, 1600x60 0.60
-#   Gram + eigh  60^2 0.33, 1600x60 0.90, 200^2 5.49
-# A tall SVD costs more per flop than a square one, hence the full SVD's two
-# terms; the eigh costs about half a square SVD. The kernels alone price the
-# subspace route at 0.40 ms against 0.52 at 60 x 60, where whole solves tie,
-# so each call adds 100 us; the Gram route's p x p proof costs 10 us.
+# Tropp (SIAM Review 2011, section 6). `python tools/price_table.py` prints
+# them beside best-of-5 times. Three of its runs on a shared 2-vCPU Xeon
+# (numpy 2.4, OpenBLAS 0.3.31) measured, in ms, with the price in brackets:
+#   full SVD     60^2 0.58-0.71 (0.56), 120^2 2.8-3.1 (2.9), 200^2 7.0-9.5 (10.0),
+#                500^2 90-93 (90), 1600x60 4.3-4.5 (4.1), 400x30 0.34-0.52 (0.41),
+#                1300x8 0.15-0.18 (0.15)
+#   one sweep    b = 8: 60^2 0.07-0.11 (0.07), 200^2 0.14-0.19 (0.22), 1600x60 0.38-0.54
+#                (0.57), 400x30 0.11-0.18 (0.13); b = 5: 1300x8 0.10-0.16 (0.13);
+#                b = 48: 120^2 0.75-1.05 (0.92), 200^2 1.3-1.8 (1.9)
+#   certificate  k = 5: 60^2 0.05-0.07 (0.05), 200^2 0.52-0.77 (0.83), 1600x60 0.50-0.57 (0.61)
+#   Gram call    k kept: 60^2 k = 5 0.53-0.80 (0.52), 120^2 k = 42 1.7-1.9 (1.9), 200^2
+#                k = 100 4.6-5.8 (6.4), 1600x60 k = 3 0.88-1.21 (0.87), 400x30 k = 9
+#                0.19-0.31 (0.30)
+# Each of a tall input's q - p extra rows costs 5e-3 p^1.5 in the full SVD and
+# 5e-3 b in a sweep. The eigh costs about half a square SVD. The kernels alone
+# price the subspace route at 0.40 ms against 0.52 at 60 x 60, where whole
+# solves tie, so each call adds 100 us; a Gram call adds 200 us. Per call, the
+# Gram route took 0.73-0.81 of the full SVD's time inside SVT solves from 60^2
+# to 200^2, but 0.84-0.91 inside SPG solves from 40^2 to 80^2 and SVT at 40^2,
+# and whole calls at 60^2 read 0.87-1.1 of it: below about 80^2 it is priced
+# as a near tie, which _TIE gives to the full SVD.
 
 
 def _prices(m, n, b, pace):
@@ -109,12 +118,13 @@ def _prices(m, n, b, pace):
     _BLOCK_PAD columns of the short side does the full SVD's work."""
     p, q = min(m, n), max(m, n)
     square = 0.03 * p**2.4
-    full = square + 0.016 * (q - p) * p**1.25
-    sweep = 45 + 4.7e-4 * m * n * b + 1e-3 * (m + n) * b * b
+    full = square + 5e-3 * (q - p) * p**1.5
+    sweep = 45 + 4.7e-4 * m * n * b + 1e-3 * (m + n) * b * b + 5e-3 * (q - p) * b
     if b > p - _BLOCK_PAD:
         return full, math.inf, math.inf, sweep
     (gs, gc, gn), (ss, sc, sn) = pace["gram"], pace["subspace"]
-    gram = 100 + 1e-4 * q * p * p + square / 2 + (gs * sweep + gc * 10) / gn
+    proof = 15 + 4e-5 * p**3
+    gram = 200 + 5e-5 * q * p * (p + 2 * b) + square / 2 + (gs * sweep + gc * proof) / gn
     subspace = 100 + (ss * sweep + sc * (30 + 1e-4 * q * p * p)) / sn
     return full, gram, subspace, sweep
 
@@ -159,6 +169,8 @@ def _gram_residual(C, Y, n):
     holds to rounding. The Gram squares the spectrum, so delta is set by
     sigma_1(W)^2, not by the tail: no bound at or below sqrt(delta), which
     is at least sigma_1 sqrt(c (n + k) u), can be proven from it.
+    A proof from G needs no orthonormal P: Y Y^T has rank k, so
+    lambda_{k+1}(C) <= lambda_1(C - Y Y^T) for any Y by Weyl's inequality.
     """
     k = Y.shape[1]
     G = C - Y @ Y.T
@@ -178,7 +190,8 @@ class ProxWarmStart:
     each truncated route to its running (sweeps, certificates, calls).
     `calls` counts the calls, `fallbacks` those that tried a truncated
     route and returned no factors, `certificates` the Cholesky
-    factorisations, retries included, and `sweeps` the Rayleigh-Ritz steps.
+    factorisations, retries included, and `sweeps` the Rayleigh-Ritz steps,
+    of which a call certified from the Gram eigenpairs takes none.
     """
 
     def __init__(self, seed):
@@ -243,28 +256,31 @@ def _certified_triplets(W, k_min, threshold, warm, start, b, tail, gram):
     it returns None. Otherwise it returns SvdFactors with k columns.
 
     On the Gram route W is handled in its wide orientation (the factors
-    swapped back) and _gram_basis gives C = W W^T with its eigenpairs. When
-    b or more eigenvalues exceed threshold^2, b becomes their count +
-    _BLOCK_PAD, so that the block holds every value above the threshold
-    and a gap past it, and the call fails unless _prices puts the Gram
-    route at that b below the full SVD. Q is the top b eigenvectors, which
-    hold the leading subspace to rounding, so one sweep usually finishes
-    (Golub & Van Loan, Matrix Computations, 8.6). The Gram squares the
-    singular values, so small kept values can lose their digits; the
-    residual test then fails and the sweeps go on. On the subspace route Q
-    is the QR of W @ V for V the columns of `start` and Gaussian columns
-    from warm.rng.
+    swapped back) and _gram_basis gives C = W W^T with its eigenpairs
+    (lambda_i, u_i) (Golub & Van Loan, Matrix Computations, 8.6). Before any
+    sweep, the top k = max(k_min, #{lambda_i > threshold^2}) give s_i =
+    sqrt(lambda_i) and v_i = W^T u_i / s_i, returned when they pass the
+    residual test and the proof below. The Gram squares the spectrum, so a
+    kept pair's residual is about u s_1^2 / s_i: small kept values can lose
+    their digits, and then the sweeps run. When b or more eigenvalues exceed
+    threshold^2, b becomes their count + _BLOCK_PAD, so that the block holds
+    every value above the threshold and a gap past it, and the call fails
+    unless _prices puts the Gram route at that b below the full SVD. Q is
+    the top b eigenvectors, so one sweep usually finishes. On the subspace
+    route Q is the QR of W @ V for V the columns of `start` and Gaussian
+    columns from warm.rng.
 
     The proof is a Cholesky factorisation of beta^2 * I - G that succeeds,
     counted in warm.certificates, for G the Gram matrix of R = W - (W V_k)
     V_k.T on its short side: W V_k V_k.T has rank k, so sigma_{k+1}(W) <=
-    ||R||_2 < beta. On the Gram route G is C - Y_k Y_k^T, Y = W V, proven
-    once at beta = threshold less the rounding bound of _gram_residual,
-    with no pass over R and no tail taken or left, as the ||W - W_ref||
-    pass would cost more. On the subspace route beta is first the margin
-    (threshold + s_{k+1}) / 2, s_{k+1} the next Ritz value, so that the
-    bound has room to carry, then the threshold; a proven beta becomes
-    warm.tail with a copy of W and k.
+    ||R||_2 < beta. On the Gram route G is C - Y_k Y_k^T, Y = W V, which
+    proves the bound even for the eigenpairs' v_i, orthonormal only to about
+    u s_1^2 / s_k^2 (see _gram_residual). It runs once, at beta = threshold
+    less the rounding bound of _gram_residual, with no pass over R and no
+    tail taken or left, as the ||W - W_ref|| pass would cost more. On the
+    subspace route beta is first the margin (threshold + s_{k+1}) / 2,
+    s_{k+1} the next Ritz value, so that the bound has room to carry, then
+    the threshold; a proven beta becomes warm.tail with a copy of W and k.
 
     There a taken tail (W_ref, B, k_ref), sigma_{k_ref+1}(W_ref) <= B,
     replaces the proof when it can: by Weyl's inequality sigma_{k+1}(W) <=
@@ -291,6 +307,16 @@ def _certified_triplets(W, k_min, threshold, warm, start, b, tail, gram):
         except np.linalg.LinAlgError:
             return None
         above = int(np.count_nonzero(values > threshold * threshold))
+        s, k = np.sqrt(values.clip(0.0)), max(k_min, above)
+        if np.all(s[:k] > 0):
+            U = vectors[:, :k]
+            P = W.T @ U / s[:k]
+            Y = W @ P
+            if np.linalg.norm(Y - U * s[:k], axis=0).max(initial=0.0) <= _RESIDUAL_TOL * s[0]:
+                warm.certificates += 1
+                G, slack = _gram_residual(C, Y, n)
+                if _norm_below(G, threshold, slack):
+                    return SvdFactors(P, s[:k], U) if flip else SvdFactors(U, s[:k], P)
         if above >= b:
             b = above + _BLOCK_PAD
             full, gram_price, _, _ = _prices(m, n, b, warm.pace)

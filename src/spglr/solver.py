@@ -110,7 +110,8 @@ class SolveResult:
     grad_norms: list = field(default_factory=list)
     # Spectral prox calls, those of them on the truncated path that fell
     # back to the full SVD, and the Cholesky certificates and Rayleigh-Ritz
-    # sweeps that path ran (see linalg.ProxWarmStart).
+    # sweeps that path ran (see linalg.ProxWarmStart); a call certified
+    # from the Gram eigenpairs runs one certificate and no sweep.
     prox_calls: int = 0
     prox_fallbacks: int = 0
     prox_certificates: int = 0

@@ -10,7 +10,9 @@ selector on branch 1 and nu = 1, whose majorizer is ||X||_*. It runs
 with a warm start of its own, as in `solve`, so where the cost model
 prices it in, it computes only the triplets above tau * step, certified,
 and falls back to the full SVD otherwise (see linalg._leading_svd). A
-high-rank iterate falls back once and is then priced onto the full SVD.
+high-rank iterate falls back once from its cold first block and is then
+priced onto the Gram route from 80 x 80 up, where the certified top
+eigenpairs of the Gram matrix serve as its triplets with no sweep.
 """
 
 from dataclasses import dataclass

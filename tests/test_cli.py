@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import spglr
+from spglr import penalty as penalty_module
 from spglr.cli import run
 from spglr.io_formats import (
     config_read,
@@ -400,6 +401,49 @@ def test_decomposition_failure_is_runtime_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "svd", fail)
     assert run(["eval", str(path), str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: SVD failed on (3, 3) matrix")
+
+
+@pytest.mark.parametrize(
+    "command, shape, routed",
+    [
+        ("solve", (14, 12), False),
+        # the first prox tries the subspace route, whose sweep SVD fails
+        ("solve", (100, 100), True),
+        ("rpca", (16, 16), False),
+        # the first prox tries the Gram route, whose eigh fails
+        ("rpca", (400, 30), True),
+    ],
+)
+def test_decomposition_failure_inside_a_solve_exits_2(
+    tmp_path, monkeypatch, capsys, command, shape, routed
+):
+    m, n = shape
+    cfg = write_config(tmp_path, {**SMALL, "m": m, "n": n, "max_iter": 5})
+    args = []
+    if command == "rpca":
+        path = tmp_path / "L.csv"
+        path.write_text(matrix_csv_write(spglr.gen_low_rank(m, n, 2, 12)), "utf-8")
+        args = ["--input", str(path)]
+    fallbacks = []
+    leading_svd = penalty_module._leading_svd
+
+    def recording(W, k_min, threshold, warm):
+        factors = leading_svd(W, k_min, threshold, warm)
+        fallbacks.append(warm.fallbacks)
+        return factors
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(penalty_module, "_leading_svd", recording)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out-dir", str(out), *args]) == 2
+    assert capsys.readouterr().err.startswith(f"error: SVD failed on ({m}, {n}) matrix")
+    # one prox ran, on the full SVD directly or after its route failed
+    assert fallbacks == [int(routed)]
+    assert not (out / "X.csv").exists()
 
 
 def test_inpaint_command(tmp_path):

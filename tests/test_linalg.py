@@ -94,5 +94,9 @@ def test_predictor_route_table_at_the_first_rank_5_block():
     assert [route(40, 40), route(60, 60), route(1300, 8)] == [None] * 3
     assert [route(80, 80), route(120, 100), route(200, 200)] == ["subspace"] * 3
     assert [route(1600, 60), route(60, 1600), route(400, 30)] == ["gram"] * 3
-    # a block of 97, about the rank of SVT's iterate on a 200 x 200 completion
-    assert linalg_module._route(200, 200, 97, linalg_module._PRIOR_PACE) is None
+    # blocks of 47 and 97, about the ranks of SVT's iterates on 120 x 120 and
+    # 200 x 200 completions, and of 17 on 60 x 60, where eigh's gain is lost
+    # to per-call costs
+    blocks = [(120, 47), (200, 97), (60, 17)]
+    routes = [linalg_module._route(p, p, b, linalg_module._PRIOR_PACE) for p, b in blocks]
+    assert routes == ["gram", "gram", None]

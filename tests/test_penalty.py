@@ -322,12 +322,13 @@ def test_truncated_prox_warm_start_reuses_previous_factor():
         # sixty values above the threshold: the block doubles until the
         # next one is priced above the full SVD, and the fallback is counted
         (np.r_[np.full(60, 2.0), noise_tail(40, 0.5, 0.9)], 0, 0, 1),
-        # forty-eight d = 2 values: the first block is already priced above
-        # the full SVD, which runs directly with nothing counted
-        (noise_tail(100, 5.0, 0.97), 48, 0, 0),
-        # no d = 2 value, but the last output kept 46 columns: the first
-        # block, 46 + 5, is priced out just the same
-        (noise_tail(100, 5.0, 0.97), 0, 46, 0),
+        # ninety-six d = 2 values: the first block of 101 leaves under five
+        # columns of the short side, so both routes are priced out and the
+        # full SVD runs directly with nothing counted
+        (noise_tail(100, 5.0, 0.97), 96, 0, 0),
+        # no d = 2 value, but the last output kept 96 columns: the first
+        # block, 96 + 5, is priced out just the same
+        (noise_tail(100, 5.0, 0.97), 0, 96, 0),
     ],
     ids=["many_above_threshold", "many_twos", "many_last_columns"],
 )
@@ -385,18 +386,47 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-@pytest.mark.parametrize("shape", [(1600, 60), (60, 1600)], ids=["tall", "wide"])
-@pytest.mark.parametrize("case", sorted(TRUNCATED_CASES))
-def test_gram_start_certifies_thin_inputs_in_one_sweep(monkeypatch, shape, case):
+def thin_gram_call(monkeypatch, shape, case):
+    """One prox of a TRUNCATED_CASES spectrum on a thin input, checked
+    against the exact prox; returns its warm start and the Gram matrices
+    it formed."""
     grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
     sigma, twos = TRUNCATED_CASES[case]
     W = spectral_matrix(shape, sigma[:60], seed=3)
     warm = ProxWarmStart(0)
     truncated, exact, fallbacks = truncated_and_exact(W, selector(twos, 60), warm)
     assert fallbacks == 0
-    assert warm.sweeps == len(grams) == 1
     assert_prox_agrees(truncated, exact)
     assert warm.V.shape == (shape[1], int(np.count_nonzero(exact[1])))
+    return warm, grams
+
+
+@pytest.mark.parametrize("shape", [(1600, 60), (60, 1600)], ids=["tall", "wide"])
+@pytest.mark.parametrize("case", sorted(TRUNCATED_CASES))
+def test_gram_start_takes_the_eigenpairs_of_thin_inputs(monkeypatch, shape, case):
+    # the top eigenpairs of C pass the residual test and the proof as they
+    # are: one certificate and no sweep
+    warm, grams = thin_gram_call(monkeypatch, shape, case)
+    assert (len(grams), warm.sweeps, warm.certificates) == (1, 0, 1)
+
+
+@pytest.mark.parametrize("shape", [(1600, 60), (60, 1600)], ids=["tall", "wide"])
+@pytest.mark.parametrize("case", sorted(TRUNCATED_CASES))
+def test_gram_start_certifies_thin_inputs_in_one_sweep(monkeypatch, shape, case):
+    # with the proof of the eigenpairs refused, the sweeps start from the
+    # top eigenvectors, which hold the leading subspace to rounding: one
+    # sweep and its proof finish the call
+    proofs = []
+    norm_below = linalg_module._norm_below
+
+    def refuse_first(*args):
+        proofs.append(None)
+        return len(proofs) > 1 and norm_below(*args)
+
+    monkeypatch.setattr(linalg_module, "_norm_below", refuse_first)
+    warm, grams = thin_gram_call(monkeypatch, shape, case)
+    assert (len(grams), warm.sweeps) == (1, 1)
+    assert warm.certificates == len(proofs) == 2
 
 
 @pytest.mark.parametrize("shape", [(1600, 60), (60, 1600)], ids=["tall", "wide"])
@@ -424,9 +454,49 @@ def test_gram_start_that_loses_small_values_keeps_sweeping(monkeypatch, shape):
     assert_prox_agrees(truncated, exact)
 
 
+# the sweeps that a non-finite W reaches multiply its NaNs and infinities
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from([(60, 1600), (1600, 60), (120, 120), (200, 200)]),
+    k=st.integers(1, 8),
+    log_spread=st.floats(0.0, math.log10(5e6)),
+    ratio=st.floats(0.5, 0.95),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    seed=st.integers(0, 2**16),
+)
+def test_gram_eigenpairs_agree_with_the_exact_prox_whenever_returned(
+    shape, k, log_spread, ratio, bad, seed
+):
+    # k values above tau / nu = 1 with sigma_1 / sigma_k up to 5e6, the
+    # Gram route forced: whatever the eigenpairs of C return has passed the
+    # residual test and the proof, so it matches the exact prox; below a
+    # spread of 100 they always return
+    p = min(shape)
+    sigma = np.r_[np.geomspace(1.5 * 10.0**log_spread, 1.5, k), ratio * 0.97 ** np.arange(p - k)]
+    W = spectral_matrix(shape, sigma, seed)
+    d = selector(0, p)
+    warm = ProxWarmStart(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg_module, "_route", lambda *args: "gram")
+        truncated, exact, fallbacks = truncated_and_exact(W, d, warm)
+        direct = not fallbacks and warm.sweeps == 0
+        assert direct or log_spread > 2
+        if direct:
+            assert warm.certificates == 1
+            assert_prox_agrees(truncated, exact)
+            assert np.linalg.svd(W, compute_uv=False)[k] < 1.0
+        # a non-finite W gets no factors, and the exact path rejects it
+        W[p // 2, p // 3] = bad
+        assert linalg_module._leading_svd(W, 0, 1.0, ProxWarmStart(seed)) is None
+        with pytest.raises(ValueError, match="finite"):
+            prox_matrix_with_spectrum(W, d, 0.05, 0.05, warm)
+
+
 def test_gram_start_proves_each_tail_from_its_own_gram():
     # the m x m proof on C - Y_k Y_k^T replaces the carried bound: every
-    # call runs one certificate and leaves no tail to carry
+    # call runs one certificate on the eigenpairs of C, no sweep, and
+    # leaves no tail to carry
     W = spectral_matrix((1600, 60), CARRIED_SIGMA[:60], seed=11)
     d = selector(3, 60)
     warm = ProxWarmStart(2)
@@ -434,7 +504,7 @@ def test_gram_start_proves_each_tail_from_its_own_gram():
         W = perturbed(W, 1e-3, seed=j)
         assert certified_step(W, d, warm) == (1, 0)
         assert warm.tail is None
-    assert warm.sweeps == 4
+    assert warm.sweeps == 0
 
 
 def test_gram_start_that_fails_to_decompose_falls_back_to_the_exact_path(monkeypatch):
@@ -455,16 +525,17 @@ def test_gram_block_priced_out_falls_back_then_holds(monkeypatch):
     # the last output had rank 20
     warm.V = np.linalg.qr(np.random.default_rng(20).standard_normal((60, 20)))[0]
 
-    def above(count, seed):
-        sigma = np.r_[np.full(count, 2.0), noise_tail(60 - count, 0.5, 0.9)]
+    def above(count, seed, top=2.0):
+        sigma = np.r_[np.geomspace(top, 2.0, count), noise_tail(60 - count, 0.5, 0.9)]
         return spectral_matrix((1600, 60), sigma, seed)
 
-    # forty values above tau / nu = 1: the Gram sizes the block at 40 + 5
-    # columns, where its price passes the full SVD's, so the call falls
-    # back before a sweep
-    assert certified_step(above(40, 21), d, warm) == (0, 1)
-    assert (len(grams), warm.sweeps, warm.V.shape[1]) == (1, 0, 40)
-    # at ranks 40, 40, 44 and then 20, where the failed call started, calls
+    # fifty-two values above tau / nu = 1 with sigma_1 / sigma_52 = 5e4: the
+    # smallest kept eigenpairs of C fail the residual test, and the Gram
+    # sizes the block at 52 + 5 columns, more than the short side leaves,
+    # so the call falls back before a sweep or a proof
+    assert certified_step(above(52, 21, top=1e5), d, warm) == (0, 1)
+    assert (len(grams), warm.sweeps, warm.V.shape[1]) == (1, 0, 52)
+    # at ranks 40, 44 and then 20, where the failed call started, calls
     # decline with nothing counted
     W = spectral_matrix((1600, 60), CARRIED_SIGMA[:60], seed=20)
     for X in (above(40, 22), above(44, 23), above(20, 24), W):
@@ -472,7 +543,7 @@ def test_gram_block_priced_out_falls_back_then_holds(monkeypatch):
     assert (len(grams), warm.sweeps, warm.fallbacks) == (1, 0, 1)
     # the last output has rank 3, far enough below 20: the Gram route runs again
     assert certified_step(perturbed(W, 1e-6, seed=25), d, warm) == (1, 0)
-    assert (len(grams), warm.sweeps) == (2, 1)
+    assert (len(grams), warm.sweeps) == (2, 0)
 
 
 def test_gram_proof_lost_to_the_spread_falls_back_then_holds():
@@ -492,7 +563,8 @@ def test_gram_proof_lost_to_the_spread_falls_back_then_holds():
 
 def gram_tail_proof(W, k, beta):
     """Whether the Gram route's Cholesky proves sigma_{k+1}(W) < beta after
-    one Rayleigh-Ritz sweep from the Gram start, as _leading_svd runs it."""
+    one Rayleigh-Ritz sweep from the Gram start, as _leading_svd runs it
+    when the eigenpairs alone fail."""
     wide = W if W.shape[0] <= W.shape[1] else W.T
     C, _, vectors = linalg_module._gram_basis(wide)
     P = np.linalg.svd(wide.T @ vectors[:, : k + linalg_module._BLOCK_PAD], full_matrices=False)[0]
@@ -634,8 +706,10 @@ def test_carried_bound_needs_every_kept_value_above_the_threshold():
 def test_fallback_holds_the_full_svd_until_the_rank_drops():
     d = selector(0, 100)
     warm = ProxWarmStart(6)
-    # a solve at rank 30 whose subspace calls have each taken one sweep
+    # a solve at rank 30 whose subspace calls have each taken one sweep,
+    # and whose Gram route is held by a failure of its own
     warm.pace["subspace"] = (1.0, 0.0, 1)
+    warm.pace["gram"] = (100.0, 0.0, 1)
     warm.V = np.linalg.qr(np.random.default_rng(16).standard_normal((100, 30)))[0]
     # seventy-five values above the threshold: the blocks of 35 and 70
     # fill, a block of 140 would pass the short side, and the fallback
@@ -643,8 +717,7 @@ def test_fallback_holds_the_full_svd_until_the_rank_drops():
     many = spectral_matrix((120, 100), np.r_[np.full(75, 2.0), noise_tail(25, 0.5, 0.9)], seed=17)
     assert certified_step(many, d, warm)[1] == 1
     assert warm.tail is None
-    # at rank 75, then 30 and 30 again, calls decline with nothing counted:
-    # at these blocks the Gram start is priced out as well
+    # at rank 75, then 30 and 30 again, calls decline with nothing counted
     sweeps = warm.sweeps
     thirty = spectral_matrix((120, 100), np.r_[np.full(30, 2.0), noise_tail(70, 0.5, 0.9)], seed=18)
     W = spectral_matrix((120, 100), CARRIED_SIGMA, seed=16)

@@ -681,8 +681,9 @@ def test_solve_thin_input_above_cutoff_counts_no_fallbacks(monkeypatch):
     assert result.trace == exact.trace
 
 
-def test_solve_thin_input_takes_the_gram_start_in_one_sweep_per_prox(monkeypatch):
-    # 400 x 30: a thin input whose prox starts from the 30 x 30 Gram matrix
+def test_solve_thin_input_takes_the_gram_eigenpairs_with_no_sweep(monkeypatch):
+    # 400 x 30: a thin input whose prox takes the eigenpairs of the 30 x 30
+    # Gram matrix, one certificate and no sweep per call
     rng = np.random.default_rng(11)
     truth = spglr.gen_low_rank(400, 30, 3, 11)
     L = truth.copy()
@@ -694,8 +695,8 @@ def test_solve_thin_input_takes_the_gram_start_in_one_sweep_per_prox(monkeypatch
     result = solve(RpcaLoss(L), cfg)
     assert routed == [True] * result.prox_calls
     assert len(grams) == result.prox_calls
-    assert result.prox_fallbacks == 0
-    assert result.prox_sweeps == result.prox_calls
+    assert result.prox_fallbacks == result.prox_sweeps == 0
+    assert result.prox_certificates == result.prox_calls
     energies = [r.energy for r in result.trace]
     assert all(e1 <= e0 + 1e-10 for e0, e1 in zip(energies, energies[1:]))
     exact_path_only(monkeypatch)

@@ -126,41 +126,63 @@ def svt_and_full_svd_svt(monkeypatch, data, config):
     return routed, svt_solve(data, config)
 
 
-def test_svt_on_a_high_rank_iterate_falls_back_once(monkeypatch):
-    # the iterate keeps rank 42 of 120, so the first block fails once and
-    # every later prox is priced onto the full SVD, which gives the same
-    # iterates
+def record_routes(monkeypatch):
+    """(whether the truncated route gave the factors, warm.sweeps after the
+    call) for each prox, in call order."""
+    routes = []
+    leading_svd = penalty_module._leading_svd
+
+    def recording(W, k_min, threshold, warm):
+        factors = leading_svd(W, k_min, threshold, warm)
+        routes.append((factors is not None, warm.sweeps))
+        return factors
+
+    monkeypatch.setattr(penalty_module, "_leading_svd", recording)
+    return routes
+
+
+def assert_gram_route_after_one_fallback(monkeypatch, m, rank):
+    """SVT on a criterion-7 completion of m x m, rank 5, sr 0.8: the cold
+    first prox fails on the subspace route, and every later one takes the
+    eigenpairs of the Gram matrix with no sweep; the full SVD gives the
+    same iterations and rank, and X within 1e-10."""
     spec = spglr.TrialSpec(
-        m=120, n=120, r=5, sr=0.8, noise=spglr.GmmNoiseParams(1e-4, 0.1, 0.1), seed=3
+        m=m, n=m, r=5, sr=0.8, noise=spglr.GmmNoiseParams(1e-4, 0.1, 0.1), seed=3
     )
     _, data = spglr.build_trial_data(spec)
+    routes = record_routes(monkeypatch)
     routed, exact = svt_and_full_svd_svt(monkeypatch, data, SvtConfig(tau=1.0))
-    assert routed.prox_fallbacks == 1
-    assert routed.rank == exact.rank == 42
-    assert np.array_equal(routed.X_final, exact.X_final)
-    assert routed.trace == exact.trace
+    (first, sweeps), *later = routes[: routed.prox_calls]
+    assert not first
+    assert later == [(True, sweeps)] * (routed.prox_calls - 1)
+    assert (routed.prox_fallbacks, routed.prox_certificates) == (1, routed.prox_calls - 1)
+    assert routed.iterations == exact.iterations
+    assert routed.rank == exact.rank == rank
+    assert np.linalg.norm(routed.X_final - exact.X_final) <= 1e-10 * np.linalg.norm(exact.X_final)
+
+
+def test_svt_on_a_high_rank_iterate_falls_back_once(monkeypatch):
+    # the iterate keeps rank 42 of 120
+    assert_gram_route_after_one_fallback(monkeypatch, 120, 42)
+
+
+def test_svt_at_the_benchmark_completion_shape_takes_the_gram_route(monkeypatch):
+    # complete-m200's shape and tau: the iterate keeps rank 91 of 200
+    assert_gram_route_after_one_fallback(monkeypatch, 200, 91)
 
 
 def test_svt_on_a_thin_full_observation_takes_the_route(monkeypatch):
-    # 400 x 30 with nine values above tau: the Gram start sizes its block
-    # to hold all nine, and each prox is one sweep and one certificate
+    # 400 x 30 with nine values above tau: each prox takes the eigenpairs of
+    # the 30 x 30 Gram matrix, one certificate and no sweep
     rng = np.random.default_rng(11)
     L = spglr.gen_low_rank(400, 30, 3, 11)
     hit = rng.random(L.shape) < 0.1
     L[hit] += rng.uniform(-1.0, 1.0, int(hit.sum()))
-    routes = []
-    leading_svd = penalty_module._leading_svd
-
-    def recording(*args):
-        factors = leading_svd(*args)
-        routes.append(factors is not None)
-        return factors
-
-    monkeypatch.setattr(penalty_module, "_leading_svd", recording)
+    routes = record_routes(monkeypatch)
     routed, exact = svt_and_full_svd_svt(monkeypatch, full_mask_data(L), SvtConfig(tau=4.0))
-    assert routes[: routed.prox_calls] == [True] * routed.prox_calls
-    assert routed.prox_fallbacks == 0
-    assert routed.prox_sweeps == routed.prox_certificates == routed.prox_calls
+    assert routes[: routed.prox_calls] == [(True, 0)] * routed.prox_calls
+    assert routed.prox_fallbacks == routed.prox_sweeps == 0
+    assert routed.prox_certificates == routed.prox_calls
     assert routed.rank == exact.rank == 9
     assert np.linalg.norm(routed.X_final - exact.X_final) <= 1e-10 * np.linalg.norm(exact.X_final)
 
