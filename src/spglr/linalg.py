@@ -71,7 +71,7 @@ def svd(W):
 # Extra columns carried beyond the triplets a truncated SVD must return;
 # the gap to singular value b + 1 sets how fast the kept ones converge.
 _BLOCK_PAD = 5
-# Sweeps at one block size before the block is doubled.
+# Sweeps a subspace call runs before it leaves the prox to the full SVD.
 _MAX_SWEEPS = 30
 # A kept triplet has converged once ||W v_i - s_i u_i|| <= _RESIDUAL_TOL * s_1.
 _RESIDUAL_TOL = 1e-13
@@ -98,22 +98,20 @@ _TIE = 0.8
 #                (0.57), 400x30 0.11-0.18 (0.13); b = 5: 1300x8 0.10-0.16 (0.13);
 #                b = 48: 120^2 0.75-1.05 (0.92), 200^2 1.3-1.8 (1.9)
 #   certificate  k = 5: 60^2 0.05-0.07 (0.05), 200^2 0.52-0.77 (0.83), 1600x60 0.50-0.57 (0.61)
-#   Gram call    k kept: 60^2 k = 5 0.53-0.80 (0.52), 120^2 k = 42 1.7-1.9 (1.9), 200^2
-#                k = 100 4.6-5.8 (6.4), 1600x60 k = 3 0.88-1.21 (0.87), 400x30 k = 9
-#                0.19-0.31 (0.30)
-# Each of a tall input's q - p extra rows costs 5e-3 p^1.5 in the full SVD and
-# 5e-3 b in a sweep. The eigh costs about half a square SVD. The kernels alone
-# price the subspace route at 0.40 ms against 0.52 at 60 x 60, where whole
-# solves tie, so each call adds 100 us; a Gram call adds 200 us. Per call, the
-# Gram route took 0.73-0.81 of the full SVD's time inside SVT solves from 60^2
-# to 200^2, but 0.84-0.91 inside SPG solves from 40^2 to 80^2 and SVT at 40^2,
-# and whole calls at 60^2 read 0.87-1.1 of it: below about 80^2 it is priced
-# as a near tie, which _TIE gives to the full SVD.
+#   Gram call    k = 5: 60^2 0.53-0.80 (0.52); k = 42: 120^2 1.7-1.9 (1.9); k = 100: 200^2
+#                4.6-5.8 (6.4); k = 3: 1600x60 0.88-1.21 (0.87); k = 9: 400x30 0.19-0.31 (0.30)
+# Each of a tall input's q - p extra rows costs 5e-3 p^1.5 in the full SVD and 5e-3 b
+# in a sweep. The eigh costs about half a square SVD. The kernels alone price the
+# subspace route at 0.40 ms against 0.52 at 60 x 60, where whole solves tie, so each
+# call adds 100 us; a Gram call adds 200 us. Per call, the Gram route took 0.73-0.81
+# of the full SVD's time inside SVT solves from 60^2 to 200^2, but 0.84-0.91 inside
+# SPG solves from 40^2 to 80^2 and SVT at 40^2, and whole calls at 60^2 read 0.87-1.1
+# of it: below about 80^2 it is priced as a near tie, which _TIE gives to the full SVD.
 
 
 def _prices(m, n, b, pace):
     """(full, gram, subspace, sweep): the prices of the full SVD, of the two
-    truncated routes from a first block of b columns, each at the rates of
+    truncated routes from a block of b columns, each at the rates of
     its running counts in pace, and of one sweep. A block that leaves under
     _BLOCK_PAD columns of the short side does the full SVD's work."""
     p, q = min(m, n), max(m, n)
@@ -181,17 +179,13 @@ def _gram_residual(C, Y, n):
 class ProxWarmStart:
     """State one solve carries from prox to prox for _leading_svd.
 
-    V is the right factor of the last prox output (None before the first)
-    and rng draws the random starting columns. `tail` is the proof the next
-    subspace-route call may carry instead of running a certificate:
-    (W_ref, B, k_ref), a copy of the W of the last call that ran one, a
-    proven bound B on its singular value k_ref + 1, and k_ref, or None; a
-    call that returns no factors from that route clears it. `pace` maps
-    each truncated route to its running (sweeps, certificates, calls).
-    `calls` counts the calls, `fallbacks` those that tried a truncated
-    route and returned no factors, `certificates` the Cholesky
-    factorisations, retries included, and `sweeps` the Rayleigh-Ritz steps,
-    of which a call certified from the Gram eigenpairs takes none.
+    V is the right factor of the last prox output (None before the first),
+    rng draws the random starting columns and `tail` is the (W_ref, B,
+    k_ref) proof the next subspace call may carry, or None. `pace` maps each
+    truncated route to its running (sweeps, certificates, calls). `calls`
+    counts the calls, `fallbacks` those that tried a route and returned no
+    factors, `certificates` the Cholesky factorisations and `sweeps` the
+    subspace route's Rayleigh-Ritz steps.
     """
 
     def __init__(self, seed):
@@ -210,16 +204,13 @@ def _leading_svd(W, k_min, threshold, warm):
     value at or above `threshold`, or None where the full SVD should run.
     W, a float64 matrix, is not checked; a non-finite one gets None.
 
-    Each call counts in warm.calls and takes warm.tail. _route picks the
-    route for a first block of max(k_min, columns of warm.V) + _BLOCK_PAD
-    columns; a declined call counts nothing else, and one that returns no
-    factors counts in warm.fallbacks. A Gram call, or a subspace call warm
-    started from warm.V, adds its sweeps and certificates to its route's
-    warm.pace; a failed one restarts them from its own cost, the full SVD
-    it forced counted in sweeps of its first block, which prices the route
-    above the full SVD at that block and wider ones until the rank falls
-    well below it.
-    See _certified_triplets (Halko, Martinsson & Tropp, SIAM Review 2011).
+    _route picks the route for a block of max(k_min, columns of warm.V) +
+    _BLOCK_PAD columns. A Gram call, or a subspace call warm started from
+    columns of warm.V, adds its sweeps and certificates to its route's
+    warm.pace; a failed one restarts them from its own cost, the full SVD it
+    forced counted in sweeps of its block, which prices the route out until
+    the rank falls well below that block. A cold subspace call leaves the
+    pace alone, or every cold start would price the route out.
     """
     warm.calls += 1
     tail, warm.tail = warm.tail, None
@@ -230,60 +221,73 @@ def _leading_svd(W, k_min, threshold, warm):
     if route is None:
         return None
     sweeps, certificates = warm.sweeps, warm.certificates
-    factors = _certified_triplets(W, k_min, threshold, warm, start, b, tail, route == "gram")
+    if route == "gram":
+        factors = _gram_triplets(W, k_min, threshold, warm)
+    else:
+        factors = _subspace_triplets(W, k_min, threshold, warm, start, b, tail)
     spent = (warm.sweeps - sweeps, warm.certificates - certificates, 1)
     if factors is None:
         warm.fallbacks += 1
-        full, _, _, sweep = _prices(m, n, b, warm.pace)
-        warm.pace[route] = (spent[0] + full / sweep, spent[1], 1)
-    elif route == "gram" or start.shape[1]:
-        warm.pace[route] = tuple(map(sum, zip(warm.pace[route], spent)))
+    if route == "gram" or start.shape[1]:
+        if factors is None:
+            full, _, _, sweep = _prices(m, n, b, warm.pace)
+            warm.pace[route] = (spent[0] + full / sweep, spent[1], 1)
+        else:
+            warm.pace[route] = tuple(map(sum, zip(warm.pace[route], spent)))
     return factors
 
 
-def _certified_triplets(W, k_min, threshold, warm, start, b, tail, gram):
-    """The Gram route when `gram`, else the subspace route, for _leading_svd
-    from a first block of b >= _BLOCK_PAD + the columns of `start`.
+def _gram_triplets(W, k_min, threshold, warm):
+    """The Gram route for _leading_svd: SvdFactors of the top k = max(k_min,
+    #{lambda_i > threshold^2}) eigenpairs (lambda_i, u_i) of C = W W^T, W
+    taken wide (Golub & Van Loan, Matrix Computations, 8.6), or None.
 
-    Each sweep, counted in warm.sweeps, takes an orthonormal left basis Q,
-    the Rayleigh-Ritz triplets from the SVD of W.T @ Q and the next Q from
-    the QR of W @ V, V their right vectors. It keeps k = max(k_min,
-    #{s_i > threshold}) triplets once each has ||W v_i - s_i u_i|| <=
-    1e-13 * s_1, and returns them only with a proof that sigma_{k+1}(W) <
-    threshold. Neither proof, or no convergence within _MAX_SWEEPS, doubles
-    the block, unless _prices puts the subspace route with the doubled
-    block at or above the full SVD: then, or when a decomposition fails,
-    it returns None. Otherwise it returns SvdFactors with k columns.
+    s_i = sqrt(lambda_i) and v_i = W^T u_i / s_i are returned only when each
+    ||W v_i - s_i u_i|| <= _RESIDUAL_TOL * s_1, which small values can miss
+    as the Gram squares the spectrum, and _norm_below proves sigma_{k+1}(W)
+    < threshold from _gram_residual, which costs less than carrying a tail.
+    """
+    flip = W.shape[0] > W.shape[1]
+    if flip:
+        W = W.T
+    try:
+        C, values, vectors = _gram_basis(W)
+    except np.linalg.LinAlgError:
+        return None
+    s = np.sqrt(values.clip(0.0))
+    k = max(k_min, int(np.count_nonzero(values > threshold * threshold)))
+    if not np.all(s[:k] > 0):
+        return None
+    U = vectors[:, :k]
+    P = W.T @ U / s[:k]
+    Y = W @ P
+    if np.linalg.norm(Y - U * s[:k], axis=0).max(initial=0.0) <= _RESIDUAL_TOL * s[0]:
+        warm.certificates += 1
+        G, slack = _gram_residual(C, Y, W.shape[1])
+        if _norm_below(G, threshold, slack):
+            return SvdFactors(P, s[:k], U) if flip else SvdFactors(U, s[:k], P)
+    return None
 
-    On the Gram route W is handled in its wide orientation (the factors
-    swapped back) and _gram_basis gives C = W W^T with its eigenpairs
-    (lambda_i, u_i) (Golub & Van Loan, Matrix Computations, 8.6). Before any
-    sweep, the top k = max(k_min, #{lambda_i > threshold^2}) give s_i =
-    sqrt(lambda_i) and v_i = W^T u_i / s_i, returned when they pass the
-    residual test and the proof below. The Gram squares the spectrum, so a
-    kept pair's residual is about u s_1^2 / s_i: small kept values can lose
-    their digits, and then the sweeps run. When b or more eigenvalues exceed
-    threshold^2, b becomes their count + _BLOCK_PAD, so that the block holds
-    every value above the threshold and a gap past it, and the call fails
-    unless _prices puts the Gram route at that b below the full SVD. Q is
-    the top b eigenvectors, so one sweep usually finishes. On the subspace
-    route Q is the QR of W @ V for V the columns of `start` and Gaussian
-    columns from warm.rng.
 
-    The proof is a Cholesky factorisation of beta^2 * I - G that succeeds,
-    counted in warm.certificates, for G the Gram matrix of R = W - (W V_k)
-    V_k.T on its short side: W V_k V_k.T has rank k, so sigma_{k+1}(W) <=
-    ||R||_2 < beta. On the Gram route G is C - Y_k Y_k^T, Y = W V, which
-    proves the bound even for the eigenpairs' v_i, orthonormal only to about
-    u s_1^2 / s_k^2 (see _gram_residual). It runs once, at beta = threshold
-    less the rounding bound of _gram_residual, with no pass over R and no
-    tail taken or left, as the ||W - W_ref|| pass would cost more. On the
-    subspace route beta is first the margin (threshold + s_{k+1}) / 2,
-    s_{k+1} the next Ritz value, so that the bound has room to carry, then
-    the threshold; a proven beta becomes warm.tail with a copy of W and k.
+def _subspace_triplets(W, k_min, threshold, warm, start, b, tail):
+    """The subspace route for _leading_svd: SvdFactors from Rayleigh-Ritz
+    sweeps on a block of b columns, those of `start` and Gaussian ones from
+    warm.rng (Halko, Martinsson & Tropp, SIAM Review 2011), or None. Each
+    sweep takes the SVD of W.T @ Q, Q the QR of W V, V its right vectors,
+    and keeps k = max(k_min, #{s_i > threshold}) triplets once each has
+    ||W v_i - s_i u_i|| <= _RESIDUAL_TOL * s_1. No gap (k == b), no
+    convergence within _MAX_SWEEPS, a failed decomposition or a failed
+    proof gets None.
 
-    There a taken tail (W_ref, B, k_ref), sigma_{k_ref+1}(W_ref) <= B,
-    replaces the proof when it can: by Weyl's inequality sigma_{k+1}(W) <=
+    The proof, counted in warm.certificates, is _norm_below on the Gram of
+    R = W - (W V_k) V_k.T on its short side: W V_k V_k.T has rank k, so
+    sigma_{k+1}(W) <= ||R||_2 < beta, first at the margin beta = (threshold
+    + s_{k+1}) / 2, s_{k+1} the next Ritz value, which leaves the bound
+    room to carry, then at the threshold. A proven beta becomes warm.tail
+    with a copy of W and k.
+
+    A taken tail (W_ref, B, k_ref), sigma_{k_ref+1}(W_ref) <= B, replaces
+    the proof when it can: by Weyl's inequality sigma_{k+1}(W) <=
     sigma_{k_ref+1}(W) <= B + ||W - W_ref||_2 <= B + ||W - W_ref||_F. So
     when W has W_ref's shape, k >= k_ref, every kept Ritz value is above
     `threshold` and B + ||W - W_ref||_F (1 + 1e-12) < threshold, nothing
@@ -296,81 +300,41 @@ def _certified_triplets(W, k_min, threshold, warm, start, b, tail, gram):
     the threshold, which sigma_{k+1}(W) < threshold does not rule out.
     """
     m, n = W.shape
-    flip = gram and m > n
-    if flip:
-        W = W.T
-        m, n = n, m
     carried, k_ref = math.inf, 0
-    if gram:
-        try:
-            C, values, vectors = _gram_basis(W)
-        except np.linalg.LinAlgError:
-            return None
-        above = int(np.count_nonzero(values > threshold * threshold))
-        s, k = np.sqrt(values.clip(0.0)), max(k_min, above)
-        if np.all(s[:k] > 0):
-            U = vectors[:, :k]
-            P = W.T @ U / s[:k]
-            Y = W @ P
-            if np.linalg.norm(Y - U * s[:k], axis=0).max(initial=0.0) <= _RESIDUAL_TOL * s[0]:
-                warm.certificates += 1
-                G, slack = _gram_residual(C, Y, n)
-                if _norm_below(G, threshold, slack):
-                    return SvdFactors(P, s[:k], U) if flip else SvdFactors(U, s[:k], P)
-        if above >= b:
-            b = above + _BLOCK_PAD
-            full, gram_price, _, _ = _prices(m, n, b, warm.pace)
-            if gram_price >= full:
-                return None
-        Q = vectors[:, :b]
-    else:
-        if tail is not None and tail[0].shape == W.shape:
-            W_ref, B, k_ref = tail
-            carried = B + float(np.linalg.norm(W - W_ref)) * (1 + 1e-12)
-        V = np.hstack([start, warm.rng.standard_normal((n, b - start.shape[1]))])
-        Q = np.linalg.qr(W @ V)[0]
-    sweeps = 0
-    while True:
+    if tail is not None and tail[0].shape == W.shape:
+        W_ref, B, k_ref = tail
+        carried = B + float(np.linalg.norm(W - W_ref)) * (1 + 1e-12)
+    Y = W @ np.hstack([start, warm.rng.standard_normal((n, b - start.shape[1]))])
+    for _ in range(_MAX_SWEEPS):
+        Q = np.linalg.qr(Y)[0]
         try:
             P, s, Ht = np.linalg.svd(W.T @ Q, full_matrices=False)
         except np.linalg.LinAlgError:
             return None
         U = Q @ Ht.T
         Y = W @ P
-        sweeps += 1
         warm.sweeps += 1
         k = max(k_min, int(np.count_nonzero(s > threshold)))
-        grow = k == b or sweeps == _MAX_SWEEPS
-        if k < b:
-            resid = np.linalg.norm(Y[:, :k] - U[:, :k] * s[:k], axis=0)
-            if resid.max(initial=0.0) <= _RESIDUAL_TOL * s[0]:
-                left, right = (P, U) if flip else (U, P)
-                factors = SvdFactors(left[:, :k], s[:k], right[:, :k])
-                if carried < threshold and k >= k_ref and (k == 0 or s[k - 1] > threshold):
-                    warm.tail = tail
-                    return factors
-                if gram:
-                    G, slack = _gram_residual(C, Y[:, :k], n)
-                else:
-                    R = W - Y[:, :k] @ P[:, :k].T
-                    G, slack = R.T @ R if m >= n else R @ R.T, 0.0
-                margin = 0.5 * (threshold + s[k])
-                for bound in (threshold,) if gram or margin >= threshold else (margin, threshold):
-                    warm.certificates += 1
-                    if _norm_below(G, bound, slack):
-                        if not gram:
-                            warm.tail = (W.copy(), bound, k)
-                        return factors
-                grow = True
-        if grow:
-            full, _, subspace, _ = _prices(m, n, 2 * b, warm.pace)
-            if subspace >= full:
-                return None
-            V = np.hstack([P, warm.rng.standard_normal((n, b))])
-            b *= 2
-            Y = W @ V
-            sweeps = 0
-        Q = np.linalg.qr(Y)[0]
+        if k == b:
+            return None
+        resid = np.linalg.norm(Y[:, :k] - U[:, :k] * s[:k], axis=0)
+        if resid.max(initial=0.0) <= _RESIDUAL_TOL * s[0]:
+            break
+    else:
+        return None
+    factors = SvdFactors(U[:, :k], s[:k], P[:, :k])
+    if carried < threshold and k >= k_ref and (k == 0 or s[k - 1] > threshold):
+        warm.tail = tail
+        return factors
+    R = W - Y[:, :k] @ P[:, :k].T
+    G = R.T @ R if m >= n else R @ R.T
+    margin = 0.5 * (threshold + s[k])
+    for bound in (threshold,) if margin >= threshold else (margin, threshold):
+        warm.certificates += 1
+        if _norm_below(G, bound):
+            warm.tail = (W.copy(), bound, k)
+            return factors
+    return None
 
 
 def _norm_below(G, bound, slack=0.0):

@@ -289,7 +289,9 @@ def record_routes(monkeypatch):
 
 
 @pytest.mark.parametrize("shape", [(120, 100), (100, 120)], ids=["tall", "wide"])
-@pytest.mark.parametrize("case", sorted(TRUNCATED_CASES))
+# a cold block does not converge on r2_beyond_threshold; the warm-started
+# test below covers that spectrum
+@pytest.mark.parametrize("case", ["k0", "near_threshold"])
 def test_truncated_prox_matches_full_svd_prox(monkeypatch, shape, case):
     sigma, twos = TRUNCATED_CASES[case]
     routed = record_routes(monkeypatch)
@@ -303,24 +305,52 @@ def test_truncated_prox_matches_full_svd_prox(monkeypatch, shape, case):
         assert np.array_equal(truncated[0], exact[0])
 
 
-def test_truncated_prox_warm_start_reuses_previous_factor():
+def test_truncated_prox_warm_start_reuses_previous_factor(monkeypatch):
+    # a spectrum that a cold block does not finish: the first call seeds
+    # warm.V, and the next one, on a drift of 1e-3 as between iterates,
+    # takes the route (from a drift of 1e-3 per entry, twice the gap below
+    # sigma_6, the block needs 29-33 sweeps)
     sigma, twos = TRUNCATED_CASES["r2_beyond_threshold"]
-    W = spectral_matrix((120, 100), sigma, seed=4)
     d = selector(twos, sigma.size)
-    warm = ProxWarmStart(1)
-    truncated_and_exact(W, d, warm)
-    assert warm.V.shape == (100, twos)
-    W2 = W + 1e-3 * np.random.default_rng(5).standard_normal(W.shape)
-    truncated, exact, fallbacks = truncated_and_exact(W2, d, warm)
-    assert fallbacks == 0
-    assert_prox_agrees(truncated, exact)
+    routed = record_routes(monkeypatch)
+    for shape in [(120, 100), (100, 120)]:
+        W = spectral_matrix(shape, sigma, seed=4)
+        warm = ProxWarmStart(1)
+        truncated_and_exact(W, d, warm)
+        assert warm.V.shape == (shape[1], twos)
+        truncated, exact, fallbacks = truncated_and_exact(perturbed(W, 1e-3, seed=5), d, warm)
+        assert routed[-1] and fallbacks == 0
+        assert_prox_agrees(truncated, exact)
+
+
+@pytest.mark.parametrize("count", [6, 60])
+def test_cold_block_with_no_gap_falls_back_and_leaves_the_pace(monkeypatch, count):
+    # `count` values above tau / nu = 1: the cold block of five columns has
+    # no gap after one sweep, so the full SVD runs and the fallback counts,
+    # but the subspace pace keeps its prior, since a random block says
+    # nothing of the warm calls after it
+    grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
+    routed = record_routes(monkeypatch)
+    sigma = np.r_[np.full(count, 2.0), noise_tail(100 - count, 0.5, 0.9)]
+    W = spectral_matrix((120, 100), sigma, seed=6)
+    d = selector(0, 100)
+    warm = ProxWarmStart(0)
+    (X_t, x_t), (X_e, x_e), fallbacks = truncated_and_exact(W, d, warm)
+    assert (fallbacks, warm.sweeps, warm.certificates) == (1, 1, 0)
+    assert warm.pace["subspace"] == linalg_module._PRIOR_PACE["subspace"]
+    assert np.array_equal(X_t, X_e) and np.array_equal(x_t, x_e)
+    # started from the full SVD's factor, the next call takes a route: the
+    # subspace one at rank 6, the Gram one for the block of 65
+    assert certified_step(perturbed(W, 1e-3, seed=1), d, warm) == (1, 0)
+    assert routed == [False, True]
+    assert len(grams) == (count == 60)
 
 
 @pytest.mark.parametrize(
     "sigma, twos, last_rank, counted",
     [
-        # sixty values above the threshold: the block doubles until the
-        # next one is priced above the full SVD, and the fallback is counted
+        # sixty values above the threshold: the first block of five has no
+        # gap, so the call falls back after one sweep, and that is counted
         (np.r_[np.full(60, 2.0), noise_tail(40, 0.5, 0.9)], 0, 0, 1),
         # ninety-six d = 2 values: the first block of 101 leaves under five
         # columns of the short side, so both routes are priced out and the
@@ -410,52 +440,6 @@ def test_gram_start_takes_the_eigenpairs_of_thin_inputs(monkeypatch, shape, case
     assert (len(grams), warm.sweeps, warm.certificates) == (1, 0, 1)
 
 
-@pytest.mark.parametrize("shape", [(1600, 60), (60, 1600)], ids=["tall", "wide"])
-@pytest.mark.parametrize("case", sorted(TRUNCATED_CASES))
-def test_gram_start_certifies_thin_inputs_in_one_sweep(monkeypatch, shape, case):
-    # with the proof of the eigenpairs refused, the sweeps start from the
-    # top eigenvectors, which hold the leading subspace to rounding: one
-    # sweep and its proof finish the call
-    proofs = []
-    norm_below = linalg_module._norm_below
-
-    def refuse_first(*args):
-        proofs.append(None)
-        return len(proofs) > 1 and norm_below(*args)
-
-    monkeypatch.setattr(linalg_module, "_norm_below", refuse_first)
-    warm, grams = thin_gram_call(monkeypatch, shape, case)
-    assert (len(grams), warm.sweeps) == (1, 1)
-    assert warm.certificates == len(proofs) == 2
-
-
-@pytest.mark.parametrize("shape", [(1600, 60), (60, 1600)], ids=["tall", "wide"])
-def test_gram_start_that_loses_small_values_keeps_sweeping(monkeypatch, shape):
-    # sigma_1 / sigma_3 = 5e6: the squared spectrum leaves the kept value 2
-    # with an eigenvector error far above the residual test, so the
-    # first sweep fails it and the call sweeps on from there.
-    fallbacks_seen = []
-    leading_svd = penalty_module._leading_svd
-
-    def recording(*args):
-        result = leading_svd(*args)
-        fallbacks_seen.append(result is None)
-        return result
-
-    monkeypatch.setattr(penalty_module, "_leading_svd", recording)
-    grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
-    sigma = np.r_[1e7, 1e3, 2.0, noise_tail(57, 0.5, 0.9)]
-    W = spectral_matrix(shape, sigma, seed=5)
-    warm = ProxWarmStart(0)
-    truncated, exact, fallbacks = truncated_and_exact(W, selector(0, 60), warm)
-    assert len(grams) == 1
-    assert warm.sweeps > 1
-    assert fallbacks == sum(fallbacks_seen)
-    assert_prox_agrees(truncated, exact)
-
-
-# the sweeps that a non-finite W reaches multiply its NaNs and infinities
-@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
 @settings(max_examples=40, deadline=None)
 @given(
     shape=st.sampled_from([(60, 1600), (1600, 60), (120, 120), (200, 200)]),
@@ -480,9 +464,8 @@ def test_gram_eigenpairs_agree_with_the_exact_prox_whenever_returned(
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg_module, "_route", lambda *args: "gram")
         truncated, exact, fallbacks = truncated_and_exact(W, d, warm)
-        direct = not fallbacks and warm.sweeps == 0
-        assert direct or log_spread > 2
-        if direct:
+        assert not fallbacks or log_spread > 2
+        if not fallbacks:
             assert warm.certificates == 1
             assert_prox_agrees(truncated, exact)
             assert np.linalg.svd(W, compute_uv=False)[k] < 1.0
@@ -530,9 +513,8 @@ def test_gram_block_priced_out_falls_back_then_holds(monkeypatch):
         return spectral_matrix((1600, 60), sigma, seed)
 
     # fifty-two values above tau / nu = 1 with sigma_1 / sigma_52 = 5e4: the
-    # smallest kept eigenpairs of C fail the residual test, and the Gram
-    # sizes the block at 52 + 5 columns, more than the short side leaves,
-    # so the call falls back before a sweep or a proof
+    # smallest kept eigenpairs of C fail the residual test, so the call
+    # falls back before a proof
     assert certified_step(above(52, 21, top=1e5), d, warm) == (0, 1)
     assert (len(grams), warm.sweeps, warm.V.shape[1]) == (1, 0, 52)
     # at ranks 40, 44 and then 20, where the failed call started, calls
@@ -548,27 +530,39 @@ def test_gram_block_priced_out_falls_back_then_holds(monkeypatch):
 
 def test_gram_proof_lost_to_the_spread_falls_back_then_holds():
     # sigma_1 / (tau / nu) = 1.5e6: the Gram's rounding margin is too wide
-    # to prove the tail, so the call falls back after its sweeps, and the
-    # restarted pace keeps the next calls at that rank on the full SVD
+    # to prove the tail, and the kept value 1.5 loses its digits before
+    # that, so the call falls back at the residual test, and the restarted
+    # pace keeps the next calls at that rank on the full SVD
     sigma = np.r_[np.geomspace(1.5e6, 1.5, 3), 0.99 * 0.97 ** np.arange(57)]
     W = spectral_matrix((1600, 60), sigma, seed=1)
     d = selector(0, 60)
     warm = ProxWarmStart(0)
-    assert certified_step(W, d, warm)[1] == 1
-    sweeps = warm.sweeps
+    assert certified_step(W, d, warm) == (0, 1)
     for j in range(3):
         assert certified_step(perturbed(W, 1e-6, seed=j), d, warm) == (0, 0)
-    assert (warm.sweeps, warm.fallbacks) == (sweeps, 1)
+    assert (warm.sweeps, warm.fallbacks) == (0, 1)
+
+
+def test_gram_proof_that_fails_falls_back_with_no_sweep():
+    # sigma_1 = 300 leaves the kept eigenpairs their digits, but the Gram's
+    # rounding margin, set by sigma_1^2, is wider than the 1e-8 that
+    # sigma_4 leaves below tau / nu = 1: one proof fails and the call
+    # falls back
+    sigma = np.r_[np.geomspace(300.0, 1.5, 3), (1 - 1e-8) * 0.97 ** np.arange(57)]
+    W = spectral_matrix((1600, 60), sigma, seed=1)
+    warm = ProxWarmStart(0)
+    assert certified_step(W, selector(0, 60), warm) == (1, 1)
+    assert warm.sweeps == 0
 
 
 def gram_tail_proof(W, k, beta):
-    """Whether the Gram route's Cholesky proves sigma_{k+1}(W) < beta after
-    one Rayleigh-Ritz sweep from the Gram start, as _leading_svd runs it
-    when the eigenpairs alone fail."""
+    """Whether the Gram route's Cholesky proves sigma_{k+1}(W) < beta from
+    the top k eigenpairs of C, v_i = W^T u_i / s_i, as _gram_triplets runs
+    it, the residual test aside."""
     wide = W if W.shape[0] <= W.shape[1] else W.T
-    C, _, vectors = linalg_module._gram_basis(wide)
-    P = np.linalg.svd(wide.T @ vectors[:, : k + linalg_module._BLOCK_PAD], full_matrices=False)[0]
-    G, delta = linalg_module._gram_residual(C, wide @ P[:, :k], wide.shape[1])
+    C, values, vectors = linalg_module._gram_basis(wide)
+    P = wide.T @ vectors[:, :k] / np.sqrt(values[:k])
+    G, delta = linalg_module._gram_residual(C, wide @ P, wide.shape[1])
     return linalg_module._norm_below(G, beta, delta)
 
 
@@ -605,14 +599,17 @@ def test_square_and_near_square_inputs_never_form_the_gram(monkeypatch, shape):
         raise AssertionError(f"the Gram start ran on a {shape} input")
 
     monkeypatch.setattr(linalg_module, "_gram_basis", refuse)
-    sigma, twos = TRUNCATED_CASES["r2_beyond_threshold"]
     p = min(shape)
-    W = spectral_matrix(shape, np.r_[sigma, noise_tail(p - 100, 0.1, 0.9)][:p], seed=4)
+    W = spectral_matrix(shape, np.r_[CARRIED_SIGMA, noise_tail(p - 100, 0.1, 0.9)][:p], seed=4)
+    d = selector(3, p)
     warm = ProxWarmStart(0)
+    # a first call seeds warm.V; the warm calls after it take the route
+    truncated_and_exact(W, d, warm)
+    sweeps = warm.sweeps
     for j in range(2):
         W = perturbed(W, 1e-3, seed=j)
-        assert certified_step(W, selector(twos, p), warm)[1] == 0
-    assert warm.sweeps >= 2
+        assert certified_step(W, d, warm)[1] == 0
+    assert warm.sweeps >= sweeps + 2
 
 
 # ---------------------------------------------------------------------------
@@ -711,9 +708,9 @@ def test_fallback_holds_the_full_svd_until_the_rank_drops():
     warm.pace["subspace"] = (1.0, 0.0, 1)
     warm.pace["gram"] = (100.0, 0.0, 1)
     warm.V = np.linalg.qr(np.random.default_rng(16).standard_normal((100, 30)))[0]
-    # seventy-five values above the threshold: the blocks of 35 and 70
-    # fill, a block of 140 would pass the short side, and the fallback
-    # restarts the pace from its own cost, the full SVD it forced included
+    # seventy-five values above the threshold: the warm block of 35 has no
+    # gap, and the fallback restarts the pace from its own cost, the full
+    # SVD it forced included
     many = spectral_matrix((120, 100), np.r_[np.full(75, 2.0), noise_tail(25, 0.5, 0.9)], seed=17)
     assert certified_step(many, d, warm)[1] == 1
     assert warm.tail is None

@@ -638,7 +638,10 @@ def test_solve_carries_the_tail_bound_past_most_certificates(monkeypatch):
     (warm,) = made
     assert warm.calls == result.prox_calls
     assert (result.prox_certificates, result.prox_sweeps) == (warm.certificates, warm.sweeps)
-    assert result.prox_fallbacks == 0
+    # the one fallback is the cold start: the first call with values above
+    # the threshold, whose block has no columns from the rank-0 outputs
+    # before it
+    assert result.prox_fallbacks == 1
     assert 0 < warm.certificates <= 0.4 * warm.calls
 
 

@@ -11,17 +11,17 @@ a loop long enough to take 0.2 s, in microseconds, at the shapes the
   full SVD      linalg.svd, Gaussian input;
   Gram + eigh   linalg._gram_basis on the wide orientation (unpriced: the
                 eigh term is half the full SVD's square term);
-  one sweep     one Rayleigh-Ritz step of linalg._certified_triplets from
+  one sweep     one Rayleigh-Ritz step of linalg._subspace_triplets from
                 an orthonormal block of b columns, its residual test and
                 the QR of the next block, against _prices' sweep;
   certificate   the subspace route's proof for k = b - 5 kept triplets:
                 the residual, its short-side Gram and the Cholesky, priced
                 as the subspace price at one certificate per call less the
                 price at none;
-  Gram call     a whole Gram-route call of linalg._certified_triplets that
-                takes the eigenpairs of C directly (k values above the
-                threshold, block b = k + 5), against the Gram price at the
-                prior pace of 0 sweeps and 1 certificate.
+  Gram call     a whole call of linalg._gram_triplets, which takes the
+                eigenpairs of C (k values above the threshold), against the
+                Gram price for a block of b = k + 5 at the prior pace of 0
+                sweeps and 1 certificate.
 
 One line per operation and shape: measured, priced and their ratio.
 """
@@ -47,7 +47,7 @@ GRAM = [(60, 60), (120, 120), (200, 200), (1600, 60), (400, 30), (1300, 8)]
 SWEEP = [((60, 60), 8), ((80, 80), 8), ((200, 200), 8), ((1600, 60), 8), ((400, 30), 8),
          ((1300, 8), 5), ((120, 120), 48), ((200, 200), 48)]
 CERTIFICATE = [((60, 60), 10), ((200, 200), 10), ((1600, 60), 10)]
-# (shape, k) for a whole Gram call on the direct path
+# (shape, k) for a whole Gram call
 GRAM_CALL = [((60, 60), 5), ((200, 200), 5), ((120, 120), 42), ((200, 200), 100),
              ((1600, 60), 3), ((400, 30), 9), ((1300, 8), 2)]
 
@@ -108,17 +108,14 @@ def rows(linalg, repeat):
         priced = prices(m, n, b, pace)[2] - prices(m, n, b, {**pace, "subspace": (0.0, 0.0, 1)})[2]
         yield "certificate", (m, n), b, best_us(certificate, repeat), priced
     for (m, n), k in GRAM_CALL:
-        W, b = spectral((m, n), k), k + linalg._BLOCK_PAD
-        start = np.empty((n, 0))
+        W = spectral((m, n), k)
 
         def gram_call():
-            warm = linalg.ProxWarmStart(0)
-            if linalg._certified_triplets(W, 0, 1.0, warm, start, b, None, True) is None:
+            if linalg._gram_triplets(W, 0, 1.0, linalg.ProxWarmStart(0)) is None:
                 raise RuntimeError(f"the Gram route fell back on {m} x {n}, k = {k}")
-            return warm.sweeps
 
-        op = "Gram call" + (f" ({gram_call()} sweeps)" if gram_call() else "")
-        yield op, (m, n), k, best_us(gram_call, repeat), prices(m, n, b, prior)[1]
+        priced = prices(m, n, k + linalg._BLOCK_PAD, prior)[1]
+        yield "Gram call", (m, n), k, best_us(gram_call, repeat), priced
 
 
 def main(argv=None):
