@@ -48,7 +48,7 @@ def _csv_rows(text):
 def matrix_csv_write(X):
     """One row per line, comma separated, bit-exact round trip."""
     X = as_matrix(X)
-    return "\n".join(",".join(_fmt(v) for v in row) for row in X) + "\n"
+    return "\n".join(",".join(map(repr, row.tolist())) for row in X) + "\n"
 
 
 def matrix_csv_read(text):
@@ -69,10 +69,18 @@ def matrix_csv_read(text):
 MASK_HEADER = "i,j,value"
 
 
+# Triplets converted to Python numbers per batch, as matrix_csv_write does
+# per row, so a write never holds every entry's numbers beside its lines.
+_MASK_BATCH = 4096
+
+
 def mask_csv_write(data):
     lines = [MASK_HEADER]
-    for i, j, v in zip(data.row_idx, data.col_idx, data.values):
-        lines.append(f"{int(i)},{int(j)},{_fmt(v)}")
+    for start in range(0, data.values.size, _MASK_BATCH):
+        batch = slice(start, start + _MASK_BATCH)
+        triplets = zip(data.row_idx[batch].tolist(), data.col_idx[batch].tolist(),
+                       data.values[batch].tolist())
+        lines.extend(f"{i},{j},{v!r}" for i, j, v in triplets)
     return "\n".join(lines) + "\n"
 
 

@@ -50,9 +50,10 @@ class MaskedData:
     """Observed entries of an m x n matrix: index arrays plus values.
 
     Indices must be in range and pairwise distinct; at least one entry
-    is required. Arrays are frozen after construction. `flat_idx` is
-    row_idx * cols + col_idx, the position of each entry in the
-    row-major flattened matrix, kept from the duplicate check.
+    is required. Arrays are stored in input order and frozen after
+    construction. `flat_idx` is row_idx * cols + col_idx, the position of
+    each entry in the row-major flattened matrix, kept from the duplicate
+    check, which sorts a copy of it and compares neighbours.
     """
 
     rows: int
@@ -81,7 +82,8 @@ class MaskedData:
         if not np.isfinite(vals).all():
             raise ValueError("observed values must be finite")
         flat = ri * self.cols + ci
-        if np.unique(flat).size != flat.size:
+        ordered = np.sort(flat)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("duplicate observed positions")
         for name, arr in (
             ("row_idx", ri), ("col_idx", ci), ("values", vals), ("flat_idx", flat)

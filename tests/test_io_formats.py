@@ -58,6 +58,70 @@ def test_matrix_csv_round_trip_property(X):
     assert np.array_equal(matrix_csv_read(matrix_csv_write(X)), X)
 
 
+# The writers' byte contract: each real is repr(float(v)) of its float64.
+HARD_REALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, -3.3e-320,
+              2.2250738585072014e-308, 1e16, 1e-5, 1e22, 1.7976931348623157e308,
+              -1.7976931348623157e308, 0.1, 1 / 3, 9007199254740993.0, 123456789.0]
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def reference_matrix_csv(X):
+    return "\n".join(",".join(repr(float(v)) for v in row) for row in X) + "\n"
+
+
+def reference_mask_csv(data):
+    lines = [f"{int(i)},{int(j)},{repr(float(v))}"
+             for i, j, v in zip(data.row_idx, data.col_idx, data.values)]
+    return "\n".join(["i,j,value", *lines]) + "\n"
+
+
+def hard_matrix(rng, shape):
+    """HARD_REALS first, then finite doubles drawn as random bit patterns."""
+    patterns = rng.integers(0, 2**64, size=shape[0] * shape[1], dtype=np.uint64)
+    X = patterns.view(np.float64)
+    X = np.where(np.isfinite(X), X, 1.5)
+    X[: len(HARD_REALS)] = HARD_REALS
+    return X.reshape(shape)
+
+
+# 70 x 70 gives mask_csv_write more than one batch of triplets.
+@pytest.mark.parametrize("shape", [(6, 7), (1, 40), (40, 1), (70, 70)])
+def test_writers_match_per_element_repr_and_read_back_bit_exact(shape):
+    rng = np.random.default_rng(sum(shape))
+    X = hard_matrix(rng, shape)
+    text = matrix_csv_write(X)
+    assert text == reference_matrix_csv(X)
+    assert np.array_equal(bits(matrix_csv_read(text)), bits(X))
+
+    m, n = shape
+    order = rng.permutation(m * n)
+    data = MaskedData(m, n, order // n, order % n, X.ravel()[order])
+    text = mask_csv_write(data)
+    assert text == reference_mask_csv(data)
+    back = mask_csv_read(text, m, n)
+    assert back.row_idx.tolist() == data.row_idx.tolist()
+    assert back.col_idx.tolist() == data.col_idx.tolist()
+    assert np.array_equal(bits(back.values), bits(data.values))
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5)),
+                  elements=finite_floats))
+@settings(max_examples=100, deadline=None)
+def test_matrix_csv_write_matches_per_element_repr(X):
+    assert matrix_csv_write(X) == reference_matrix_csv(X)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_matrix_csv_write_rejects_non_finite(bad):
+    X = np.ones((3, 2))
+    X[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        matrix_csv_write(X)
+
+
 def test_matrix_csv_errors():
     with pytest.raises(ValueError, match="columns"):
         matrix_csv_read("1.0,2.0\n3.0\n")
@@ -105,6 +169,21 @@ def test_mask_csv_rejects_empty_and_bad_rows():
         mask_csv_read("i,j,value\n0,0,1.0\n0,0,2.0\n", 3, 3)
     with pytest.raises(ValueError, match="bad token"):
         mask_csv_read("i,j,value\n0,0,fish\n", 3, 3)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mask_csv_read_rejects_one_repeated_line_in_shuffled_triplets(seed):
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+    count = int(rng.integers(1, m * n + 1))
+    order = rng.permutation(m * n)[:count]
+    lines = [f"{p // n},{p % n},{float(v)!r}"
+             for p, v in zip(order.tolist(), rng.standard_normal(count))]
+    text = "\n".join(["i,j,value", *lines]) + "\n"
+    assert mask_csv_read(text, m, n).flat_idx.tolist() == order.tolist()
+    lines.insert(int(rng.integers(0, count + 1)), lines[int(rng.integers(0, count))])
+    with pytest.raises(ValueError, match=r"^duplicate observed positions$"):
+        mask_csv_read("\n".join(["i,j,value", *lines]) + "\n", m, n)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spglr.losses import CompletionLoss, MaskedData, RpcaLoss
 
@@ -56,6 +58,41 @@ def test_masked_data_validation():
         MaskedData(2, 2, np.array([0, 1]), np.array([0]), np.array([1.0]))
     with pytest.raises(TypeError, match="CompletionLoss expects MaskedData"):
         CompletionLoss(np.ones((2, 2)))
+
+
+@st.composite
+def observation_sets(draw):
+    """(rows, cols, row-major positions, values): distinct positions in
+    shuffled order, 1 x n, n x 1, fully observed or any shape, and half
+    the time one position repeated at any index."""
+    kind = draw(st.sampled_from(["1xn", "nx1", "full", "any"]))
+    m = 1 if kind == "1xn" else draw(st.integers(1, 12))
+    n = 1 if kind == "nx1" else draw(st.integers(1, 12))
+    order = draw(st.permutations(range(m * n)))
+    count = m * n if kind == "full" else draw(st.integers(1, m * n))
+    flat = list(order[:count])
+    if draw(st.booleans()):
+        flat.insert(draw(st.integers(0, count)), flat[draw(st.integers(0, count - 1))])
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=len(flat), max_size=len(flat)))
+    return m, n, flat, values
+
+
+@given(observation_sets())
+@settings(max_examples=300, deadline=None)
+def test_duplicate_check_agrees_with_a_set_of_positions(case):
+    m, n, flat, values = case
+    ri, ci = [p // n for p in flat], [p % n for p in flat]
+    arrays = np.array(ri), np.array(ci), np.array(values)
+    if len(set(zip(ri, ci))) < len(flat):
+        with pytest.raises(ValueError, match=r"^duplicate observed positions$"):
+            MaskedData(m, n, *arrays)
+        return
+    data = MaskedData(m, n, *arrays)
+    # stored in input order, bit for bit
+    assert data.row_idx.tolist() == ri and data.col_idx.tolist() == ci
+    assert data.flat_idx.tolist() == flat
+    assert np.array_equal(bits(data.values), bits(np.array(values)))
 
 
 def test_completion_value_examples():

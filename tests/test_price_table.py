@@ -24,11 +24,14 @@ def test_price_table_prints_each_operation_beside_its_price(monkeypatch, capsys)
     monkeypatch.setattr(tool, "SWEEP", [((40, 30), 8)])
     monkeypatch.setattr(tool, "CERTIFICATE", [((40, 30), 10)])
     monkeypatch.setattr(tool, "GRAM_CALL", [((400, 30), 9)])
+    # one call per timed loop: the test checks the table, not the timings
+    monkeypatch.setattr(tool, "LOOP_S", 0.0)
     assert tool.main(["--repeat", "1"]) == 0
     header, *lines = capsys.readouterr().out.splitlines()
     assert header.split() == ["operation", "shape", "b/k", "measured", "priced", "ratio"]
     ops = ["full SVD", "Gram + eigh", "one sweep", "certificate", "Gram call"]
     assert [line[:12].strip() for line in lines] == ops
+    assert float(lines[1].split()[-1]) > 0
     # every row but the unpriced eigh ends in measured, priced and their ratio
     for line in [lines[0], *lines[2:]]:
         measured, priced, ratio = map(float, line.split()[-3:])

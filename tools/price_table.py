@@ -5,8 +5,8 @@ to, and print each beside the model's price.
 
 spglr is imported from SRC (default: this checkout's `src/`). BLAS is pinned
 to one thread before numpy loads. Each time is the best of --repeat runs of
-a loop long enough to take 0.2 s, in microseconds, at the shapes the
-`_prices` comment names:
+a loop long enough to take LOOP_S (0.2 s), in microseconds, at the shapes
+the `_prices` comment names:
 
   full SVD      linalg.svd, Gaussian input;
   Gram + eigh   linalg._gram_basis on the wide orientation (unpriced: the
@@ -52,10 +52,16 @@ GRAM_CALL = [((60, 60), 5), ((200, 200), 5), ((120, 120), 42), ((200, 200), 100)
              ((1600, 60), 3), ((400, 30), 9), ((1300, 8), 2)]
 
 
+# Seconds each timed loop takes at least; its call count doubles until it does.
+LOOP_S = 0.2
+
+
 def best_us(fn, repeat):
     """Best per-call time of fn in microseconds over `repeat` timed loops."""
     timer = timeit.Timer(fn)
-    number, _ = timer.autorange()
+    number = 1
+    while timer.timeit(number) < LOOP_S:
+        number *= 2
     return 1e6 * min(timer.repeat(repeat, number)) / number
 
 
