@@ -3,24 +3,12 @@
 A smoothing proximal gradient solver for completion and low-rank plus
 sparse decomposition under a capped singular-value penalty, plus a
 nuclear-norm baseline, a synthetic experiment harness, and file codecs.
+Helpers outside `__all__` are imported from their modules, for example
+`from spglr.experiments import gen_low_rank`.
 """
 
-from .linalg import (
-    DecompositionError,
-    SvdFactors,
-    as_matrix,
-    frobenius_norm,
-    rank_estimate,
-    svd,
-)
-from .penalty import (
-    PenaltyCapAdvisory,
-    capped_surrogate,
-    d_vector,
-    phi_d,
-    prox_matrix,
-    prox_vector,
-)
+from .linalg import DecompositionError, SvdFactors, rank_estimate, svd
+from .penalty import PenaltyCapAdvisory, d_vector, prox_matrix, prox_vector
 from .losses import CompletionLoss, MaskedData, RpcaLoss
 from .solver import (
     IterationRecord,
@@ -29,7 +17,6 @@ from .solver import (
     energy,
     solve,
     stationarity_residual,
-    update_mu,
 )
 from .svt import SvtConfig, svt_solve
 from .experiments import (
@@ -38,13 +25,9 @@ from .experiments import (
     TrialResult,
     TrialSpec,
     build_trial_data,
-    gen_low_rank,
     gmm_noise,
     monte_carlo,
-    psnr,
     rmse,
-    run_trial,
-    sample_mask,
 )
 
 __version__ = "0.1.0"
@@ -64,26 +47,17 @@ __all__ = [
     "SvtConfig",
     "TrialResult",
     "TrialSpec",
-    "as_matrix",
     "build_trial_data",
-    "capped_surrogate",
     "d_vector",
     "energy",
-    "frobenius_norm",
-    "gen_low_rank",
     "gmm_noise",
     "monte_carlo",
-    "phi_d",
     "prox_matrix",
     "prox_vector",
-    "psnr",
     "rank_estimate",
     "rmse",
-    "run_trial",
-    "sample_mask",
     "solve",
     "stationarity_residual",
     "svd",
     "svt_solve",
-    "update_mu",
 ]

@@ -107,16 +107,13 @@ def sample_mask(m, n, sr, seed):
     return flat // n, flat % n
 
 
-def gmm_noise(count, params, seed, return_components=False):
+def gmm_noise(count, params, seed):
     """Draw `count` mixture samples: Bernoulli(c) picks the component,
     then the sample is Gaussian with the chosen variance."""
     rng = np.random.default_rng(seed)
     outlier = rng.random(count) < params.c
     scale = np.where(outlier, math.sqrt(params.var_b), math.sqrt(params.var_a))
-    samples = rng.standard_normal(count) * scale
-    if return_components:
-        return samples, outlier
-    return samples
+    return rng.standard_normal(count) * scale
 
 
 def _squared_error(X_star, M):
@@ -240,10 +237,10 @@ _worker_warnings = []
 
 def _record_warnings():
     """Pool initializer: keep the warnings a worker would show, as
-    (message, filename, lineno), for _trial_outcome to hand back.
+    (message, filename, lineno), for _recorded_call to hand back.
 
     A worker forks with the caller's filters, so an "error" filter still
-    fails the trial and an "ignore" filter still drops the warning. Trials
+    fails the call and an "ignore" filter still drops the warning. Calls
     run in-process are not recorded: warnings.catch_warnings would reset
     every warning registry, and a "default" warning would repeat once
     per sweep instead of showing once."""
@@ -251,52 +248,68 @@ def _record_warnings():
         _worker_warnings.append((message, filename, lineno)))
 
 
-def _trial_outcome(trial_spec, solver_choice, solver_config, svt_config):
-    """One trial of monte_carlo: its TrialResult, or the failure string
-    when it raised, and the warnings a pool worker recorded meanwhile."""
-    try:
-        outcome = run_trial(trial_spec, solver_choice, solver_config, svt_config)
-    except Exception as exc:  # noqa: BLE001  (per-trial isolation)
-        outcome = f"trial seed {trial_spec.seed}: {exc}"
+def _recorded_call(fn, item):
+    """fn(item) in a pool worker, and the warnings it recorded meanwhile."""
+    value = fn(item)
     caught = _worker_warnings[:]
     _worker_warnings.clear()
-    return outcome, caught
+    return value, caught
+
+
+def _pool_map(fn, items):
+    """list(map(fn, items)), run in _trial_workers(len(items)) processes.
+
+    The workers are forked, not spawned, so that they inherit the loaded
+    modules, BLAS settings and warning filters without re-running the
+    caller's script; fn must pickle by reference. A worker's warnings
+    are shown here, in item order, once every item has finished; with
+    one worker the items run in this process and warn as they go.
+    """
+    workers = _trial_workers(len(items))
+    if workers == 1:
+        return list(map(fn, items))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_record_warnings) as pool:
+        outcomes = list(pool.map(partial(_recorded_call, fn), items))
+    # The registry warnings.warn uses for a warning raised in this module,
+    # so that a "default" filter shows a warning repeated across workers,
+    # or already shown here, as often as the in-process loop would.
+    registry = globals().setdefault("__warningregistry__", {})
+    values = []
+    for value, caught in outcomes:
+        for message, filename, lineno in caught:
+            warnings.warn_explicit(message, type(message), filename, lineno, registry=registry)
+        values.append(value)
+    return values
+
+
+def _trial_outcome(trial_spec, solver_choice, solver_config, svt_config):
+    """One trial of monte_carlo: its TrialResult, or the failure string
+    when it raised."""
+    try:
+        return run_trial(trial_spec, solver_choice, solver_config, svt_config)
+    except Exception as exc:  # noqa: BLE001  (per-trial isolation)
+        return f"trial seed {trial_spec.seed}: {exc}"
 
 
 def monte_carlo(spec, solver_choice="spg", trials=10, solver_config=None, svt_config=None):
     """Independent repetitions with derived seeds; failures, an unknown
     arm among them, are recorded per trial instead of aborting the sweep.
 
-    Trials run in _trial_workers(trials) processes, forked, not spawned,
-    so that they inherit the loaded modules, BLAS settings and warning
-    filters without re-running the caller's script. A worker's warnings
-    are shown here, in trial order, once every trial has finished; with
-    one worker the trials run in this process and warn as they go.
+    Trials run through _pool_map, in trial order as far as their results
+    and warnings show.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     specs = [replace(spec, seed=spec.seed + t) for t in range(trials)]
     trial = partial(_trial_outcome, solver_choice=solver_choice,
                     solver_config=solver_config, svt_config=svt_config)
-    workers = _trial_workers(trials)
-    if workers == 1:
-        outcomes = list(map(trial, specs))
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_record_warnings) as pool:
-            outcomes = list(pool.map(trial, specs))
-    # The registry warnings.warn uses for a warning raised in this module,
-    # so that a "default" filter shows a warning repeated across workers,
-    # or already shown here, as often as the in-process loop would.
-    registry = globals().setdefault("__warningregistry__", {})
     results = []
     failures = []
-    for outcome, caught in outcomes:
-        for message, filename, lineno in caught:
-            warnings.warn_explicit(message, type(message), filename, lineno, registry=registry)
+    for outcome in _pool_map(trial, specs):
         (results if isinstance(outcome, TrialResult) else failures).append(outcome)
     if results:
         errs = [r.rmse for r in results]

@@ -136,10 +136,13 @@ def pgm_read(data):
         raise ValueError(f"bad PGM maxval {maxval}")
     count = width * height
     if magic == b"P2":
-        tokens = data[pos:].split()
+        tokens = data[pos:].split()[:count]
         if len(tokens) < count:
             raise ValueError(f"truncated PGM payload: {len(tokens)} of {count} pixels")
-        pixels = np.array([int(t) for t in tokens[:count]], dtype=np.float64)
+        for tok in tokens:
+            if not tok.isdigit():
+                raise ValueError(f"PGM sample {tok!r} is not an integer in [0, {maxval}]")
+        pixels = np.array([int(t) for t in tokens], dtype=np.float64)
     else:
         pos += 1  # single whitespace byte after maxval
         bytes_per = 1 if maxval < 256 else 2
@@ -150,8 +153,9 @@ def pgm_read(data):
             )
         dtype = np.uint8 if bytes_per == 1 else np.dtype(">u2")
         pixels = np.frombuffer(payload, dtype=dtype).astype(np.float64)
-    if np.any(pixels > maxval):
-        raise ValueError("PGM pixel exceeds maxval")
+    over = pixels > maxval
+    if np.any(over):
+        raise ValueError(f"PGM sample {pixels[over][0]:.0f} exceeds maxval {maxval}")
     return (pixels / maxval).reshape(height, width)
 
 

@@ -27,7 +27,7 @@ nonincreasing along the iterates, which is what drives the schedule.
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -107,7 +107,6 @@ class SolveResult:
     trace: list
     stationarity_residual: float
     objective_gap: float
-    grad_norms: list = field(default_factory=list)
     # Spectral prox calls, those of them on the truncated path that fell
     # back to the full SVD, and the Cholesky certificates and Rayleigh-Ritz
     # sweeps that path ran (see linalg.ProxWarmStart); a call certified
@@ -238,9 +237,7 @@ def solve(binding, config):
     than the prox threshold, which avoids locking in the spurious
     spectrum of the raw observed matrix. Stops at max_iter or once
     mu <= mu_stop and the relative step stays below step_tol for three
-    consecutive iterations. The trace holds one record per iteration;
-    grad_norms holds the smoothed gradient norm at the start of each
-    iteration.
+    consecutive iterations. The trace holds one record per iteration.
     """
     if config.nu >= config.lam / binding.loss_lipschitz_Lf:
         warnings.warn(
@@ -260,14 +257,12 @@ def solve(binding, config):
     gamma0 = min(max(1.0, config.gamma_lo), config.gamma_hi)
     warm = ProxWarmStart(config.seed)
     trace = []
-    grad_norms = []
     status = "max_iter"
     small_steps = 0
 
     for k in range(config.max_iter):
         d_k = d_vector(sigma, config.nu)
         G = binding.gradient_at(r, mu)
-        grad_norms.append(float(np.linalg.norm(G)))
         norm_scale = max(1.0, float(np.linalg.norm(X)))
 
         gamma, X_next, sigma_next, r, loss_next, l1_next, step = _line_search_inner(
@@ -325,7 +320,6 @@ def solve(binding, config):
         trace=trace,
         stationarity_residual=residual,
         objective_gap=gap,
-        grad_norms=grad_norms,
         prox_calls=warm.calls,
         prox_fallbacks=warm.fallbacks,
         prox_certificates=warm.certificates,

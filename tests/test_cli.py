@@ -6,6 +6,7 @@ import pytest
 import spglr
 from spglr import penalty as penalty_module
 from spglr.cli import run
+from spglr.experiments import gen_low_rank
 from spglr.io_formats import (
     config_read,
     mask_csv_read,
@@ -301,7 +302,7 @@ def test_ablate_rows_per_pair(tmp_path):
 def write_rpca_inputs(tmp_path):
     """A 16x16 rank-2 matrix plus sparse corruption, its files and config."""
     rng = np.random.default_rng(12)
-    truth = spglr.gen_low_rank(16, 16, 2, 12)
+    truth = gen_low_rank(16, 16, 2, 12)
     S = np.zeros((16, 16))
     idx = rng.choice(256, 25, replace=False)
     S.flat[idx] = rng.uniform(-0.5, 0.5, 25)
@@ -422,7 +423,7 @@ def test_decomposition_failure_inside_a_solve_exits_2(
     args = []
     if command == "rpca":
         path = tmp_path / "L.csv"
-        path.write_text(matrix_csv_write(spglr.gen_low_rank(m, n, 2, 12)), "utf-8")
+        path.write_text(matrix_csv_write(gen_low_rank(m, n, 2, 12)), "utf-8")
         args = ["--input", str(path)]
     fallbacks = []
     leading_svd = penalty_module._leading_svd
@@ -483,3 +484,16 @@ def test_inpaint_command(tmp_path):
 
     rec = pgm_read((out / "recovered.pgm").read_bytes())
     assert rec.shape == (24, 24)
+
+
+@pytest.mark.parametrize("sample, named", [(b"-5", "b'-5'"), (b"1.5", "b'1.5'")],
+                         ids=["negative", "fraction"])
+def test_inpaint_rejects_a_pgm_sample_outside_0_maxval(tmp_path, capsys, sample, named):
+    ipath = tmp_path / "in.pgm"
+    ipath.write_bytes(b"P2\n2 2\n255\n0 10\n" + sample + b" 20\n")
+    cfg = write_config(tmp_path, SMALL)
+    out = tmp_path / "ip"
+    assert run(["inpaint", "--config", cfg, "--image", str(ipath), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: PGM sample {named} is not an integer in [0, 255]")
+    assert not (out / "metrics.json").exists()

@@ -20,6 +20,7 @@ from spglr.experiments import (
     run_trial,
     sample_mask,
 )
+from spglr.linalg import frobenius_norm
 
 NOISE = GmmNoiseParams(var_a=1e-4, var_b=0.1, c=0.1)
 
@@ -83,9 +84,14 @@ def test_gmm_noise_pure_components():
 
 
 def test_gmm_noise_mixture_variance_and_components():
-    samples, outliers = gmm_noise(100_000, NOISE, 7, return_components=True)
+    samples = gmm_noise(100_000, NOISE, 7)
     assert abs(samples.var() - NOISE.mixture_variance) <= 0.05 * NOISE.mixture_variance
+    # The same seed with var_a = 0 draws the same components and zeroes
+    # every nominal sample, so the outliers are the nonzero draws.
+    pure = gmm_noise(100_000, GmmNoiseParams(0.0, NOISE.var_b, NOISE.c), 7)
+    outliers = pure != 0
     assert abs(outliers.mean() - NOISE.c) <= 0.01
+    assert np.array_equal(samples[outliers], pure[outliers])
     assert np.array_equal(samples, gmm_noise(100_000, NOISE, 7))
 
 
@@ -110,7 +116,7 @@ def test_rmse_examples():
     rng = np.random.default_rng(0)
     X, Y = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
     assert rmse(X, Y) == pytest.approx(
-        spglr.frobenius_norm(X - Y) / math.sqrt(9), rel=1e-12
+        frobenius_norm(X - Y) / math.sqrt(9), rel=1e-12
     )
     with pytest.raises(ValueError):
         rmse(np.zeros((2, 2)), np.zeros((3, 2)))

@@ -248,6 +248,17 @@ def test_pgm_malformed_inputs():
         pgm_read(b"P2\n1 1\n4\n9\n")
 
 
+@pytest.mark.parametrize("payload, message", [
+    (b"-5 10", r"PGM sample b'-5' is not an integer in \[0, 255\]"),
+    (b"0 1.5", r"PGM sample b'1.5' is not an integer in \[0, 255\]"),
+    (b"0 +7", r"PGM sample b'\+7' is not an integer"),
+    (b"256 0", "PGM sample 256 exceeds maxval 255"),
+], ids=["negative", "fraction", "signed", "above_maxval"])
+def test_pgm_ascii_sample_outside_0_maxval_or_not_an_integer(payload, message):
+    with pytest.raises(ValueError, match=message):
+        pgm_read(b"P2\n2 1\n255\n" + payload + b"\n")
+
+
 def test_pgm_write_clamps():
     X = np.array([[-0.5, 2.0]])
     back = pgm_read(pgm_write(X))

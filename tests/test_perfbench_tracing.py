@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import spglr
+from spglr.experiments import gen_low_rank
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
@@ -27,7 +28,7 @@ def completion_20x16():
 
 def rpca_20x20():
     rng = np.random.default_rng(12)
-    L = spglr.gen_low_rank(20, 20, 2, 12)
+    L = gen_low_rank(20, 20, 2, 12)
     L.flat[rng.choice(400, 40, replace=False)] += rng.uniform(-0.5, 0.5, 40)
     return lambda: spglr.RpcaLoss(L)
 

@@ -7,6 +7,7 @@ import spglr
 from spglr import linalg as linalg_module
 from spglr import penalty as penalty_module
 from spglr import svt as svt_module
+from spglr.experiments import gen_low_rank
 from spglr.losses import MaskedData
 from spglr.penalty import prox_vector
 from spglr.svt import SvtConfig, svt_solve
@@ -175,7 +176,7 @@ def test_svt_on_a_thin_full_observation_takes_the_route(monkeypatch):
     # 400 x 30 with nine values above tau: each prox takes the eigenpairs of
     # the 30 x 30 Gram matrix, one certificate and no sweep
     rng = np.random.default_rng(11)
-    L = spglr.gen_low_rank(400, 30, 3, 11)
+    L = gen_low_rank(400, 30, 3, 11)
     hit = rng.random(L.shape) < 0.1
     L[hit] += rng.uniform(-1.0, 1.0, int(hit.sum()))
     routes = record_routes(monkeypatch)
