@@ -275,6 +275,7 @@ def _cmd_ablate(args):
 
 
 def _summary_row(summary, run_cfg, mu0, alpha):
+    """One results.csv row; its keys, in order, are the file's columns."""
     return {
         "solver": summary.solver,
         "mu0": float(mu0),

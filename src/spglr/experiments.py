@@ -19,7 +19,7 @@ import numpy as np
 
 from .linalg import as_matrix
 from .losses import CompletionLoss, MaskedData
-from .solver import SolverConfig, solve
+from .solver import SolverConfig, check_integer_fields, solve
 from .svt import SvtConfig, svt_solve
 
 PRNG_DESCRIPTION = (
@@ -70,6 +70,7 @@ class TrialSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_integer_fields(self)
         for name in ("m", "n", "r"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")

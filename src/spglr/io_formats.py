@@ -219,31 +219,20 @@ def trace_csv_read(text):
 # ---------------------------------------------------------------------------
 # results CSV (experiment summaries)
 
-RESULTS_COLUMNS = (
-    "solver",
-    "mu0",
-    "alpha",
-    "m",
-    "n",
-    "r",
-    "sr",
-    "trials",
-    "mean_rmse",
-    "median_rmse",
-    "mean_iterations",
-    "mean_runtime_s",
-)
-
-
 def results_csv_write(rows):
-    """Rows are dicts keyed by RESULTS_COLUMNS; floats use repr formatting."""
-    lines = [",".join(RESULTS_COLUMNS)]
+    """One line per row dict, under a header of the first row's keys.
+
+    Every row must have the same keys in the same order; the caller that
+    builds the rows owns the columns. Floats use repr formatting.
+    """
+    if not rows:
+        raise ValueError("results CSV needs at least one row")
+    columns = list(rows[0])
+    lines = [",".join(columns)]
     for row in rows:
-        cells = []
-        for col in RESULTS_COLUMNS:
-            v = row[col]
-            cells.append(_fmt(v) if isinstance(v, float) else str(v))
-        lines.append(",".join(cells))
+        if list(row) != columns:
+            raise ValueError(f"results row keys {list(row)} differ from the header {columns}")
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row.values()))
     return "\n".join(lines) + "\n"
 
 

@@ -9,11 +9,10 @@ keeps the smoothing parameter mu (when the energy value dropped by at
 least alpha * mu) or resets it onto the decaying envelope
 mu0 / (k + 1)^sigma_exp.
 
-Every iteration's backtracking starts at gamma = 1, clamped to
-[gamma_lo, gamma_hi]. The smoothed l1 loss has a (1/mu)-Lipschitz
-gradient, so gamma = 1 passes the majorization test in exact arithmetic
-and a typical iteration pays for one prox; no gamma is carried from one
-iteration to the next.
+Every iteration's backtracking starts at the constant gamma = 1. The
+smoothed l1 loss has a (1/mu)-Lipschitz gradient, so gamma = 1 passes
+the majorization test in exact arithmetic and a typical iteration pays
+for one prox; no gamma is carried from one iteration to the next.
 
 Where a cost model prices it below the full SVD, the prox decomposes W
 only as far as its output needs, warm-started from the right factor of
@@ -26,6 +25,7 @@ nonincreasing along the iterates, which is what drives the schedule.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, fields
 
@@ -40,25 +40,33 @@ from .penalty import (
 )
 
 
+def check_integer_fields(config):
+    """Raise ValueError "<field> must be an integer" for the first
+    int-typed dataclass field of `config` that holds a bool or a value
+    that is not an integer; numpy integers pass."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{f.name} must be an integer")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Tuning knobs for `solve`, checked when built.
 
     alpha may be math.inf, which forces the mu reset branch every
-    iteration. lam and nu are the penalty weight and cap threshold.
-    gamma_lo and gamma_hi bound only the start of each backtracking
-    search; the accepted gamma_k, and so the trace, can exceed gamma_hi.
-    Construction and dataclasses.replace raise ValueError on a setting
-    outside the solver's assumptions, with a message that starts with
-    the field name; every real but alpha must be finite.
+    iteration. lam and nu are the penalty weight and cap threshold. rho
+    raises gamma on each rejected backtracking step; every search starts
+    at gamma = 1. Construction and dataclasses.replace raise ValueError
+    on a setting outside the solver's assumptions, with a message that
+    starts with the field name; every real but alpha must be finite,
+    and max_iter and seed must be integers.
     """
 
     mu0: float = 10.0
     alpha: float = 0.8
     rho: float = 2.0
     sigma_exp: float = 1.5
-    gamma_lo: float = 1e-4
-    gamma_hi: float = 1e4
     lam: float = 0.1
     nu: float = 0.05
     max_iter: int = 500
@@ -67,18 +75,17 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integer_fields(self)
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type is float and f.name != "alpha" and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite")
-        for name in ("mu0", "alpha", "gamma_lo", "gamma_hi", "lam", "nu", "step_tol", "mu_stop"):
+        for name in ("mu0", "alpha", "lam", "nu", "step_tol", "mu_stop"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("rho", "sigma_exp"):
             if not getattr(self, name) > 1:
                 raise ValueError(f"{name} must be greater than 1")
-        if self.gamma_lo > self.gamma_hi:
-            raise ValueError("gamma_lo must not exceed gamma_hi")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.seed < 0:
@@ -138,10 +145,9 @@ def _line_search_inner(X_k, f_k, G, norm_scale, mu_k, gamma_init, d_k, binding, 
 
     Tries gamma_init, rho * gamma_init, ... with rho = config.rho until
     the quadratic model with curvature gamma / mu_k majorizes the
-    smoothed loss at the candidate. `solve` passes the same gamma_init
-    on every iteration, 1 clamped to [gamma_lo, gamma_hi], which that
-    test accepts in exact arithmetic. norm_scale is max(1, ||X_k||);
-    `warm` is passed on to the prox.
+    smoothed loss at the candidate. `solve` passes gamma_init = 1 on
+    every iteration, which that test accepts in exact arithmetic.
+    norm_scale is max(1, ||X_k||); `warm` is passed on to the prox.
 
     Returns (gamma, X_next, sigma_next, r_next, loss_next, l1_next, step):
     sigma_next is the descending spectrum of X_next taken from the prox,
@@ -254,7 +260,6 @@ def solve(binding, config):
     r = binding.residuals(X)
     f_k = binding.value_at(r, mu)
     energy_prev = _energy_from_parts(f_k, sigma, mu, binding, config)
-    gamma0 = min(max(1.0, config.gamma_lo), config.gamma_hi)
     warm = ProxWarmStart(config.seed)
     trace = []
     status = "max_iter"
@@ -266,7 +271,7 @@ def solve(binding, config):
         norm_scale = max(1.0, float(np.linalg.norm(X)))
 
         gamma, X_next, sigma_next, r, loss_next, l1_next, step = _line_search_inner(
-            X, f_k, G, norm_scale, mu, gamma0, d_k, binding, config, warm
+            X, f_k, G, norm_scale, mu, 1.0, d_k, binding, config, warm
         )
 
         penalty_next = config.lam * capped_surrogate(sigma_next, config.nu)

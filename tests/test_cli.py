@@ -161,6 +161,13 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, {**SMALL, "mystery": 1})
     assert run(["synth", "--config", cfg, "--out-dir", str(tmp_path / "x")]) == 1
     assert "mystery" in capsys.readouterr().err
+    # the removed backtracking bounds are unknown keys, reported before any output
+    for extra in ({"gamma_hi": 1e4}, {"gamma_lo": 9.0, "gamma_hi": 1.0}):
+        cfg = write_config(tmp_path, {**SMALL, **extra})
+        out = tmp_path / "never"
+        assert run(["solve", "--config", cfg, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == 'error: unknown config key "gamma_hi"\n'
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -139,6 +139,11 @@ def test_trial_spec_validation():
     # one message per field, each led by the field's name
     with pytest.raises(ValueError, match="^n must be at least 1"):
         TrialSpec(m=4, n=0, r=1, sr=0.5, noise=NOISE)
+    with pytest.raises(ValueError, match="^m must be an integer$"):
+        TrialSpec(m=8.5, n=4, r=1, sr=0.5, noise=NOISE)
+    with pytest.raises(ValueError, match="^seed must be an integer$"):
+        TrialSpec(m=4, n=4, r=1, sr=0.5, noise=NOISE, seed=True)
+    assert TrialSpec(m=np.int64(4), n=4, r=np.int8(1), sr=0.5, noise=NOISE).m == 4
 
 
 def test_build_trial_data_noise_on_observed_only():

@@ -22,7 +22,6 @@ from spglr.io_formats import (
     results_csv_write,
     trace_csv_read,
     trace_csv_write,
-    RESULTS_COLUMNS,
     TRACE_COLUMNS,
 )
 from spglr.losses import MaskedData
@@ -362,11 +361,14 @@ def test_csv_readers_name_the_physical_line_of_a_bad_row(read, text, message):
 
 
 def test_results_csv_columns():
-    row = {c: 1.5 if c not in ("solver",) else "spg" for c in RESULTS_COLUMNS}
-    text = results_csv_write([row])
-    lines = text.splitlines()
-    assert lines[0] == ",".join(RESULTS_COLUMNS)
-    assert lines[1].startswith("spg,1.5,")
+    # the header is the rows' keys, in order; a row with other keys is refused
+    rows = [{"solver": "spg", "mu0": 10.0, "m": 8}, {"solver": "svt", "mu0": math.inf, "m": 9}]
+    assert results_csv_write(rows) == "solver,mu0,m\nspg,10.0,8\nsvt,inf,9\n"
+    for other in ({"solver": "svt", "mu0": 1.0}, {"mu0": 1.0, "solver": "svt", "m": 9}):
+        with pytest.raises(ValueError, match="differ from the header"):
+            results_csv_write([rows[0], other])
+    with pytest.raises(ValueError, match="at least one row"):
+        results_csv_write([])
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +404,15 @@ def test_config_negative_nu_names_key():
 def test_config_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown config key"):
         config_read('{"m": 4, "n": 4, "r": 1, "sr": 1.0, "typo_key": 3}')
+    # the removed backtracking bounds are unknown keys; the first in sorted
+    # order is named
+    for extra, key in [
+        ('"gamma_lo": 9.0', "gamma_lo"),
+        ('"gamma_hi": 1.0', "gamma_hi"),
+        ('"gamma_lo": 9.0, "gamma_hi": 1.0', "gamma_hi"),
+    ]:
+        with pytest.raises(ConfigError, match=f'^unknown config key "{key}"$'):
+            config_read('{"m": 4, "n": 4, "r": 1, "sr": 0.5, %s}' % extra)
 
 
 def test_config_missing_required_key():
@@ -422,8 +433,6 @@ KEY_CASES = {
     "alpha": ("huge", -1.0),
     "rho": ([2.0], 1.0),
     "sigma_exp": (None, 1.0),
-    "gamma_lo": (True, 0.0),
-    "gamma_hi": ({}, -1.0),
     "lambda": ("x", math.nan),
     "nu": ("0.05", -0.5),
     "max_iter": (2.5, 0),
@@ -468,8 +477,6 @@ def test_config_key_type_and_range(key):
 
 
 def test_config_bad_types_and_values():
-    with pytest.raises(ConfigError, match='"gamma_lo"'):
-        config_read('{"m": 4, "n": 4, "r": 1, "sr": 0.5, "gamma_lo": 9.0, "gamma_hi": 1.0}')
     with pytest.raises(ConfigError, match="invalid JSON"):
         config_read("{nope")
     with pytest.raises(ConfigError, match="JSON object"):

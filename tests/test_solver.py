@@ -362,7 +362,7 @@ def test_solve_trace_invariants():
     # reset flags describe the recorded mu sequence
     for r0, r1 in zip(trace, trace[1:]):
         assert r0.mu_reset == (r1.mu_k != r0.mu_k)
-    assert all(r.gamma_k <= max(cfg.gamma_hi, cfg.rho * 1.0) for r in trace)
+    assert all(r.gamma_k <= cfg.rho for r in trace)
     assert all(r.smoothed_objective <= r.energy for r in trace)
     assert all(r.step_norm >= 0 for r in trace)
     assert result.status in ("converged", "max_iter")
@@ -477,14 +477,10 @@ def test_solve_checks_neither_d_nor_the_truncated_w(monkeypatch):
     assert checked == []
 
 
-@pytest.mark.parametrize(
-    "bounds",
-    [{}, {"gamma_hi": 0.5}, {"gamma_lo": 2.0}],
-    ids=["defaults", "gamma_hi_below_1", "gamma_lo_above_1"],
-)
-def test_solve_starts_every_backtracking_search_at_gamma0(monkeypatch, bounds):
+@pytest.mark.parametrize("cfg", [SolverConfig(lam=0.4, nu=0.05, max_iter=300)], ids=["defaults"])
+def test_solve_starts_every_backtracking_search_at_gamma0(monkeypatch, cfg):
     # Record the gammas each iteration hands the prox: every search starts
-    # at 1 clamped to [gamma_lo, gamma_hi], whatever the last one accepted.
+    # at 1, whatever the last one accepted.
     searches = []
     line_search_inner, prox_step = solver_module._line_search_inner, solver_module._prox_step
 
@@ -499,17 +495,11 @@ def test_solve_starts_every_backtracking_search_at_gamma0(monkeypatch, bounds):
     monkeypatch.setattr(solver_module, "_line_search_inner", recording_line_search)
     monkeypatch.setattr(solver_module, "_prox_step", recording_prox_step)
     _, L = sparse_corrupted_low_rank()
-    cfg = SolverConfig(lam=0.4, nu=0.05, max_iter=300, **bounds)
     result = solve(RpcaLoss(L), cfg)
-    gamma0 = min(max(1.0, cfg.gamma_lo), cfg.gamma_hi)
     assert len(searches) == result.iterations
     for gammas, rec in zip(searches, result.trace):
-        assert gammas == [gamma0 * cfg.rho**i for i in range(len(gammas))]
+        assert gammas == [cfg.rho**i for i in range(len(gammas))]
         assert gammas[-1] == rec.gamma_k
-    if cfg.gamma_hi < 1.0:
-        # curvature below the loss's own is rejected on some iterations,
-        # and the iteration after such a rise still starts at gamma0
-        assert any(len(gammas) > 1 for gammas in searches[:-1])
 
 
 def test_solve_rpca_splits_sparse_corruption():
@@ -527,8 +517,6 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(sigma_exp=1.0)
     with pytest.raises(ValueError):
-        SolverConfig(gamma_lo=2.0, gamma_hi=1.0)
-    with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError, match="^lam must be positive$"):
         SolverConfig(lam=0.0)
@@ -542,8 +530,11 @@ def test_solver_config_validation():
         SolverConfig(nu=math.nan)
     with pytest.raises(ValueError, match="^seed must be nonnegative$"):
         SolverConfig(seed=-1)
-    with pytest.raises(ValueError, match="^gamma_lo must not exceed gamma_hi$"):
-        SolverConfig(gamma_lo=2.0, gamma_hi=1.0)
+    # integer fields take Python and numpy integers, never a bool or a float
+    for field, value in [("max_iter", 2.5), ("max_iter", 3.0), ("seed", 1.5), ("seed", True)]:
+        with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
+            SolverConfig(**{field: value})
+    assert SolverConfig(max_iter=np.int64(3), seed=np.uint32(2)).max_iter == 3
     # a config that exists is valid: replace checks, and fields are frozen
     with pytest.raises(ValueError, match="^lam must be positive$"):
         dataclasses.replace(SolverConfig(), lam=0.0)

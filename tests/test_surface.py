@@ -1,9 +1,12 @@
-"""The package namespace exports exactly its public names.
+"""The package namespace exports exactly its public names, and the solver
+configs have exactly their settable fields.
 
 Helpers that only the package itself and unit tests use are imported
-from their modules, not from `spglr`.
+from their modules, not from `spglr`. Adding a name or a config knob
+means editing this file.
 """
 
+import dataclasses
 import importlib
 
 import spglr
@@ -44,3 +47,13 @@ def test_helpers_are_importable_only_from_their_modules():
         assert not hasattr(spglr, name), name
         helper = getattr(importlib.import_module(f"spglr.{module}"), name)
         assert helper.__module__ == f"spglr.{module}"
+
+
+def test_solver_configs_have_exactly_their_fields():
+    solver_fields = [f.name for f in dataclasses.fields(spglr.SolverConfig)]
+    assert solver_fields == [
+        "mu0", "alpha", "rho", "sigma_exp", "lam", "nu",
+        "max_iter", "step_tol", "mu_stop", "seed",
+    ]
+    svt_fields = [f.name for f in dataclasses.fields(spglr.SvtConfig)]
+    assert svt_fields == ["tau", "step", "max_iter", "tol"]

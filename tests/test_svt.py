@@ -197,6 +197,11 @@ def test_svt_config_validation():
         dataclasses.replace(SvtConfig(), max_iter=0)
     with pytest.raises(ValueError, match="^tol must be positive, got 0$"):
         SvtConfig(tol=0)
+    with pytest.raises(ValueError, match="^max_iter must be an integer$"):
+        SvtConfig(max_iter=2.5)
+    with pytest.raises(ValueError, match="^max_iter must be an integer$"):
+        SvtConfig(max_iter=False)
+    assert SvtConfig(max_iter=np.int32(7)).max_iter == 7
     with pytest.raises(dataclasses.FrozenInstanceError):
         SvtConfig().tau = 1.0
     with pytest.raises(TypeError):

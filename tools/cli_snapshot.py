@@ -62,7 +62,7 @@ ERROR_CASES = {
     "lambda_zero": ({"lambda": 0.0}, []),
     "unknown_key": ({"lamda": 0.75}, []),
     "missing_sr": ({"sr": None}, []),
-    "gamma_lo_above_hi": ({"gamma_lo": 9.0, "gamma_hi": 1.0}, []),
+    "r_above_min_side": ({"r": 61}, []),
     "alpha_huge": ({"alpha": "huge"}, []),
     "max_iter_fraction": ({"max_iter": 2.5}, []),
     "solver_magic": ({"solver": "magic"}, []),
