@@ -19,7 +19,7 @@ import numpy as np
 
 from .linalg import as_matrix
 from .losses import CompletionLoss, MaskedData
-from .solver import SolverConfig, check_integer_fields, solve
+from .solver import SolverConfig, check_field_types, solve
 from .svt import SvtConfig, svt_solve
 
 PRNG_DESCRIPTION = (
@@ -47,6 +47,7 @@ class GmmNoiseParams:
     c: float = 0.0
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("var_a", "var_b"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -70,7 +71,7 @@ class TrialSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_integer_fields(self)
+        check_field_types(self)
         for name in ("m", "n", "r"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")

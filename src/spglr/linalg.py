@@ -71,6 +71,15 @@ def svd(W):
 # Extra columns carried beyond the triplets a truncated SVD must return;
 # the gap to singular value b + 1 sets how fast the kept ones converge.
 _BLOCK_PAD = 5
+# Products with W W^T applied to the block before each Rayleigh-Ritz step.
+# q of them raise the factor a sweep shrinks the Ritz residuals by to the
+# power 2 q + 1, and each costs two products with W, less than the QR and
+# small SVD that a sweep pays anyway.
+_POWER_STEPS = 2
+# The largest spread s_1 / s_b of the block a call's q power steps may
+# raise to the power 2 q + 1: past it, the pad columns fall below the
+# rounding of the top ones in the QR and the block loses them.
+_POWER_SPREAD = 1e10
 # Sweeps a subspace call runs before it leaves the prox to the full SVD.
 _MAX_SWEEPS = 30
 # A kept triplet has converged once ||W v_i - s_i u_i|| <= _RESIDUAL_TOL * s_1.
@@ -78,12 +87,18 @@ _RESIDUAL_TOL = 1e-13
 # u, the unit roundoff of float64.
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 # Each truncated route's running (sweeps, certificates, calls) before a
-# solve's first call on it: a Gram call takes one proof and no sweep, and a
-# warm-started rank-5 call on the subspace route about 6 sweeps.
-_PRIOR_PACE = {"gram": (0.0, 1.0, 1), "subspace": (6.0, 1.0, 1)}
+# solve's first call on it: a Gram call takes one proof and no sweep. Warm
+# subspace calls of rank-5 completions average 2.2-2.7 sweeps and 0.14-0.24
+# proofs over whole solves from 60 x 60 to 200 x 200, but about 3 and 0.4
+# while the rank climbs, and the prior is the latter: a solve's running pace
+# reaches it before its rank does, and SVT's blocks of 14 and more at 60 x 60
+# stay priced onto the full SVD, where their calls (about 12 sweeps each when
+# forced onto the route) belong.
+_PRIOR_PACE = {"gram": (0.0, 1.0, 1), "subspace": (3.0, 0.4, 1)}
 # Near ties go to the exact path: a truncated route runs only when priced
-# below this share of the full SVD. Whole solves on the subspace route tie
-# with it at 60 x 60 and take 0.63 of its time at 80 x 80.
+# below this share of the full SVD. Rank-5 completion solves forced onto the
+# subspace route took 0.62 of the full SVD's time at 60 x 60 and 0.77 at
+# 40 x 40 (rank 1 there), a near tie the prices give to the full SVD.
 _TIE = 0.8
 
 # Prices are microseconds with one BLAS thread for an m x n input with short
@@ -91,22 +106,26 @@ _TIE = 0.8
 # Tropp (SIAM Review 2011, section 6). `python tools/price_table.py` prints
 # them beside best-of-5 times. Three of its runs on a shared 2-vCPU Xeon
 # (numpy 2.4, OpenBLAS 0.3.31) measured, in ms, with the price in brackets:
-#   full SVD     60^2 0.58-0.71 (0.56), 120^2 2.8-3.1 (2.9), 200^2 7.0-9.5 (10.0),
-#                500^2 90-93 (90), 1600x60 4.3-4.5 (4.1), 400x30 0.34-0.52 (0.41),
-#                1300x8 0.15-0.18 (0.15)
-#   one sweep    b = 8: 60^2 0.07-0.11 (0.07), 200^2 0.14-0.19 (0.22), 1600x60 0.38-0.54
-#                (0.57), 400x30 0.11-0.18 (0.13); b = 5: 1300x8 0.10-0.16 (0.13);
-#                b = 48: 120^2 0.75-1.05 (0.92), 200^2 1.3-1.8 (1.9)
-#   certificate  k = 5: 60^2 0.05-0.07 (0.05), 200^2 0.52-0.77 (0.83), 1600x60 0.50-0.57 (0.61)
-#   Gram call    k = 5: 60^2 0.53-0.80 (0.52); k = 42: 120^2 1.7-1.9 (1.9); k = 100: 200^2
-#                4.6-5.8 (6.4); k = 3: 1600x60 0.88-1.21 (0.87); k = 9: 400x30 0.19-0.31 (0.30)
-# Each of a tall input's q - p extra rows costs 5e-3 p^1.5 in the full SVD and 5e-3 b
-# in a sweep. The eigh costs about half a square SVD. The kernels alone price the
-# subspace route at 0.40 ms against 0.52 at 60 x 60, where whole solves tie, so each
-# call adds 100 us; a Gram call adds 200 us. Per call, the Gram route took 0.73-0.81
+#   full SVD     40^2 0.27-0.44 (0.21), 60^2 0.59-0.83 (0.56), 120^2 2.0-3.0 (2.9),
+#                200^2 6.3-9.2 (10.0), 500^2 64-83 (90), 1600x60 3.3-4.9 (4.1),
+#                400x30 0.32-0.41 (0.41), 1300x8 0.12-0.17 (0.15)
+#   one sweep    two power steps, b = 10: 40^2 0.10-0.15 (0.10), 60^2 0.10-0.16 (0.12),
+#                80^2 0.11-0.14 (0.13), 200^2 0.24-0.27 (0.31), 500^2 2.1-2.3 (1.2, where
+#                W leaves the cache and no choice is near a tie); b = 8: 1600x60 0.52-0.60
+#                (0.67), 400x30 0.15-0.20 (0.19); b = 5: 1300x8 0.13-0.15 (0.20); b = 20:
+#                60^2 0.20-0.31 (0.23); b = 48: 120^2 1.2-1.4 (1.3), 200^2 1.8-2.1 (2.4)
+#   certificate  k = 5: 60^2 0.06-0.07 (0.05), 200^2 0.52-0.77 (0.83), 1600x60 0.60-0.64 (0.61)
+#   Gram call    k = 5: 60^2 0.62-0.82 (0.52); k = 42: 120^2 1.5-2.2 (1.9); k = 100: 200^2
+#                5.2-6.4 (6.4); k = 3: 1600x60 0.87-1.21 (0.87); k = 9: 400x30 0.20-0.25 (0.30)
+# A sweep's four power products cost less than its QR and small SVD, whose
+# per-column cost the 4 b term carries. Each of a tall input's q - p extra rows
+# costs 5e-3 p^1.5 in the full SVD and 1e-2 b in a sweep. The eigh costs about
+# half a square SVD. Each subspace call adds 40 us beyond its kernels, from whole
+# solves at 60^2, and a Gram call 200 us. Per call, the Gram route took 0.73-0.81
 # of the full SVD's time inside SVT solves from 60^2 to 200^2, but 0.84-0.91 inside
-# SPG solves from 40^2 to 80^2 and SVT at 40^2, and whole calls at 60^2 read 0.87-1.1
-# of it: below about 80^2 it is priced as a near tie, which _TIE gives to the full SVD.
+# SPG solves from 40^2 to 80^2 and SVT at 40^2, and whole calls at 60^2 read
+# 0.87-1.1 of it: below about 80^2 it is priced as a near tie, which _TIE gives to
+# the full SVD.
 
 
 def _prices(m, n, b, pace):
@@ -117,13 +136,13 @@ def _prices(m, n, b, pace):
     p, q = min(m, n), max(m, n)
     square = 0.03 * p**2.4
     full = square + 5e-3 * (q - p) * p**1.5
-    sweep = 45 + 4.7e-4 * m * n * b + 1e-3 * (m + n) * b * b + 5e-3 * (q - p) * b
+    sweep = 45 + 4 * b + 4e-4 * m * n * b + 1.5e-3 * (m + n) * b * b + 0.01 * (q - p) * b
     if b > p - _BLOCK_PAD:
         return full, math.inf, math.inf, sweep
     (gs, gc, gn), (ss, sc, sn) = pace["gram"], pace["subspace"]
     proof = 15 + 4e-5 * p**3
     gram = 200 + 5e-5 * q * p * (p + 2 * b) + square / 2 + (gs * sweep + gc * proof) / gn
-    subspace = 100 + (ss * sweep + sc * (30 + 1e-4 * q * p * p)) / sn
+    subspace = 40 + (ss * sweep + sc * (30 + 1e-4 * q * p * p)) / sn
     return full, gram, subspace, sweep
 
 
@@ -185,7 +204,9 @@ class ProxWarmStart:
     truncated route to its running (sweeps, certificates, calls). `calls`
     counts the calls, `fallbacks` those that tried a route and returned no
     factors, `certificates` the Cholesky factorisations and `sweeps` the
-    subspace route's Rayleigh-Ritz steps.
+    subspace route's Rayleigh-Ritz steps. `spread` is s_1 / s_b of the
+    last sweep's Ritz values, inf before the first, which caps the power
+    steps of the next warm call.
     """
 
     def __init__(self, seed):
@@ -197,6 +218,16 @@ class ProxWarmStart:
         self.fallbacks = 0
         self.certificates = 0
         self.sweeps = 0
+        self.spread = math.inf
+
+
+def _power_steps(spread):
+    """q, the most power steps up to _POWER_STEPS with spread^(2 q + 1) <=
+    _POWER_SPREAD, for the spread s_1 / s_b of the last Ritz values."""
+    q = _POWER_STEPS
+    while q and not spread <= _POWER_SPREAD ** (1 / (2 * q + 1)):
+        q -= 1
+    return q
 
 
 def _leading_svd(W, k_min, threshold, warm):
@@ -273,11 +304,26 @@ def _subspace_triplets(W, k_min, threshold, warm, start, b, tail):
     """The subspace route for _leading_svd: SvdFactors from Rayleigh-Ritz
     sweeps on a block of b columns, those of `start` and Gaussian ones from
     warm.rng (Halko, Martinsson & Tropp, SIAM Review 2011), or None. Each
-    sweep takes the SVD of W.T @ Q, Q the QR of W V, V its right vectors,
-    and keeps k = max(k_min, #{s_i > threshold}) triplets once each has
-    ||W v_i - s_i u_i|| <= _RESIDUAL_TOL * s_1. No gap (k == b), no
+    sweep (_rayleigh_ritz) applies q power steps Y <- W (W^T Y) to the
+    block Y = W V, V its right vectors, takes the SVD of W.T @ Q, Q the QR
+    of Y, and keeps k = max(k_min, #{s_i > threshold}) triplets once each
+    has ||W v_i - s_i u_i|| <= _RESIDUAL_TOL * s_1. No gap (k == b), no
     convergence within _MAX_SWEEPS, a failed decomposition or a failed
     proof gets None.
+
+    A sweep shrinks a kept residual by about (sigma_{b+1} / s_i)^(2 q + 1),
+    so two power steps take a warm call from about 5 sweeps to 2-3. A cold
+    call, with no columns from `start`, takes none; a warm one takes
+    _power_steps(warm.spread), the most that keep the spread of the last
+    Ritz values, raised to 2 q + 1, within _POWER_SPREAD: past it the pad
+    columns sink below the rounding of the top ones in the QR and the block
+    stops converging. From the second sweep of a warm call at an unchanged
+    k, the call stops with None once the measured shrink of the largest kept
+    residual, kept up for the sweeps left, cannot meet the test: a slow gap
+    falls back in a few sweeps, not _MAX_SWEEPS. A cold call runs on, as the
+    random columns of its first sweeps shrink unevenly. The power steps
+    change only the block, so the test, the proof and the carried bound
+    below read the same.
 
     The proof, counted in warm.certificates, is _norm_below on the Gram of
     R = W - (W V_k) V_k.T on its short side: W V_k V_k.T has rank k, so
@@ -304,22 +350,27 @@ def _subspace_triplets(W, k_min, threshold, warm, start, b, tail):
     if tail is not None and tail[0].shape == W.shape:
         W_ref, B, k_ref = tail
         carried = B + float(np.linalg.norm(W - W_ref)) * (1 + 1e-12)
+    q = _power_steps(warm.spread) if start.shape[1] else 0
     Y = W @ np.hstack([start, warm.rng.standard_normal((n, b - start.shape[1]))])
-    for _ in range(_MAX_SWEEPS):
-        Q = np.linalg.qr(Y)[0]
+    last = None
+    for sweep in range(1, _MAX_SWEEPS + 1):
         try:
-            P, s, Ht = np.linalg.svd(W.T @ Q, full_matrices=False)
+            U, s, P, Y = _rayleigh_ritz(W, Y, q)
         except np.linalg.LinAlgError:
             return None
-        U = Q @ Ht.T
-        Y = W @ P
         warm.sweeps += 1
+        warm.spread = s[0] / s[-1] if s[-1] > 0 else math.inf
         k = max(k_min, int(np.count_nonzero(s > threshold)))
         if k == b:
             return None
-        resid = np.linalg.norm(Y[:, :k] - U[:, :k] * s[:k], axis=0)
-        if resid.max(initial=0.0) <= _RESIDUAL_TOL * s[0]:
+        resid = np.linalg.norm(Y[:, :k] - U[:, :k] * s[:k], axis=0).max(initial=0.0)
+        goal = _RESIDUAL_TOL * s[0]
+        if resid <= goal:
             break
+        if start.shape[1] and last is not None and last[0] == k:
+            if resid >= last[1] or resid * (resid / last[1]) ** (_MAX_SWEEPS - sweep) > goal:
+                return None
+        last = (k, resid)
     else:
         return None
     factors = SvdFactors(U[:, :k], s[:k], P[:, :k])
@@ -335,6 +386,19 @@ def _subspace_triplets(W, k_min, threshold, warm, start, b, tail):
             warm.tail = (W.copy(), bound, k)
             return factors
     return None
+
+
+def _rayleigh_ritz(W, Y, q):
+    """One sweep of the subspace route from the block Y = W V: q power
+    steps Y <- W (W^T Y), Q the QR of Y and the SVD P s H^T of W^T Q.
+    Returns the Ritz triplets (U, s, P) with U = Q H and the next block
+    W P, whose columns the residual test also reads."""
+    for _ in range(q):
+        Y = W @ (W.T @ Y)
+    Q = np.linalg.qr(Y)[0]
+    P, s, Ht = np.linalg.svd(W.T @ Q, full_matrices=False)
+    Y = W @ P
+    return Q @ Ht.T, s, P, Y
 
 
 def _norm_below(G, bound, slack=0.0):

@@ -40,14 +40,21 @@ from .penalty import (
 )
 
 
-def check_integer_fields(config):
-    """Raise ValueError "<field> must be an integer" for the first
-    int-typed dataclass field of `config` that holds a bool or a value
-    that is not an integer; numpy integers pass."""
+# Each checked field type: the values it takes and the error it raises.
+_FIELD_TYPES = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
+
+
+def check_field_types(config):
+    """Raise ValueError "<field> must be an integer" (or "a number") for
+    the first int (or float) dataclass field of `config` that holds a bool
+    or a value of another type; numpy integers and floats pass, and an
+    integer passes as a float."""
     for f in fields(config):
-        value = getattr(config, f.name)
-        if f.type is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-            raise ValueError(f"{f.name} must be an integer")
+        if f.type in _FIELD_TYPES:
+            kind, noun = _FIELD_TYPES[f.type]
+            value = getattr(config, f.name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{f.name} must be {noun}")
 
 
 @dataclass(frozen=True)
@@ -59,8 +66,8 @@ class SolverConfig:
     raises gamma on each rejected backtracking step; every search starts
     at gamma = 1. Construction and dataclasses.replace raise ValueError
     on a setting outside the solver's assumptions, with a message that
-    starts with the field name; every real but alpha must be finite,
-    and max_iter and seed must be integers.
+    starts with the field name; every real must be a number, finite but
+    for alpha, and max_iter and seed must be integers.
     """
 
     mu0: float = 10.0
@@ -75,7 +82,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_integer_fields(self)
+        check_field_types(self)
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type is float and f.name != "alpha" and not math.isfinite(value):

@@ -22,7 +22,7 @@ import numpy as np
 from .linalg import ProxWarmStart, rank_estimate
 from .losses import MaskedData
 from .penalty import prox_matrix_with_spectrum
-from .solver import IterationRecord, SolveResult, check_integer_fields
+from .solver import IterationRecord, SolveResult, check_field_types
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class SvtConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        check_integer_fields(self)
+        check_field_types(self)
         if not self.tau > 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if not self.step > 0:

@@ -107,6 +107,11 @@ def test_gmm_params_validation():
         GmmNoiseParams(var_b=math.inf)
     with pytest.raises(ValueError, match="^var_b must be nonnegative"):
         GmmNoiseParams(var_b=-0.1)
+    # real fields take Python and numpy reals, never a bool or a string
+    for field, value in [("c", True), ("var_a", "0.1"), ("var_b", None)]:
+        with pytest.raises(ValueError, match=f"^{field} must be a number$"):
+            GmmNoiseParams(**{field: value})
+    assert GmmNoiseParams(var_a=np.float32(0.5), var_b=1, c=np.int64(0)).var_b == 1
 
 
 def test_rmse_examples():
@@ -144,6 +149,10 @@ def test_trial_spec_validation():
     with pytest.raises(ValueError, match="^seed must be an integer$"):
         TrialSpec(m=4, n=4, r=1, sr=0.5, noise=NOISE, seed=True)
     assert TrialSpec(m=np.int64(4), n=4, r=np.int8(1), sr=0.5, noise=NOISE).m == 4
+    for sr in ("0.5", True):
+        with pytest.raises(ValueError, match="^sr must be a number$"):
+            TrialSpec(m=4, n=4, r=1, sr=sr, noise=NOISE)
+    assert TrialSpec(m=4, n=4, r=1, sr=np.float64(0.5), noise=NOISE).sr == 0.5
 
 
 def test_build_trial_data_noise_on_observed_only():

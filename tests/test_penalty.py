@@ -323,6 +323,79 @@ def test_truncated_prox_warm_start_reuses_previous_factor(monkeypatch):
         assert_prox_agrees(truncated, exact)
 
 
+def record_power_steps(monkeypatch):
+    """The power steps q of each Rayleigh-Ritz step, in call order."""
+    steps = []
+    rayleigh_ritz = linalg_module._rayleigh_ritz
+
+    def recording(W, Y, q):
+        steps.append(q)
+        return rayleigh_ritz(W, Y, q)
+
+    monkeypatch.setattr(linalg_module, "_rayleigh_ritz", recording)
+    return steps
+
+
+def test_power_steps_are_capped_by_the_spread_of_the_last_ritz_values():
+    # q power steps raise the spread s_1 / s_b to the power 2 q + 1, which
+    # must stay within 1e10: 100^5, 2154^3 and 1e10^1
+    cap = linalg_module._POWER_SPREAD
+    assert linalg_module._POWER_STEPS == 2
+    for spread, q in [(1.0, 2), (100.0, 2), (101.0, 1), (cap ** (1 / 3), 1), (2200.0, 0),
+                      (cap, 0), (1e20, 0), (math.inf, 0), (math.nan, 0)]:
+        assert linalg_module._power_steps(spread) == q, spread
+    assert ProxWarmStart(0).spread == math.inf
+
+
+def test_cold_call_takes_no_power_step_and_warm_calls_take_two(monkeypatch):
+    steps = record_power_steps(monkeypatch)
+    W = spectral_matrix((120, 100), CARRIED_SIGMA, seed=11)
+    d = selector(3, 100)
+    warm = ProxWarmStart(2)
+    assert certified_step(W, d, warm)[1] == 0
+    assert set(steps) == {0}
+    cold = len(steps)
+    # the block's spread 10 / 0.3 allows two power steps, and they finish
+    # the warm call in two sweeps
+    assert certified_step(perturbed(W, 1e-3, seed=1), d, warm)[1] == 0
+    assert steps[cold:] == [2, 2]
+
+
+@pytest.mark.parametrize("shape", [(120, 100), (100, 120)], ids=["tall", "wide"])
+def test_warm_call_on_a_slow_gap_falls_back_after_two_sweeps(shape):
+    # sigma_6 = 0.5, which d = 2 keeps, over a tail from 0.49 that falls by
+    # 0.5 % a value: a powered sweep shrinks the residual of the sixth
+    # triplet by about (0.48 / 0.5)^5, far too little for 30 sweeps, so the
+    # call stops once two sweeps have measured that (without the stop it
+    # ran all 30 and then the full SVD)
+    sigma = np.r_[10.0, 6.0, 3.0, 0.8, 0.6, 0.5, noise_tail(94, 0.49, 0.995)]
+    d = selector(6, 100)
+    W = spectral_matrix(shape, sigma, seed=4)
+    warm = ProxWarmStart(1)
+    truncated_and_exact(W, d, warm)
+    sweeps = warm.sweeps
+    (X_t, x_t), (X_e, x_e), fallbacks = truncated_and_exact(perturbed(W, 0.11, seed=5), d, warm)
+    assert (fallbacks, warm.sweeps - sweeps) == (1, 2)
+    assert np.array_equal(X_t, X_e) and np.array_equal(x_t, x_e)
+
+
+@pytest.mark.parametrize("shape", [(120, 100), (100, 120)], ids=["tall", "wide"])
+def test_warm_call_on_the_slower_gap_of_r2_converges_with_power_steps(shape):
+    # sigma_6 = 0.5 and sigma_12 = 0.35 at a drift of 0.11: unpowered
+    # sweeps needed about 30 (the wide call ran all 30 and fell back);
+    # powered ones converge in 10 (tall) or 12 (wide), and the measured
+    # shrink never stops them early
+    sigma, twos = TRUNCATED_CASES["r2_beyond_threshold"]
+    d = selector(twos, sigma.size)
+    W = spectral_matrix(shape, sigma, seed=4)
+    warm = ProxWarmStart(1)
+    truncated_and_exact(W, d, warm)
+    sweeps = warm.sweeps
+    truncated, exact, fallbacks = truncated_and_exact(perturbed(W, 0.11, seed=5), d, warm)
+    assert fallbacks == 0 and warm.sweeps - sweeps <= 12
+    assert_prox_agrees(truncated, exact)
+
+
 @pytest.mark.parametrize("count", [6, 60])
 def test_cold_block_with_no_gap_falls_back_and_leaves_the_pace(monkeypatch, count):
     # `count` values above tau / nu = 1: the cold block of five columns has
@@ -528,19 +601,23 @@ def test_gram_block_priced_out_falls_back_then_holds(monkeypatch):
     assert (len(grams), warm.sweeps) == (2, 0)
 
 
-def test_gram_proof_lost_to_the_spread_falls_back_then_holds():
+def test_gram_proof_lost_to_the_spread_falls_back_then_holds(monkeypatch):
     # sigma_1 / (tau / nu) = 1.5e6: the Gram's rounding margin is too wide
     # to prove the tail, and the kept value 1.5 loses its digits before
     # that, so the call falls back at the residual test, and the restarted
-    # pace keeps the next calls at that rank on the full SVD
+    # pace keeps the next calls at that rank off the Gram route: they take
+    # the subspace route, whose spread of 1.5e6 caps the power steps at 0
+    grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
     sigma = np.r_[np.geomspace(1.5e6, 1.5, 3), 0.99 * 0.97 ** np.arange(57)]
     W = spectral_matrix((1600, 60), sigma, seed=1)
     d = selector(0, 60)
     warm = ProxWarmStart(0)
     assert certified_step(W, d, warm) == (0, 1)
     for j in range(3):
-        assert certified_step(perturbed(W, 1e-6, seed=j), d, warm) == (0, 0)
-    assert (warm.sweeps, warm.fallbacks) == (0, 1)
+        assert certified_step(perturbed(W, 1e-6, seed=j), d, warm)[1] == 0
+        assert linalg_module._power_steps(warm.spread) == 0
+    assert (len(grams), warm.fallbacks) == (1, 1)
+    assert warm.sweeps > 0
 
 
 def test_gram_proof_that_fails_falls_back_with_no_sweep():
@@ -776,3 +853,36 @@ def test_shared_warm_start_on_degenerate_inputs():
         bad[5, 7] = value
         with pytest.raises(ValueError, match="finite"):
             prox_matrix_with_spectrum(bad, selector(3, 100), 0.05, 0.05, warm)
+
+
+def wide_spectrum_case(seed):
+    """(shape, sigma, twos): one to five top values spread log-uniformly
+    from just above tau / nu = 1 up to 1e8, over a tail below 1."""
+    rng = np.random.default_rng(seed)
+    shape = (120, 100) if seed % 2 else (100, 120)
+    k = int(rng.integers(1, 6))
+    top = np.sort(10.0 ** rng.uniform(0.05, 8.0, k))[::-1]
+    tail = noise_tail(100 - k, rng.uniform(0.3, 0.9), rng.uniform(0.85, 0.97))
+    return shape, np.r_[top, tail], int(rng.integers(0, k + 1))
+
+
+def test_wide_spectra_agree_with_the_exact_prox_or_fall_back():
+    # A block whose spread s_1 / s_b is raised to the power 2 q + 1 past
+    # 1e10 loses its pad columns to rounding in the QR. Forty seeded
+    # spectra, each a cold call and three warm ones on drifts of 1e-3:
+    # every call agrees with the full-SVD prox (a fallback is the full SVD
+    # itself), and there are no more fallbacks than the 3 of unpowered
+    # sweeps; power steps without the cap took 43.
+    fallbacks = 0
+    for seed in range(40):
+        shape, sigma, twos = wide_spectrum_case(seed)
+        W = spectral_matrix(shape, sigma, seed)
+        d = selector(twos, sigma.size)
+        warm = ProxWarmStart(seed)
+        for j in range(4):
+            if j:
+                W = perturbed(W, 1e-3, seed + j)
+            truncated, exact, fallback = truncated_and_exact(W, d, warm)
+            assert_prox_agrees(truncated, exact)
+            fallbacks += fallback
+    assert fallbacks <= 3

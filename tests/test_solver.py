@@ -535,6 +535,11 @@ def test_solver_config_validation():
         with pytest.raises(ValueError, match=f"^{field} must be an integer$"):
             SolverConfig(**{field: value})
     assert SolverConfig(max_iter=np.int64(3), seed=np.uint32(2)).max_iter == 3
+    # real fields take Python and numpy reals, never a bool, a string or None
+    for field, value in [("mu0", True), ("lam", "0.1"), ("alpha", None), ("nu", np.bool_(1))]:
+        with pytest.raises(ValueError, match=f"^{field} must be a number$"):
+            SolverConfig(**{field: value})
+    assert SolverConfig(lam=1, nu=np.float32(0.05), mu0=np.int64(100)).lam == 1
     # a config that exists is valid: replace checks, and fields are frozen
     with pytest.raises(ValueError, match="^lam must be positive$"):
         dataclasses.replace(SolverConfig(), lam=0.0)
@@ -635,6 +640,9 @@ def test_solve_carries_the_tail_bound_past_most_certificates(monkeypatch):
     # before it
     assert result.prox_fallbacks == 1
     assert 0 < warm.certificates <= 0.4 * warm.calls
+    # the power steps before each Rayleigh-Ritz step converge a warm call
+    # in about two sweeps; unpowered sweeps took about five
+    assert result.prox_sweeps <= 3 * result.prox_calls
 
 
 def test_solve_holds_the_full_svd_after_a_fallback(monkeypatch):
@@ -704,10 +712,10 @@ def test_solve_thin_input_takes_the_gram_eigenpairs_with_no_sweep(monkeypatch):
     "make_binding",
     [
         noisy_completion,
-        lambda: square_completion(60)[1],
+        lambda: square_completion(40)[1],
         lambda: RpcaLoss(sparse_corrupted_low_rank()[1]),
     ],
-    ids=["completion", "completion_60x60", "rpca"],
+    ids=["completion", "completion_40x40", "rpca"],
 )
 def test_solve_below_cutoff_stays_on_exact_path(monkeypatch, make_binding):
     def refuse(*args):

@@ -202,6 +202,10 @@ def test_svt_config_validation():
     with pytest.raises(ValueError, match="^max_iter must be an integer$"):
         SvtConfig(max_iter=False)
     assert SvtConfig(max_iter=np.int32(7)).max_iter == 7
+    for field, value in [("tau", "1"), ("step", True), ("tol", [1e-6])]:
+        with pytest.raises(ValueError, match=f"^{field} must be a number$"):
+            SvtConfig(**{field: value})
+    assert SvtConfig(tau=2, step=np.float64(0.5)).tau == 2
     with pytest.raises(dataclasses.FrozenInstanceError):
         SvtConfig().tau = 1.0
     with pytest.raises(TypeError):

@@ -11,9 +11,10 @@ the `_prices` comment names:
   full SVD      linalg.svd, Gaussian input;
   Gram + eigh   linalg._gram_basis on the wide orientation (unpriced: the
                 eigh term is half the full SVD's square term);
-  one sweep     one Rayleigh-Ritz step of linalg._subspace_triplets from
-                an orthonormal block of b columns, its residual test and
-                the QR of the next block, against _prices' sweep;
+  one sweep     one sweep of linalg._subspace_triplets on a warm call:
+                linalg._rayleigh_ritz with _POWER_STEPS power steps from a
+                block W V of b columns, V orthonormal, and the residual
+                test, against _prices' sweep;
   certificate   the subspace route's proof for k = b - 5 kept triplets:
                 the residual, its short-side Gram and the Cholesky, priced
                 as the subspace price at one certificate per call less the
@@ -44,8 +45,9 @@ FULL = [(40, 40), (60, 60), (80, 80), (120, 120), (200, 200), (500, 500),
         (1600, 60), (400, 30), (1300, 8)]
 GRAM = [(60, 60), (120, 120), (200, 200), (1600, 60), (400, 30), (1300, 8)]
 # (shape, b) for a sweep, and for a certificate on k = b - 5 triplets
-SWEEP = [((60, 60), 8), ((80, 80), 8), ((200, 200), 8), ((1600, 60), 8), ((400, 30), 8),
-         ((1300, 8), 5), ((120, 120), 48), ((200, 200), 48)]
+SWEEP = [((40, 40), 10), ((60, 60), 10), ((80, 80), 10), ((200, 200), 10), ((500, 500), 10),
+         ((1600, 60), 8), ((400, 30), 8), ((1300, 8), 5), ((60, 60), 20), ((120, 120), 48),
+         ((200, 200), 48)]
 CERTIFICATE = [((60, 60), 10), ((200, 200), 10), ((1600, 60), 10)]
 # (shape, k) for a whole Gram call
 GRAM_CALL = [((60, 60), 5), ((200, 200), 5), ((120, 120), 42), ((200, 200), 100),
@@ -89,15 +91,12 @@ def rows(linalg, repeat):
         yield "Gram + eigh", (m, n), "", best_us(lambda: linalg._gram_basis(W), repeat), None
     for (m, n), b in SWEEP:
         W = rng.standard_normal((m, n))
-        Q = np.linalg.qr(rng.standard_normal((m, b)))[0]
+        Y = W @ np.linalg.qr(rng.standard_normal((n, b)))[0]
         k = b - linalg._BLOCK_PAD
 
         def sweep():
-            P, s, Ht = np.linalg.svd(W.T @ Q, full_matrices=False)
-            U = Q @ Ht.T
-            Y = W @ P
-            np.linalg.norm(Y[:, :k] - U[:, :k] * s[:k], axis=0).max(initial=0.0)
-            np.linalg.qr(Y)
+            U, s, P, Z = linalg._rayleigh_ritz(W, Y, linalg._POWER_STEPS)
+            np.linalg.norm(Z[:, :k] - U[:, :k] * s[:k], axis=0).max(initial=0.0)
 
         yield "one sweep", (m, n), b, best_us(sweep, repeat), prices(m, n, b, prior)[3]
     for (m, n), b in CERTIFICATE:
