@@ -47,7 +47,21 @@ def as_matrix(a):
 
 def frobenius_norm(X):
     """sqrt of the sum of squared entries."""
-    return float(np.linalg.norm(as_matrix(X)))
+    return _frobenius(as_matrix(X))
+
+
+def _frobenius(A):
+    """np.linalg.norm(A) of a float64 array A, bit for bit, without its
+    wrapper: the square root of the dot product of A's entries in memory
+    order."""
+    a = A.ravel("K")
+    return math.sqrt(a @ a)
+
+
+def _largest_column_norm(R):
+    """np.linalg.norm(R, axis=0).max(initial=0.0) of a float64 matrix R,
+    bit for bit: the square root is monotone, so it is taken once."""
+    return math.sqrt((R * R).sum(0).max(initial=0.0))
 
 
 def svd(W):
@@ -71,14 +85,16 @@ def svd(W):
 # Extra columns carried beyond the triplets a truncated SVD must return;
 # the gap to singular value b + 1 sets how fast the kept ones converge.
 _BLOCK_PAD = 5
-# Products with W W^T applied to the block before each Rayleigh-Ritz step.
+# Products with W W^T applied to the block before each QR of a warm call.
 # q of them raise the factor a sweep shrinks the Ritz residuals by to the
 # power 2 q + 1, and each costs two products with W, less than the QR and
 # small SVD that a sweep pays anyway.
 _POWER_STEPS = 2
-# The largest spread s_1 / s_b of the block a call's q power steps may
-# raise to the power 2 q + 1: past it, the pad columns fall below the
-# rounding of the top ones in the QR and the block loses them.
+# The largest power of the spread s_1 / s_b of the last Ritz values that the
+# block before any QR may reach: q power steps raise a block W V to the
+# power 2 q + 1, and the block W (W^T Q) the filter step hands on to 2 q + 2.
+# Past it, the pad columns fall below the rounding of the top ones in the QR
+# and the block loses them.
 _POWER_SPREAD = 1e10
 # Sweeps a subspace call runs before it leaves the prox to the full SVD.
 _MAX_SWEEPS = 30
@@ -87,14 +103,15 @@ _RESIDUAL_TOL = 1e-13
 # u, the unit roundoff of float64.
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 # Each truncated route's running (sweeps, certificates, calls) before a
-# solve's first call on it: a Gram call takes one proof and no sweep. Warm
-# subspace calls of rank-5 completions average 2.2-2.7 sweeps and 0.14-0.24
-# proofs over whole solves from 60 x 60 to 200 x 200, but about 3 and 0.4
-# while the rank climbs, and the prior is the latter: a solve's running pace
-# reaches it before its rank does, and SVT's blocks of 14 and more at 60 x 60
-# stay priced onto the full SVD, where their calls (about 12 sweeps each when
-# forced onto the route) belong.
-_PRIOR_PACE = {"gram": (0.0, 1.0, 1), "subspace": (3.0, 0.4, 1)}
+# solve's first call on it: a Gram call takes one proof and no sweep. After
+# their filter step, warm subspace calls of rank-5 completions average
+# 1.6-2.0 sweeps and 0.13-0.23 proofs over whole solves at 60 x 60, and 1.15
+# and 0.13 at 200 x 200, but about 1.85 and 0.4 (1.4 at 200 x 200) while the
+# rank climbs. The prior sits above that: a solve's running pace reaches it
+# before its rank does, and at 60 x 60 it prices blocks of up to 11 onto the
+# route and SVT's blocks of 12 and more onto the full SVD, where their calls
+# (about 12 sweeps each when forced onto the route) belong.
+_PRIOR_PACE = {"gram": (0.0, 1.0, 1), "subspace": (2.5, 0.4, 1)}
 # Near ties go to the exact path: a truncated route runs only when priced
 # below this share of the full SVD. Rank-5 completion solves forced onto the
 # subspace route took 0.62 of the full SVD's time at 60 x 60 and 0.77 at
@@ -114,11 +131,16 @@ _TIE = 0.8
 #                W leaves the cache and no choice is near a tie); b = 8: 1600x60 0.52-0.60
 #                (0.67), 400x30 0.15-0.20 (0.19); b = 5: 1300x8 0.13-0.15 (0.20); b = 20:
 #                60^2 0.20-0.31 (0.23); b = 48: 120^2 1.2-1.4 (1.3), 200^2 1.8-2.1 (2.4)
+#   filter step  two power steps, b = 10: 40^2 0.03-0.06 (0.04), 60^2 0.05-0.07 (0.05),
+#                80^2 0.08 (0.06), 200^2 0.16-0.24 (0.18), 500^2 2.4-2.5 (0.91); b = 8:
+#                1600x60 0.36-0.49 (0.43), 400x30 0.08-0.11 (0.10); b = 20: 60^2
+#                0.05-0.10 (0.06); b = 48: 120^2 0.23-0.24 (0.28), 200^2 0.81-1.04 (0.71)
 #   certificate  k = 5: 60^2 0.06-0.07 (0.05), 200^2 0.52-0.77 (0.83), 1600x60 0.60-0.64 (0.61)
 #   Gram call    k = 5: 60^2 0.62-0.82 (0.52); k = 42: 120^2 1.5-2.2 (1.9); k = 100: 200^2
 #                5.2-6.4 (6.4); k = 3: 1600x60 0.87-1.21 (0.87); k = 9: 400x30 0.20-0.25 (0.30)
 # A sweep's four power products cost less than its QR and small SVD, whose
-# per-column cost the 4 b term carries. Each of a tall input's q - p extra rows
+# per-column cost the 4 b term carries; the filter step, one QR and six
+# products, prices its QR in its constant. Each of a tall input's q - p extra rows
 # costs 5e-3 p^1.5 in the full SVD and 1e-2 b in a sweep. The eigh costs about
 # half a square SVD. Each subspace call adds 40 us beyond its kernels, from whole
 # solves at 60^2, and a Gram call 200 us. Per call, the Gram route took 0.73-0.81
@@ -129,27 +151,29 @@ _TIE = 0.8
 
 
 def _prices(m, n, b, pace):
-    """(full, gram, subspace, sweep): the prices of the full SVD, of the two
-    truncated routes from a block of b columns, each at the rates of
-    its running counts in pace, and of one sweep. A block that leaves under
+    """(full, gram, subspace, sweep, filter_step): the prices of the full
+    SVD, of the two truncated routes from a block of b columns, each at the
+    rates of its running counts in pace, of one sweep and of the filter step
+    each warm subspace call runs once. A block that leaves under
     _BLOCK_PAD columns of the short side does the full SVD's work."""
     p, q = min(m, n), max(m, n)
     square = 0.03 * p**2.4
     full = square + 5e-3 * (q - p) * p**1.5
     sweep = 45 + 4 * b + 4e-4 * m * n * b + 1.5e-3 * (m + n) * b * b + 0.01 * (q - p) * b
+    filter_step = 35 + 3.5e-4 * m * n * b + 0.01 * (q - p) * b
     if b > p - _BLOCK_PAD:
-        return full, math.inf, math.inf, sweep
+        return full, math.inf, math.inf, sweep, filter_step
     (gs, gc, gn), (ss, sc, sn) = pace["gram"], pace["subspace"]
     proof = 15 + 4e-5 * p**3
     gram = 200 + 5e-5 * q * p * (p + 2 * b) + square / 2 + (gs * sweep + gc * proof) / gn
-    subspace = 40 + (ss * sweep + sc * (30 + 1e-4 * q * p * p)) / sn
-    return full, gram, subspace, sweep
+    subspace = 40 + filter_step + (ss * sweep + sc * (30 + 1e-4 * q * p * p)) / sn
+    return full, gram, subspace, sweep, filter_step
 
 
 def _route(m, n, b, pace):
     """The route predictor: "gram" or "subspace", whichever _prices makes
     cheaper, or None where the full SVD should run."""
-    full, gram, subspace, _ = _prices(m, n, b, pace)
+    full, gram, subspace, _, _ = _prices(m, n, b, pace)
     if min(gram, subspace) >= _TIE * full:
         return None
     return "gram" if gram < subspace else "subspace"
@@ -204,9 +228,9 @@ class ProxWarmStart:
     truncated route to its running (sweeps, certificates, calls). `calls`
     counts the calls, `fallbacks` those that tried a route and returned no
     factors, `certificates` the Cholesky factorisations and `sweeps` the
-    subspace route's Rayleigh-Ritz steps. `spread` is s_1 / s_b of the
-    last sweep's Ritz values, inf before the first, which caps the power
-    steps of the next warm call.
+    subspace route's Rayleigh-Ritz steps, not its filter steps. `spread` is
+    s_1 / s_b of the last sweep's Ritz values, inf before the first, which
+    caps the power steps of the next warm call.
     """
 
     def __init__(self, seed):
@@ -221,13 +245,15 @@ class ProxWarmStart:
         self.spread = math.inf
 
 
-def _power_steps(spread):
-    """q, the most power steps up to _POWER_STEPS with spread^(2 q + 1) <=
-    _POWER_SPREAD, for the spread s_1 / s_b of the last Ritz values."""
-    q = _POWER_STEPS
-    while q and not spread <= _POWER_SPREAD ** (1 / (2 * q + 1)):
-        q -= 1
-    return q
+def _power_steps(spread, reach):
+    """q, the most power steps up to _POWER_STEPS with spread^(2 q + reach)
+    <= _POWER_SPREAD for the spread s_1 / s_b of the last Ritz values, or
+    None where not even q = 0 fits. A block W V has reach 1; the block
+    W (W^T Q) that the filter step hands on, Q orthonormal, has reach 2."""
+    for q in range(_POWER_STEPS, -1, -1):
+        if spread <= _POWER_SPREAD ** (1 / (2 * q + reach)):
+            return q
+    return None
 
 
 def _leading_svd(W, k_min, threshold, warm):
@@ -261,7 +287,7 @@ def _leading_svd(W, k_min, threshold, warm):
         warm.fallbacks += 1
     if route == "gram" or start.shape[1]:
         if factors is None:
-            full, _, _, sweep = _prices(m, n, b, warm.pace)
+            full, _, _, sweep, _ = _prices(m, n, b, warm.pace)
             warm.pace[route] = (spent[0] + full / sweep, spent[1], 1)
         else:
             warm.pace[route] = tuple(map(sum, zip(warm.pace[route], spent)))
@@ -292,7 +318,7 @@ def _gram_triplets(W, k_min, threshold, warm):
     U = vectors[:, :k]
     P = W.T @ U / s[:k]
     Y = W @ P
-    if np.linalg.norm(Y - U * s[:k], axis=0).max(initial=0.0) <= _RESIDUAL_TOL * s[0]:
+    if _largest_column_norm(Y - U * s[:k]) <= _RESIDUAL_TOL * s[0]:
         warm.certificates += 1
         G, slack = _gram_residual(C, Y, W.shape[1])
         if _norm_below(G, threshold, slack):
@@ -311,19 +337,27 @@ def _subspace_triplets(W, k_min, threshold, warm, start, b, tail):
     convergence within _MAX_SWEEPS, a failed decomposition or a failed
     proof gets None.
 
-    A sweep shrinks a kept residual by about (sigma_{b+1} / s_i)^(2 q + 1),
-    so two power steps take a warm call from about 5 sweeps to 2-3. A cold
-    call, with no columns from `start`, takes none; a warm one takes
-    _power_steps(warm.spread), the most that keep the spread of the last
-    Ritz values, raised to 2 q + 1, within _POWER_SPREAD: past it the pad
-    columns sink below the rounding of the top ones in the QR and the block
-    stops converging. From the second sweep of a warm call at an unchanged
-    k, the call stops with None once the measured shrink of the largest kept
-    residual, kept up for the sweeps left, cannot meet the test: a slow gap
-    falls back in a few sweeps, not _MAX_SWEEPS. A cold call runs on, as the
-    random columns of its first sweeps shrink unevenly. The power steps
-    change only the block, so the test, the proof and the carried bound
-    below read the same.
+    A sweep shrinks a kept residual by about (sigma_{b+1} / s_i)^(2 q + 1).
+    A warm call, one with columns from `start`, first runs one filter step
+    (_filter_step): the same power steps and QR, then the block W (W^T Q),
+    with no small SVD and no test. A warm call's first sweep seldom meets
+    the test, and its Ritz rotation leaves the span that the next sweep
+    starts from unchanged, so the filter does that work for less; a warm
+    call then takes about 1.7 sweeps at 60 x 60 and 1.15 at 200 x 200. Its
+    sweeps take q = _power_steps(warm.spread, 2), the most that keep the
+    spread of the last Ritz values, raised to 2 q + 2, within _POWER_SPREAD,
+    as the filtered block is one product pair past an orthonormal Q; the
+    filter's own QR sees 2 q + 1 of _power_steps(warm.spread, 1). Past the
+    cap the pad columns sink below the rounding of the top ones in the QR
+    and the block stops converging, and a spread past its square root takes
+    no filter. A cold call takes no filter and no power step. From the
+    second sweep of a warm call at an unchanged k, the call stops with None
+    once the measured shrink of the largest kept residual, kept up for the
+    sweeps left, cannot meet the test: a slow gap falls back in a few
+    sweeps, not _MAX_SWEEPS. A cold call runs on, as the random columns of
+    its first sweeps shrink unevenly. The filter and the power steps change
+    only the block, so the test, the proof and the carried bound below read
+    the same.
 
     The proof, counted in warm.certificates, is _norm_below on the Gram of
     R = W - (W V_k) V_k.T on its short side: W V_k V_k.T has rank k, so
@@ -349,9 +383,16 @@ def _subspace_triplets(W, k_min, threshold, warm, start, b, tail):
     carried, k_ref = math.inf, 0
     if tail is not None and tail[0].shape == W.shape:
         W_ref, B, k_ref = tail
-        carried = B + float(np.linalg.norm(W - W_ref)) * (1 + 1e-12)
-    q = _power_steps(warm.spread) if start.shape[1] else 0
-    Y = W @ np.hstack([start, warm.rng.standard_normal((n, b - start.shape[1]))])
+        carried = B + _frobenius(W - W_ref) * (1 + 1e-12)
+    q = _power_steps(warm.spread, 2) if start.shape[1] else None
+    Y = W @ np.concatenate([start, warm.rng.standard_normal((n, b - start.shape[1]))], axis=1)
+    if q is None:
+        q = 0
+    else:
+        try:
+            Y = _filter_step(W, Y, _power_steps(warm.spread, 1))
+        except np.linalg.LinAlgError:
+            return None
     last = None
     for sweep in range(1, _MAX_SWEEPS + 1):
         try:
@@ -363,7 +404,7 @@ def _subspace_triplets(W, k_min, threshold, warm, start, b, tail):
         k = max(k_min, int(np.count_nonzero(s > threshold)))
         if k == b:
             return None
-        resid = np.linalg.norm(Y[:, :k] - U[:, :k] * s[:k], axis=0).max(initial=0.0)
+        resid = _largest_column_norm(Y[:, :k] - U[:, :k] * s[:k])
         goal = _RESIDUAL_TOL * s[0]
         if resid <= goal:
             break
@@ -388,14 +429,26 @@ def _subspace_triplets(W, k_min, threshold, warm, start, b, tail):
     return None
 
 
+def _powered_basis(W, Y, q):
+    """Q, the QR factor of the block Y = W V after q power steps Y <- W (W^T Y)."""
+    for _ in range(q):
+        Y = W @ (W.T @ Y)
+    return np.linalg.qr(Y)[0]
+
+
+def _filter_step(W, Y, q):
+    """The QR-only filter step of a warm call from the block Y = W V: Q from
+    q power steps and a QR, then the next block W (W^T Q)."""
+    Q = _powered_basis(W, Y, q)
+    return W @ (W.T @ Q)
+
+
 def _rayleigh_ritz(W, Y, q):
     """One sweep of the subspace route from the block Y = W V: q power
     steps Y <- W (W^T Y), Q the QR of Y and the SVD P s H^T of W^T Q.
     Returns the Ritz triplets (U, s, P) with U = Q H and the next block
     W P, whose columns the residual test also reads."""
-    for _ in range(q):
-        Y = W @ (W.T @ Y)
-    Q = np.linalg.qr(Y)[0]
+    Q = _powered_basis(W, Y, q)
     P, s, Ht = np.linalg.svd(W.T @ Q, full_matrices=False)
     Y = W @ P
     return Q @ Ht.T, s, P, Y

@@ -148,7 +148,7 @@ class _L1Loss:
         if mu != 0:
             _check_positive(mu)
         a = np.abs(r)
-        l1 = float(np.sum(a))
+        l1 = float(a.sum())
         if mu == 0:
             return l1, l1
         t = _tube(a, mu, out=a)

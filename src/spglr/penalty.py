@@ -23,7 +23,12 @@ def capped_surrogate(sigma, nu):
     """Sum of min(1, sigma_i / nu) over a spectrum; the rank surrogate value."""
     sigma = _check_spectrum(sigma)
     _check_nu(nu)
-    return float(np.sum(np.minimum(1.0, sigma / nu)))
+    return _capped_surrogate(sigma, nu)
+
+
+def _capped_surrogate(sigma, nu):
+    """capped_surrogate of a float64 spectrum and an nu > 0, unchecked."""
+    return float(np.minimum(1.0, sigma / nu).sum())
 
 
 def d_vector(sigma, nu):
@@ -33,25 +38,17 @@ def d_vector(sigma, nu):
     """
     sigma = _check_spectrum(sigma)
     _check_nu(nu)
+    return _d_vector(sigma, nu)
+
+
+def _d_vector(sigma, nu):
+    """d_vector of a float64 spectrum and an nu > 0, unchecked."""
     return np.where(sigma >= nu, 2, 1)
 
 
-def phi_d(sigma, d, nu):
-    """Majorizing penalty for a fixed branch selector d.
-
-    Equals sum(sigma_i / nu) minus the selected theta terms; agrees with
-    capped_surrogate exactly when d = d_vector(sigma, nu) and dominates
-    it for every other selector.
-    """
-    sigma = _check_spectrum(sigma)
-    d = _check_d(d, sigma.size)
-    _check_nu(nu)
-    theta = np.where(d == 2, sigma / nu - 1.0, 0.0)
-    return float(np.sum(sigma) / nu - np.sum(theta))
-
-
 def prox_vector(w, d, tau, nu):
-    """Closed-form minimizer of tau * phi_d(x) + 0.5 * ||x - w||^2 over x >= 0.
+    """Closed-form minimizer of tau * phi_d(x) + 0.5 * ||x - w||^2 over x >= 0,
+    phi_d the majorizing penalty of the branch selector d.
 
     Coordinates with d_i = 2 pass through unchanged; coordinates with
     d_i = 1 are shrunk by tau / nu and clipped at zero.

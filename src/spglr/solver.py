@@ -31,11 +31,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import ProxWarmStart, rank_estimate, svd
+from .linalg import ProxWarmStart, _frobenius, rank_estimate, svd
 from .penalty import (
     PenaltyCapAdvisory,
-    capped_surrogate,
-    d_vector,
+    _capped_surrogate,
+    _d_vector,
     prox_matrix_with_spectrum,
 )
 
@@ -123,8 +123,8 @@ class SolveResult:
     objective_gap: float
     # Spectral prox calls, those of them on the truncated path that fell
     # back to the full SVD, and the Cholesky certificates and Rayleigh-Ritz
-    # sweeps that path ran (see linalg.ProxWarmStart); a call certified
-    # from the Gram eigenpairs runs one certificate and no sweep.
+    # sweeps, not filter steps, that path ran (see linalg.ProxWarmStart); a
+    # call certified from the Gram eigenpairs runs one certificate and no sweep.
     prox_calls: int = 0
     prox_fallbacks: int = 0
     prox_certificates: int = 0
@@ -168,11 +168,11 @@ def _line_search_inner(X_k, f_k, G, norm_scale, mu_k, gamma_init, d_k, binding, 
     while True:
         X_hat, sigma_hat = _prox_step(X_k, G, mu_k, gamma, d_k, config, warm)
         diff = X_hat - X_k
-        step = float(np.linalg.norm(diff))
+        step = _frobenius(diff)
         r = binding.residuals(X_hat)
         lhs, l1 = binding.value_and_l1_at(r, mu_k)
         diff *= G
-        rhs = f_k + float(np.sum(diff)) + 0.5 * (gamma / mu_k) * step * step
+        rhs = f_k + float(diff.sum()) + 0.5 * (gamma / mu_k) * step * step
         # A numerically zero step satisfies the test in exact arithmetic;
         # accept it to avoid chasing rounding noise at fixed points.
         if lhs <= rhs or step <= 1e-14 * norm_scale:
@@ -201,7 +201,7 @@ def energy(binding, X, mu, config):
 
 
 def _energy_from_parts(loss_value, sigma, mu, binding, config):
-    return loss_value + config.lam * capped_surrogate(sigma, config.nu) + binding.kappa * mu
+    return loss_value + config.lam * _capped_surrogate(sigma, config.nu) + binding.kappa * mu
 
 
 def stationarity_residual(X, mu_probe, binding, config):
@@ -273,15 +273,15 @@ def solve(binding, config):
     small_steps = 0
 
     for k in range(config.max_iter):
-        d_k = d_vector(sigma, config.nu)
+        d_k = _d_vector(sigma, config.nu)
         G = binding.gradient_at(r, mu)
-        norm_scale = max(1.0, float(np.linalg.norm(X)))
+        norm_scale = max(1.0, _frobenius(X))
 
         gamma, X_next, sigma_next, r, loss_next, l1_next, step = _line_search_inner(
             X, f_k, G, norm_scale, mu, 1.0, d_k, binding, config, warm
         )
 
-        penalty_next = config.lam * capped_surrogate(sigma_next, config.nu)
+        penalty_next = config.lam * _capped_surrogate(sigma_next, config.nu)
         smoothed_obj = loss_next + penalty_next
         energy_now = smoothed_obj + binding.kappa * mu
         exact_obj = l1_next + penalty_next
@@ -325,7 +325,7 @@ def solve(binding, config):
     residual = stationarity_residual(X, 10.0 * config.mu_stop, binding, config)
     # The loss terms cancel in the gap; only the penalty vs the counted
     # numerical rank remains.
-    gap = config.lam * abs(rank_estimate(sigma) - capped_surrogate(sigma, config.nu))
+    gap = config.lam * abs(rank_estimate(sigma) - _capped_surrogate(sigma, config.nu))
     return SolveResult(
         X_final=X,
         status=status,

@@ -5,8 +5,9 @@ vector prox is verified against per-coordinate grid minimization, the
 matrix prox against random-perturbation sampling of its objective,
 gradients against central finite differences, and the branch-free loss
 kernel against the two-branch Huber form. The quadratic model of the
-paper's SPG step is written here from its definition, and so is the
-SVT baseline's loop, with its own SVD and soft threshold. One prox step
+paper's SPG step is written here from its definition, and so are the
+majorizing penalty phi_d of a branch selector and the SVT baseline's
+loop, with its own SVD and soft threshold. One prox step
 (`spg_step`) and a backtracking search from a cold start
 (`line_search`) are thin wrappers around the solver's private
 `_prox_step` and `_line_search_inner`; the tests check them against
@@ -16,8 +17,22 @@ SVT baseline's loop, with its own SVD and soft threshold. One prox step
 import numpy as np
 
 from spglr.linalg import as_matrix, svd
-from spglr.penalty import phi_d
 from spglr.solver import _line_search_inner, _prox_step
+
+
+def phi_d(sigma, d, nu):
+    """Majorizing penalty for a fixed branch selector d.
+
+    Equals sum(sigma_i / nu) minus the theta_2 term sigma_i / nu - 1 of
+    each d_i = 2; agrees with capped_surrogate exactly when d =
+    d_vector(sigma, nu) and dominates it for every other selector.
+    """
+    sigma = np.asarray(sigma, dtype=np.float64)
+    d = np.asarray(d)
+    if d.shape != sigma.shape:
+        raise ValueError(f"d has shape {d.shape}, expected {sigma.shape}")
+    theta = np.where(d == 2, sigma / nu - 1.0, 0.0)
+    return float(np.sum(sigma) / nu - np.sum(theta))
 
 
 def huber_reference(s, mu):

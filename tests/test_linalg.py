@@ -63,6 +63,22 @@ def test_frobenius_examples():
     assert frobenius_norm(np.diag([3.0, 4.0])) == pytest.approx(5.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("shape", [(1, 37), (37, 1), (1, 1), (60, 60), (200, 200)])
+def test_loop_norms_equal_numpy_norms_bit_for_bit(shape):
+    # the solve loop takes Frobenius norms as the square root of a dot
+    # product, and the largest column norm from the largest column sum of
+    # squares; both must be np.linalg.norm's values exactly
+    rng = np.random.default_rng(sum(shape))
+    for scale in (1e-150, 1e-8, 1.0, 1e8, 1e150):
+        A = scale * rng.standard_normal(shape)
+        for M in (A, A.T, np.asfortranarray(A), A[:, ::2]):
+            assert linalg_module._frobenius(M) == float(np.linalg.norm(M))
+            expected = float(np.linalg.norm(M, axis=0).max(initial=0.0))
+            assert linalg_module._largest_column_norm(M) == expected
+    assert linalg_module._frobenius(np.zeros(shape)) == 0.0
+    assert linalg_module._largest_column_norm(np.zeros((shape[0], 0))) == 0.0
+
+
 @pytest.mark.parametrize(
     "bad",
     [np.array([1.0, 2.0]), np.full((2, 2), np.nan), np.array([[np.inf, 0.0]])],

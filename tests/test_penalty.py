@@ -11,13 +11,12 @@ from spglr.linalg import ProxWarmStart, svd
 from spglr.penalty import (
     capped_surrogate,
     d_vector,
-    phi_d,
     prox_matrix,
     prox_matrix_with_spectrum,
     prox_vector,
 )
 
-from oracles import batch_matrix_prox_objectives, grid_prox_objective, prox_objective
+from oracles import batch_matrix_prox_objectives, grid_prox_objective, phi_d, prox_objective
 
 
 def test_phi_examples():
@@ -55,6 +54,30 @@ def test_d_vector_examples():
     assert d_vector(np.array([0.7, 0.5, 0.2]), 0.5).tolist() == [2, 2, 1]
     assert d_vector(np.zeros(2), 0.5).tolist() == [1, 1]
     assert d_vector(np.array([9.0, 8.0, 7.0]), 0.5).tolist() == [2, 2, 2]
+
+
+@st.composite
+def spectra_and_nu(draw):
+    """(descending nonnegative spectrum, nu): values drawn from zeros, nu
+    itself and floats on both sides of it."""
+    nu = draw(st.floats(1e-6, 1e6))
+    value = st.one_of(st.just(0.0), st.just(nu), st.floats(0.0, 1e3 * nu))
+    sigma = np.sort(np.array(draw(st.lists(value, min_size=1, max_size=40))))[::-1]
+    return sigma, nu
+
+
+@given(spectra_and_nu())
+@settings(max_examples=200, deadline=None)
+def test_unchecked_kernels_equal_the_checked_functions_bit_for_bit(case):
+    # the solve loop calls the kernels; the public functions check, then
+    # call the same kernels, and both equal the expressions written out here
+    sigma, nu = case
+    d = penalty_module._d_vector(sigma, nu)
+    assert np.array_equal(d, d_vector(sigma, nu)) and d.dtype == d_vector(sigma, nu).dtype
+    assert np.array_equal(d, np.where(sigma >= nu, 2, 1))
+    value = penalty_module._capped_surrogate(sigma, nu)
+    assert value == capped_surrogate(sigma, nu) == float(np.sum(np.minimum(1.0, sigma / nu)))
+    assert d[sigma == nu].tolist() == [2] * int(np.count_nonzero(sigma == nu))
 
 
 def test_phi_d_examples():
@@ -324,41 +347,47 @@ def test_truncated_prox_warm_start_reuses_previous_factor(monkeypatch):
 
 
 def record_power_steps(monkeypatch):
-    """The power steps q of each Rayleigh-Ritz step, in call order."""
+    """("filter", q) for each filter step and ("sweep", q) for each
+    Rayleigh-Ritz step, q its power steps, in call order."""
     steps = []
-    rayleigh_ritz = linalg_module._rayleigh_ritz
+    for name, kind in [("_filter_step", "filter"), ("_rayleigh_ritz", "sweep")]:
+        def recording(W, Y, q, step=getattr(linalg_module, name), kind=kind):
+            steps.append((kind, q))
+            return step(W, Y, q)
 
-    def recording(W, Y, q):
-        steps.append(q)
-        return rayleigh_ritz(W, Y, q)
-
-    monkeypatch.setattr(linalg_module, "_rayleigh_ritz", recording)
+        monkeypatch.setattr(linalg_module, name, recording)
     return steps
 
 
 def test_power_steps_are_capped_by_the_spread_of_the_last_ritz_values():
-    # q power steps raise the spread s_1 / s_b to the power 2 q + 1, which
-    # must stay within 1e10: 100^5, 2154^3 and 1e10^1
+    # q power steps raise the spread s_1 / s_b of a block W V to the power
+    # 2 q + 1, which must stay within 1e10: 100^5, 2154^3 and 1e10^1; the
+    # block the filter step hands on is one product pair further, 2 q + 2:
+    # 46.4^6, 316^4 and 1e5^2
     cap = linalg_module._POWER_SPREAD
     assert linalg_module._POWER_STEPS == 2
-    for spread, q in [(1.0, 2), (100.0, 2), (101.0, 1), (cap ** (1 / 3), 1), (2200.0, 0),
-                      (cap, 0), (1e20, 0), (math.inf, 0), (math.nan, 0)]:
-        assert linalg_module._power_steps(spread) == q, spread
+    for reach, table in [
+        (1, [(1.0, 2), (100.0, 2), (101.0, 1), (cap ** (1 / 3), 1), (2200.0, 0), (cap, 0)]),
+        (2, [(1.0, 2), (46.0, 2), (47.0, 1), (316.0, 1), (317.0, 0), (1e5, 0), (1.01e5, None)]),
+    ]:
+        for spread, q in table + [(1e20, None), (math.inf, None), (math.nan, None)]:
+            assert linalg_module._power_steps(spread, reach) == q, (reach, spread)
     assert ProxWarmStart(0).spread == math.inf
 
 
-def test_cold_call_takes_no_power_step_and_warm_calls_take_two(monkeypatch):
+def test_cold_call_takes_no_filter_step_and_a_warm_call_one_before_one_sweep(monkeypatch):
     steps = record_power_steps(monkeypatch)
     W = spectral_matrix((120, 100), CARRIED_SIGMA, seed=11)
     d = selector(3, 100)
     warm = ProxWarmStart(2)
     assert certified_step(W, d, warm)[1] == 0
-    assert set(steps) == {0}
+    assert steps and set(steps) == {("sweep", 0)}
     cold = len(steps)
-    # the block's spread 10 / 0.3 allows two power steps, and they finish
-    # the warm call in two sweeps
+    # the block's spread 10 / 0.3 allows two power steps in the filter and
+    # in the Rayleigh-Ritz step after it, which then passes the residual
+    # test at once
     assert certified_step(perturbed(W, 1e-3, seed=1), d, warm)[1] == 0
-    assert steps[cold:] == [2, 2]
+    assert steps[cold:] == [("filter", 2), ("sweep", 2)]
 
 
 @pytest.mark.parametrize("shape", [(120, 100), (100, 120)], ids=["tall", "wide"])
@@ -606,7 +635,8 @@ def test_gram_proof_lost_to_the_spread_falls_back_then_holds(monkeypatch):
     # to prove the tail, and the kept value 1.5 loses its digits before
     # that, so the call falls back at the residual test, and the restarted
     # pace keeps the next calls at that rank off the Gram route: they take
-    # the subspace route, whose spread of 1.5e6 caps the power steps at 0
+    # the subspace route, whose spread of 1.5e6 leaves no room for the
+    # filter step, so they take no filter and no power step
     grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
     sigma = np.r_[np.geomspace(1.5e6, 1.5, 3), 0.99 * 0.97 ** np.arange(57)]
     W = spectral_matrix((1600, 60), sigma, seed=1)
@@ -615,7 +645,7 @@ def test_gram_proof_lost_to_the_spread_falls_back_then_holds(monkeypatch):
     assert certified_step(W, d, warm) == (0, 1)
     for j in range(3):
         assert certified_step(perturbed(W, 1e-6, seed=j), d, warm)[1] == 0
-        assert linalg_module._power_steps(warm.spread) == 0
+        assert linalg_module._power_steps(warm.spread, 2) is None
     assert (len(grams), warm.fallbacks) == (1, 1)
     assert warm.sweeps > 0
 

@@ -29,7 +29,7 @@ def test_price_table_prints_each_operation_beside_its_price(monkeypatch, capsys)
     assert tool.main(["--repeat", "1"]) == 0
     header, *lines = capsys.readouterr().out.splitlines()
     assert header.split() == ["operation", "shape", "b/k", "measured", "priced", "ratio"]
-    ops = ["full SVD", "Gram + eigh", "one sweep", "certificate", "Gram call"]
+    ops = ["full SVD", "Gram + eigh", "one sweep", "filter step", "certificate", "Gram call"]
     assert [line[:12].strip() for line in lines] == ops
     assert float(lines[1].split()[-1]) > 0
     # every row but the unpriced eigh ends in measured, priced and their ratio

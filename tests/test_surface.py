@@ -25,7 +25,6 @@ MODULE_ONLY = {
     "as_matrix": "linalg",
     "frobenius_norm": "linalg",
     "capped_surrogate": "penalty",
-    "phi_d": "penalty",
     "update_mu": "solver",
     "gen_low_rank": "experiments",
     "psnr": "experiments",

@@ -15,6 +15,10 @@ the `_prices` comment names:
                 linalg._rayleigh_ritz with _POWER_STEPS power steps from a
                 block W V of b columns, V orthonormal, and the residual
                 test, against _prices' sweep;
+  filter step   the QR-only step a warm call of linalg._subspace_triplets
+                runs before its first Rayleigh-Ritz step:
+                linalg._filter_step with _POWER_STEPS power steps from the
+                same block, against _prices' filter_step;
   certificate   the subspace route's proof for k = b - 5 kept triplets:
                 the residual, its short-side Gram and the Cholesky, priced
                 as the subspace price at one certificate per call less the
@@ -44,7 +48,7 @@ CHECKOUT_SRC = Path(__file__).resolve().parents[1] / "src"
 FULL = [(40, 40), (60, 60), (80, 80), (120, 120), (200, 200), (500, 500),
         (1600, 60), (400, 30), (1300, 8)]
 GRAM = [(60, 60), (120, 120), (200, 200), (1600, 60), (400, 30), (1300, 8)]
-# (shape, b) for a sweep, and for a certificate on k = b - 5 triplets
+# (shape, b) for a sweep and a filter step, and for a certificate on k = b - 5 triplets
 SWEEP = [((40, 40), 10), ((60, 60), 10), ((80, 80), 10), ((200, 200), 10), ((500, 500), 10),
          ((1600, 60), 8), ((400, 30), 8), ((1300, 8), 5), ((60, 60), 20), ((120, 120), 48),
          ((200, 200), 48)]
@@ -96,9 +100,17 @@ def rows(linalg, repeat):
 
         def sweep():
             U, s, P, Z = linalg._rayleigh_ritz(W, Y, linalg._POWER_STEPS)
-            np.linalg.norm(Z[:, :k] - U[:, :k] * s[:k], axis=0).max(initial=0.0)
+            linalg._largest_column_norm(Z[:, :k] - U[:, :k] * s[:k])
 
         yield "one sweep", (m, n), b, best_us(sweep, repeat), prices(m, n, b, prior)[3]
+    for (m, n), b in SWEEP:
+        W = rng.standard_normal((m, n))
+        Y = W @ np.linalg.qr(rng.standard_normal((n, b)))[0]
+
+        def filter_step():
+            linalg._filter_step(W, Y, linalg._POWER_STEPS)
+
+        yield "filter step", (m, n), b, best_us(filter_step, repeat), prices(m, n, b, prior)[4]
     for (m, n), b in CERTIFICATE:
         k = b - linalg._BLOCK_PAD
         W = spectral((m, n), k)
