@@ -24,7 +24,7 @@ from .experiments import build_trial_data, monte_carlo, observe, rmse, psnr, tim
 from .io_formats import ConfigError
 from .linalg import DecompositionError, svd, rank_estimate
 from .losses import RpcaLoss
-from .solver import solve
+from .solver import MajorizationError, solve
 from .svt import SvtConfig
 
 
@@ -43,7 +43,7 @@ def run(argv):
     except (ConfigError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, DecompositionError) as exc:
+    except (OSError, DecompositionError, MajorizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

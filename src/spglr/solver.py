@@ -2,17 +2,14 @@
 
 Minimizes loss(X) + lam * capped_surrogate(sigma(X)) by proximal
 gradient steps on the smoothed loss. Each iteration fixes the penalty
-branch selector from the current spectrum, takes a prox step on the
-quadratic model with curvature gamma / mu, backtracks gamma until the
-model majorizes the smoothed loss at the candidate, and then either
-keeps the smoothing parameter mu (when the energy value dropped by at
-least alpha * mu) or resets it onto the decaying envelope
-mu0 / (k + 1)^sigma_exp.
-
-Every iteration's backtracking starts at the constant gamma = 1. The
-smoothed l1 loss has a (1/mu)-Lipschitz gradient, so gamma = 1 passes
-the majorization test in exact arithmetic and a typical iteration pays
-for one prox; no gamma is carried from one iteration to the next.
+branch selector from the current spectrum, takes one prox step on the
+quadratic model with curvature 1 / mu, which majorizes the smoothed loss
+because its gradient is (1/mu)-Lipschitz, and then either keeps the
+smoothing parameter mu (when the energy value dropped by at least
+alpha * mu) or resets it onto the decaying envelope mu0 / (k + 1)^sigma_exp.
+A step whose smoothed loss exceeds the model by more than the rounding
+bound of _spg_step can only come from a bug: the solve raises
+MajorizationError, naming the iteration, and does not retry.
 
 Where a cost model prices it below the full SVD, the prox decomposes W
 only as far as its output needs, warm-started from the right factor of
@@ -31,7 +28,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .linalg import ProxWarmStart, _frobenius, rank_estimate, svd
+from .linalg import _UNIT_ROUNDOFF, ProxWarmStart, _frobenius, rank_estimate, svd
 from .penalty import (
     PenaltyCapAdvisory,
     _capped_surrogate,
@@ -62,17 +59,16 @@ class SolverConfig:
     """Tuning knobs for `solve`, checked when built.
 
     alpha may be math.inf, which forces the mu reset branch every
-    iteration. lam and nu are the penalty weight and cap threshold. rho
-    raises gamma on each rejected backtracking step; every search starts
-    at gamma = 1. Construction and dataclasses.replace raise ValueError
-    on a setting outside the solver's assumptions, with a message that
-    starts with the field name; every real must be a number, finite but
-    for alpha, and max_iter and seed must be integers.
+    iteration. lam and nu are the penalty weight and cap threshold; the
+    step's curvature is fixed at 1 / mu, so it has no knob. Construction
+    and dataclasses.replace raise ValueError on a setting outside the
+    solver's assumptions, with a message that starts with the field name;
+    every real must be a number, finite but for alpha, and max_iter and
+    seed must be integers.
     """
 
     mu0: float = 10.0
     alpha: float = 0.8
-    rho: float = 2.0
     sigma_exp: float = 1.5
     lam: float = 0.1
     nu: float = 0.05
@@ -90,9 +86,8 @@ class SolverConfig:
         for name in ("mu0", "alpha", "lam", "nu", "step_tol", "mu_stop"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("rho", "sigma_exp"):
-            if not getattr(self, name) > 1:
-                raise ValueError(f"{name} must be greater than 1")
+        if not self.sigma_exp > 1:
+            raise ValueError("sigma_exp must be greater than 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.seed < 0:
@@ -147,37 +142,41 @@ def _prox_step(X_k, G, mu_k, gamma, d_k, config, warm=None):
     return prox_matrix_with_spectrum(W, d_k, tau, config.nu, warm)
 
 
-def _line_search_inner(X_k, f_k, G, norm_scale, mu_k, gamma_init, d_k, binding, config, warm=None):
-    """Backtracking loop reusing the loss value and gradient at X_k.
+class MajorizationError(RuntimeError):
+    """A prox step broke the majorization check beyond its rounding bound."""
 
-    Tries gamma_init, rho * gamma_init, ... with rho = config.rho until
-    the quadratic model with curvature gamma / mu_k majorizes the
-    smoothed loss at the candidate. `solve` passes gamma_init = 1 on
-    every iteration, which that test accepts in exact arithmetic.
-    norm_scale is max(1, ||X_k||); `warm` is passed on to the prox.
 
-    Returns (gamma, X_next, sigma_next, r_next, loss_next, l1_next, step):
-    sigma_next is the descending spectrum of X_next taken from the prox,
-    saving one SVD per iteration; r_next is the residual vector at X_next,
-    the one residual pass each candidate pays for; loss_next is the
-    smoothed loss at X_next under mu_k that the acceptance test computed
-    from it, and l1_next its l1 part, the exact loss at X_next; step is
-    ||X_next - X_k||.
+def _spg_step(X_k, f_k, G, mu_k, d_k, binding, config, warm=None):
+    """One prox step at curvature 1 / mu_k from X_k, whose smoothed loss
+    under mu_k is f_k and gradient G; `warm` is passed on to the prox.
+
+    Returns (X_next, its spectrum from the prox, its residual vector, its
+    smoothed loss lhs and l1 loss, step = ||X_next - X_k||, lhs - rhs, tol)
+    with rhs the quadratic model at X_next. lhs <= rhs in exact arithmetic,
+    the gradient being (1/mu)-Lipschitz, so tol bounds only the rounding.
+    Let u be the unit roundoff, n the loss terms and N = m n. Each loss
+    term is within a few u of itself, and a sum of n nonnegative terms
+    adds (n - 1) u of its total (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, sections 3.1 and 4.2), so lhs and f_k are
+    within (n + 5) u of themselves. <diff, G> sums N products of factors
+    within 2 u, so it is within (N + 4) u step ||G||_F, and ||G||_F <=
+    sqrt(n) = L_f as every gradient entry lies in [-1, 1]. q = step^2 /
+    (2 mu) is within (N + 8) u q, and forming rhs adds 2 u (f_k + step L_f
+    + q). All this is below tol = 4 u ((n + 2)(lhs + f_k) + (N + 2)(step
+    L_f + q)), with room for second-order terms. tol costs O(1) and scales
+    with the data, so a scaling by 2^e moves no decision.
     """
-    gamma = gamma_init
-    while True:
-        X_hat, sigma_hat = _prox_step(X_k, G, mu_k, gamma, d_k, config, warm)
-        diff = X_hat - X_k
-        step = _frobenius(diff)
-        r = binding.residuals(X_hat)
-        lhs, l1 = binding.value_and_l1_at(r, mu_k)
-        diff *= G
-        rhs = f_k + float(diff.sum()) + 0.5 * (gamma / mu_k) * step * step
-        # A numerically zero step satisfies the test in exact arithmetic;
-        # accept it to avoid chasing rounding noise at fixed points.
-        if lhs <= rhs or step <= 1e-14 * norm_scale:
-            return gamma, X_hat, sigma_hat, r, lhs, l1, step
-        gamma *= config.rho
+    X_hat, sigma_hat = _prox_step(X_k, G, mu_k, 1.0, d_k, config, warm)
+    diff = X_hat - X_k
+    step = _frobenius(diff)
+    r = binding.residuals(X_hat)
+    lhs, l1 = binding.value_and_l1_at(r, mu_k)
+    diff *= G
+    q = step * step / (2.0 * mu_k)
+    rhs = f_k + float(diff.sum()) + q
+    tol = 4 * _UNIT_ROUNDOFF * ((binding.n_terms + 2) * (lhs + f_k)
+                                + (diff.size + 2) * (step * binding.loss_lipschitz_Lf + q))
+    return X_hat, sigma_hat, r, lhs, l1, step, lhs - rhs, tol
 
 
 def update_mu(k, mu_k, energy_new, energy_old, alpha, mu0, sigma_exp):
@@ -276,12 +275,14 @@ def solve(binding, config):
         d_k = _d_vector(sigma, config.nu)
         G = binding.gradient_at(r, mu)
         norm_scale = max(1.0, _frobenius(X))
-
-        gamma, X_next, sigma_next, r, loss_next, l1_next, step = _line_search_inner(
-            X, f_k, G, norm_scale, mu, 1.0, d_k, binding, config, warm
+        X, sigma, r, loss_next, l1_next, step, excess, tol = _spg_step(
+            X, f_k, G, mu, d_k, binding, config, warm
         )
+        if excess > tol:
+            raise MajorizationError(f"iteration {k}: the smoothed loss exceeds its quadratic "
+                                    f"model by {excess:.3g}, beyond its rounding bound {tol:.3g}")
 
-        penalty_next = config.lam * _capped_surrogate(sigma_next, config.nu)
+        penalty_next = config.lam * _capped_surrogate(sigma, config.nu)
         smoothed_obj = loss_next + penalty_next
         energy_now = smoothed_obj + binding.kappa * mu
         exact_obj = l1_next + penalty_next
@@ -294,24 +295,21 @@ def solve(binding, config):
             IterationRecord(
                 k=k,
                 mu_k=mu,
-                gamma_k=gamma,
+                gamma_k=1.0,
                 smoothed_objective=smoothed_obj,
                 energy=energy_now,
                 exact_objective=exact_obj,
                 step_norm=step,
-                rank_estimate=rank_estimate(sigma_next),
+                rank_estimate=rank_estimate(sigma),
                 mu_reset=mu_reset,
             )
         )
 
-        rel_step = step / norm_scale
-        if mu <= config.mu_stop and rel_step <= config.step_tol:
+        if mu <= config.mu_stop and step / norm_scale <= config.step_tol:
             small_steps += 1
         else:
             small_steps = 0
 
-        X = X_next
-        sigma = sigma_next
         energy_prev = energy_now
         # r is now the residual at X; the accepted loss is the next f_k
         # unless mu moves.

@@ -7,17 +7,16 @@ gradients against central finite differences, and the branch-free loss
 kernel against the two-branch Huber form. The quadratic model of the
 paper's SPG step is written here from its definition, and so are the
 majorizing penalty phi_d of a branch selector and the SVT baseline's
-loop, with its own SVD and soft threshold. One prox step
-(`spg_step`) and a backtracking search from a cold start
-(`line_search`) are thin wrappers around the solver's private
-`_prox_step` and `_line_search_inner`; the tests check them against
-`q_model`.
+loop, with its own SVD and soft threshold. One prox step at curvature
+gamma / mu (`spg_step`) is a thin wrapper around the solver's private
+`_prox_step`; the tests check it against `q_model`. The solver itself
+takes that step at gamma = 1 only.
 """
 
 import numpy as np
 
 from spglr.linalg import as_matrix, svd
-from spglr.solver import _line_search_inner, _prox_step
+from spglr.solver import _prox_step
 
 
 def phi_d(sigma, d, nu):
@@ -79,27 +78,6 @@ def spg_step(X_k, mu_k, gamma_k, d_k, binding, config):
     G = binding.gradient(X_k, mu_k)
     X_hat, _ = _prox_step(X_k, G, mu_k, gamma_k, d_k, config)
     return X_hat
-
-
-def line_search(X_k, mu_k, gamma_init, d_k, binding, config):
-    """Backtracking on gamma until the model majorizes the smoothed loss.
-
-    Tries gamma_init, rho * gamma_init, ... with rho = config.rho, and
-    returns the first accepted pair (gamma, X_next). Acceptance compares
-    the smoothed loss at the candidate against the quadratic upper model;
-    the penalty terms cancel identically on both sides, so they are
-    omitted. The test always passes once gamma reaches the gradient
-    Lipschitz constant of the smoothed loss, so termination is
-    guaranteed.
-    """
-    X_k = as_matrix(X_k)
-    f_k = binding.value(X_k, mu_k)
-    G = binding.gradient(X_k, mu_k)
-    norm_scale = max(1.0, float(np.linalg.norm(X_k)))
-    gamma, X_next, *_ = _line_search_inner(
-        X_k, f_k, G, norm_scale, mu_k, gamma_init, d_k, binding, config
-    )
-    return gamma, X_next
 
 
 def prox_objective_terms(x, w, d, tau, nu):

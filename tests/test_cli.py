@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import spglr
+from spglr import losses as losses_module
 from spglr import penalty as penalty_module
 from spglr.cli import run
 from spglr.experiments import gen_low_rank
@@ -161,12 +162,14 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, {**SMALL, "mystery": 1})
     assert run(["synth", "--config", cfg, "--out-dir", str(tmp_path / "x")]) == 1
     assert "mystery" in capsys.readouterr().err
-    # the removed backtracking bounds are unknown keys, reported before any output
-    for extra in ({"gamma_hi": 1e4}, {"gamma_lo": 9.0, "gamma_hi": 1.0}):
+    # the removed backtracking knobs are unknown keys, reported before any output
+    for extra, key in [({"gamma_hi": 1e4}, "gamma_hi"),
+                       ({"gamma_lo": 9.0, "gamma_hi": 1.0}, "gamma_hi"),
+                       ({"rho": 2.0}, "rho")]:
         cfg = write_config(tmp_path, {**SMALL, **extra})
         out = tmp_path / "never"
         assert run(["solve", "--config", cfg, "--out-dir", str(out)]) == 1
-        assert capsys.readouterr().err == 'error: unknown config key "gamma_hi"\n'
+        assert capsys.readouterr().err == f'error: unknown config key "{key}"\n'
         assert not out.exists()
 
 
@@ -409,6 +412,33 @@ def test_decomposition_failure_is_runtime_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(np.linalg, "svd", fail)
     assert run(["eval", str(path), str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: SVD failed on (3, 3) matrix")
+
+
+def test_majorization_failure_is_runtime_error(tmp_path, monkeypatch, capsys):
+    # A loss that adds 1 to every candidate's smoothed value, but not to
+    # the value at an iterate, breaks the check at the first step.
+    value_and_l1_at = losses_module._L1Loss.value_and_l1_at
+
+    def inflated(self, r, mu):
+        value, l1 = value_and_l1_at(self, r, mu)
+        return value + 1.0, l1
+
+    monkeypatch.setattr(losses_module._L1Loss, "value_at",
+                        lambda self, r, mu: value_and_l1_at(self, r, mu)[0])
+    monkeypatch.setattr(losses_module._L1Loss, "value_and_l1_at", inflated)
+    cfg = write_config(tmp_path, SMALL)
+    out = tmp_path / "out"
+    assert run(["solve", "--config", cfg, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: iteration 0: the smoothed loss exceeds its quadratic model")
+    assert err.count("\n") == 1
+    assert not (out / "X.csv").exists()
+    # a Monte Carlo sweep records it per trial
+    summary = spglr.monte_carlo(config_read(json.dumps(SMALL)).trial, trials=2,
+                                solver_config=spglr.SolverConfig(max_iter=5))
+    assert summary.results == []
+    assert [f.split(": ", 1)[0] for f in summary.failures] == ["trial seed 3", "trial seed 4"]
+    assert all(": iteration 0: " in f for f in summary.failures)
 
 
 @pytest.mark.parametrize(

@@ -431,7 +431,6 @@ def test_config_rank_bound_checked():
 KEY_CASES = {
     "mu0": ("10", math.inf),
     "alpha": ("huge", -1.0),
-    "rho": ([2.0], 1.0),
     "sigma_exp": (None, 1.0),
     "lambda": ("x", math.nan),
     "nu": ("0.05", -0.5),

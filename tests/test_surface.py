@@ -26,6 +26,7 @@ MODULE_ONLY = {
     "frobenius_norm": "linalg",
     "capped_surrogate": "penalty",
     "update_mu": "solver",
+    "MajorizationError": "solver",
     "gen_low_rank": "experiments",
     "psnr": "experiments",
     "run_trial": "experiments",
@@ -51,7 +52,7 @@ def test_helpers_are_importable_only_from_their_modules():
 def test_solver_configs_have_exactly_their_fields():
     solver_fields = [f.name for f in dataclasses.fields(spglr.SolverConfig)]
     assert solver_fields == [
-        "mu0", "alpha", "rho", "sigma_exp", "lam", "nu",
+        "mu0", "alpha", "sigma_exp", "lam", "nu",
         "max_iter", "step_tol", "mu_stop", "seed",
     ]
     svt_fields = [f.name for f in dataclasses.fields(spglr.SvtConfig)]

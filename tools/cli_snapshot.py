@@ -61,6 +61,7 @@ ERROR_CASES = {
     "nu_negative": ({"nu": -0.05}, []),
     "lambda_zero": ({"lambda": 0.0}, []),
     "unknown_key": ({"lamda": 0.75}, []),
+    "rho_removed": ({"rho": 2.0}, []),
     "missing_sr": ({"sr": None}, []),
     "r_above_min_side": ({"r": 61}, []),
     "alpha_huge": ({"alpha": "huge"}, []),
