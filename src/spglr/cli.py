@@ -163,15 +163,15 @@ def _cmd_solve(args):
         raise ConfigError('"trials": must be 1 with --mask, which gives one observation set')
     if args.truth is not None and args.mask is None:
         raise ConfigError('"--truth": needs --mask; without it, solve synthesizes the truth')
-    out = _out_dir(args)
 
     if args.mask is not None:
         text = Path(args.mask).read_text(encoding="utf-8")
         data = io_formats.mask_csv_read(text, run_cfg.trial.m, run_cfg.trial.n)
-        truth = _read_matrix(args.truth)
+        truth = _read_truth(args.truth, (run_cfg.trial.m, run_cfg.trial.n))
     elif args.trials == 1:
         truth, data = build_trial_data(run_cfg.trial)
-    else:
+    out = _out_dir(args)
+    if args.trials > 1:
         summary = monte_carlo(
             run_cfg.trial,
             solver_choice=choice,
@@ -193,6 +193,16 @@ def _read_matrix(path):
     if not path:
         return None
     return io_formats.matrix_csv_read(Path(path).read_text(encoding="utf-8"))
+
+
+def _read_truth(path, shape):
+    """_read_matrix of the --truth file; ValueError unless it has `shape`,
+    that of the input it scores."""
+    truth = _read_matrix(path)
+    if truth is not None and truth.shape != shape:
+        raise ValueError(f"shape mismatch: --truth is {truth.shape[0]} x {truth.shape[1]}, "
+                         f"the input {shape[0]} x {shape[1]}")
+    return truth
 
 
 def _write_run(out, result, wall, choice, X, truth, **extra):
@@ -223,9 +233,9 @@ def _write_solution(out, result, wall, choice, truth, **extra):
 
 def _cmd_rpca(args):
     run_cfg = _load_config(args)
-    out = _out_dir(args)
     L = _read_matrix(args.input)
-    truth = _read_matrix(args.truth)
+    truth = _read_truth(args.truth, L.shape)
+    out = _out_dir(args)
     start = time.perf_counter()
     result = solve(RpcaLoss(L), run_cfg.solver)
     wall = time.perf_counter() - start

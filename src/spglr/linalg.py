@@ -96,6 +96,21 @@ _POWER_STEPS = 2
 # Past it, the pad columns fall below the rounding of the top ones in the QR
 # and the block loses them.
 _POWER_SPREAD = 1e10
+# The most products with C = W W^T a warm Gram call's Rayleigh-Ritz step
+# applies to its block before the QR, capped by the spread of the kept values
+# (_gram_powers). Over 1600 x 60 video solves (seeds 1-10, 4990 warm calls),
+# two products per step took 1.98 steps per call and 172 full eighs, three
+# 1.36 steps and four 1.30, with no full eigh; five uncapped took 1.85, as
+# the small kept directions sank below the rounding of the top one.
+_GRAM_POWERS = 4
+# Rayleigh-Ritz steps a warm Gram call runs before it takes the full eigh.
+_GRAM_STEPS = 3
+# A warm Gram call runs only when its last block predicts a shrink per step,
+# (theta_b / theta_k)^(j + 1) for the block's last value theta_b, the last
+# kept one theta_k and j products, of at most this. The video's warm calls
+# predict 1e-5 or less; SVT's wide blocks at 120 x 120 and 200 x 200 predict
+# 0.1-1 and missed on every call before the full eigh ran anyway.
+_GRAM_SHRINK = 1e-4
 # Sweeps a subspace call runs before it leaves the prox to the full SVD.
 _MAX_SWEEPS = 30
 # A kept triplet has converged once ||W v_i - s_i u_i|| <= _RESIDUAL_TOL * s_1.
@@ -138,6 +153,13 @@ _TIE = 0.8
 #   certificate  k = 5: 60^2 0.06-0.07 (0.05), 200^2 0.52-0.77 (0.83), 1600x60 0.60-0.64 (0.61)
 #   Gram call    k = 5: 60^2 0.62-0.82 (0.52); k = 42: 120^2 1.5-2.2 (1.9); k = 100: 200^2
 #                5.2-6.4 (6.4); k = 3: 1600x60 0.87-1.21 (0.87); k = 9: 400x30 0.20-0.25 (0.30)
+#   warm Gram call  two steps, b = 8: 1600x60 0.68-0.77 (0.87), 400x30 0.27-0.37 (0.30)
+# The Gram price is that of a cold call, with its full eigh. A warm Gram call
+# runs Rayleigh-Ritz steps on C in place of the eigh, 1.2-1.6 per call on the
+# 1600 x 60 video, which the price overstates there and prices about right at
+# 400 x 30, where a 30 x 30 eigh costs about two steps. The prices stay as
+# they are, so no route moves with the warm calls; a refit is left to a
+# change that measures the routes it would move.
 # A sweep's four power products cost less than its QR and small SVD, whose
 # per-column cost the 4 b term carries; the filter step, one QR and six
 # products, prices its QR in its constant. Each of a tall input's q - p extra rows
@@ -179,13 +201,12 @@ def _route(m, n, b, pace):
     return "gram" if gram < subspace else "subspace"
 
 
-def _gram_basis(W):
-    """C = W W^T for a W with m <= n, its eigenvalues in descending order and
+def _gram_basis(C):
+    """The full eigh of C = W W^T: its eigenvalues in descending order and
     their orthonormal eigenvectors, whose leading columns span the leading
     left singular subspace of W."""
-    C = W @ W.T
     values, vectors = np.linalg.eigh(C)
-    return C, values[::-1], vectors[:, ::-1]
+    return values[::-1], vectors[:, ::-1]
 
 
 def _gram_residual(C, Y, n):
@@ -228,9 +249,12 @@ class ProxWarmStart:
     truncated route to its running (sweeps, certificates, calls). `calls`
     counts the calls, `fallbacks` those that tried a route and returned no
     factors, `certificates` the Cholesky factorisations and `sweeps` the
-    subspace route's Rayleigh-Ritz steps, not its filter steps. `spread` is
-    s_1 / s_b of the last sweep's Ritz values, inf before the first, which
-    caps the power steps of the next warm call.
+    Rayleigh-Ritz steps of both routes, not the subspace route's filter
+    steps. `spread` is s_1 / s_b of the last sweep's Ritz values, inf
+    before the first, which caps the power steps of the next warm subspace
+    call. `gram` is the (eigenvectors, eigenvalues) block of the top k +
+    _BLOCK_PAD pairs of C = W W^T, W wide, that the last Gram call which
+    returned factors kept, or None; the next Gram call starts from it.
     """
 
     def __init__(self, seed):
@@ -243,6 +267,7 @@ class ProxWarmStart:
         self.certificates = 0
         self.sweeps = 0
         self.spread = math.inf
+        self.gram = None
 
 
 def _power_steps(spread, reach):
@@ -267,7 +292,9 @@ def _leading_svd(W, k_min, threshold, warm):
     warm.pace; a failed one restarts them from its own cost, the full SVD it
     forced counted in sweeps of its block, which prices the route out until
     the rank falls well below that block. A cold subspace call leaves the
-    pace alone, or every cold start would price the route out.
+    pace alone, or every cold start would price the route out. A Gram
+    call's Rayleigh-Ritz steps count in warm.sweeps but not in its pace,
+    which prices every Gram call at its full eigh.
     """
     warm.calls += 1
     tail, warm.tail = warm.tail, None
@@ -282,7 +309,7 @@ def _leading_svd(W, k_min, threshold, warm):
         factors = _gram_triplets(W, k_min, threshold, warm)
     else:
         factors = _subspace_triplets(W, k_min, threshold, warm, start, b, tail)
-    spent = (warm.sweeps - sweeps, warm.certificates - certificates, 1)
+    spent = (0 if route == "gram" else warm.sweeps - sweeps, warm.certificates - certificates, 1)
     if factors is None:
         warm.fallbacks += 1
     if route == "gram" or start.shape[1]:
@@ -303,27 +330,118 @@ def _gram_triplets(W, k_min, threshold, warm):
     ||W v_i - s_i u_i|| <= _RESIDUAL_TOL * s_1, which small values can miss
     as the Gram squares the spectrum, and _norm_below proves sigma_{k+1}(W)
     < threshold from _gram_residual, which costs less than carrying a tail.
+
+    A warm call, one whose warm.gram holds a block of eigenvectors of a C of
+    this size at most half as wide as C, first takes the pairs from
+    _gram_ritz. When those miss, and on every other call, the pairs come
+    from the full eigh of C. Every call with pairs that pass leaves the
+    top k + _BLOCK_PAD of them in warm.gram.
     """
     flip = W.shape[0] > W.shape[1]
     if flip:
         W = W.T
-    try:
-        C, values, vectors = _gram_basis(W)
-    except np.linalg.LinAlgError:
+    C = W @ W.T
+    p = C.shape[0]
+    start, warm.gram = warm.gram, None
+    factors = None
+    if start is not None and start[0].shape[0] == p and 2 * start[0].shape[1] <= p:
+        try:
+            factors = _gram_ritz(W, C, start, k_min, threshold, warm)
+        except np.linalg.LinAlgError:
+            pass
+    if factors is None:
+        try:
+            values, vectors = _gram_basis(C)
+        except np.linalg.LinAlgError:
+            return None
+        k = max(k_min, int(np.count_nonzero(values > threshold * threshold)))
+        factors = _gram_pairs(W, C, values, vectors, k, threshold, warm)
+    if factors is None:
         return None
-    s = np.sqrt(values.clip(0.0))
+    U, s, P = factors
+    return SvdFactors(P, s, U) if flip else SvdFactors(U, s, P)
+
+
+def _gram_ritz(W, C, start, k_min, threshold, warm):
+    """The warm Gram call's pairs: up to _GRAM_STEPS Rayleigh-Ritz steps on
+    C from the block `start` = (Q, theta), the eigenvectors and values the
+    last Gram call kept, then _gram_pairs on the first step whose kept
+    pairs pass the C-side residual test; or None (Saad, Numerical Methods
+    for Large Eigenvalue Problems, 2011, ch. 5).
+
+    Each step takes Y = C^j Q, j = _gram_powers(theta, k), the QR Q of Y
+    and the eigh (theta, S) of Q^T C Q, and keeps k = max(k_min, #{theta_i
+    > threshold^2}) Ritz pairs (theta_i, Q S_i). The next step starts from
+    the Ritz vectors and their product with C, so it pays one product less.
+    Each step counts one warm.sweeps. No step runs when the block's own
+    values leave no gap (k equal to the block) or predict a shrink per
+    step (theta_b / theta_k)^(j + 1) above _GRAM_SHRINK; a step that leaves
+    no gap ends the call. As W v_i - s_i u_i = (C u_i - lambda_i u_i) / s_i
+    for v_i = W^T u_i / s_i, the C-side test ||C u_i - theta_i u_i|| <=
+    _RESIDUAL_TOL * s_1 s_i is the W-side residual test worked on the p x b
+    block, with no product with W, so only a converged block pays for the
+    W-side test and the proof.
+    """
+    Q, values = start
+    w = Q.shape[1]
     k = max(k_min, int(np.count_nonzero(values > threshold * threshold)))
+    if k and (k >= w or not values[k - 1] > 0
+              or (values[-1] / values[k - 1]) ** (_gram_powers(values, k) + 1) > _GRAM_SHRINK):
+        return None
+    CQ = C @ Q
+    for _ in range(_GRAM_STEPS):
+        Y = CQ
+        for _ in range(_gram_powers(values, k) - 1):
+            Y = C @ Y
+        Q = np.linalg.qr(Y)[0]
+        CQ = C @ Q
+        values, S = np.linalg.eigh(Q.T @ CQ)
+        values, S = values[::-1], S[:, ::-1]
+        Q, CQ = Q @ S, CQ @ S
+        warm.sweeps += 1
+        k = max(k_min, int(np.count_nonzero(values > threshold * threshold)))
+        if k >= w or k and not values[k - 1] > 0:
+            return None
+        goal = _RESIDUAL_TOL * math.sqrt(max(values[0], 0.0))
+        resid = (CQ[:, :k] - Q[:, :k] * values[:k]) / np.sqrt(values[:k])
+        if _largest_column_norm(resid) <= goal:
+            return _gram_pairs(W, C, values, Q, k, threshold, warm)
+    return None
+
+
+def _gram_powers(values, k):
+    """j, the most products with C up to _GRAM_POWERS, and at least one, a
+    Gram Rayleigh-Ritz step applies before its QR to a block whose values
+    were `values`, k of them kept: spread^j <= _POWER_SPREAD for the
+    spread values[0] / values[k - 1] of the kept ones."""
+    if k == 0:
+        return _GRAM_POWERS
+    for j in range(_GRAM_POWERS, 1, -1):
+        if values[0] <= values[k - 1] * _POWER_SPREAD ** (1 / j):
+            return j
+    return 1
+
+
+def _gram_pairs(W, C, values, vectors, k, threshold, warm):
+    """(U, s, P), the triplets of the wide W from eigenpairs of C =
+    W W^T, values descending, after the W-side residual test and the
+    proof, or None; pairs that pass leave their top k + _BLOCK_PAD in
+    warm.gram."""
+    s = np.sqrt(values.clip(0.0))
     if not np.all(s[:k] > 0):
         return None
     U = vectors[:, :k]
     P = W.T @ U / s[:k]
     Y = W @ P
-    if _largest_column_norm(Y - U * s[:k]) <= _RESIDUAL_TOL * s[0]:
-        warm.certificates += 1
-        G, slack = _gram_residual(C, Y, W.shape[1])
-        if _norm_below(G, threshold, slack):
-            return SvdFactors(P, s[:k], U) if flip else SvdFactors(U, s[:k], P)
-    return None
+    if not _largest_column_norm(Y - U * s[:k]) <= _RESIDUAL_TOL * s[0]:
+        return None
+    warm.certificates += 1
+    G, slack = _gram_residual(C, Y, W.shape[1])
+    if not _norm_below(G, threshold, slack):
+        return None
+    kept = k + _BLOCK_PAD
+    warm.gram = (vectors[:, :kept], values[:kept])
+    return U, s[:k], P
 
 
 def _subspace_triplets(W, k_min, threshold, warm, start, b, tail):

@@ -13,7 +13,8 @@ MajorizationError, naming the iteration, and does not retry.
 
 Where a cost model prices it below the full SVD, the prox decomposes W
 only as far as its output needs, warm-started from the right factor of
-the previous prox output or started from the short-side Gram matrix; see
+the previous prox output, or taken from the short-side Gram matrix and
+warm-started from the eigenvectors the last such prox kept; see
 linalg._leading_svd. Its random starting columns come from a generator
 seeded with SolverConfig.seed per solve, so a solve is deterministic.
 
@@ -118,8 +119,9 @@ class SolveResult:
     objective_gap: float
     # Spectral prox calls, those of them on the truncated path that fell
     # back to the full SVD, and the Cholesky certificates and Rayleigh-Ritz
-    # sweeps, not filter steps, that path ran (see linalg.ProxWarmStart); a
-    # call certified from the Gram eigenpairs runs one certificate and no sweep.
+    # steps that path ran (see linalg.ProxWarmStart): the subspace route's
+    # sweeps, not its filter steps, and a warm Gram call's steps on C; a
+    # Gram call runs one certificate, and a cold one no step.
     prox_calls: int = 0
     prox_fallbacks: int = 0
     prox_certificates: int = 0
@@ -135,10 +137,10 @@ class SolveResult:
         return self.trace[-1].rank_estimate if self.trace else 0
 
 
-def _prox_step(X_k, G, mu_k, gamma, d_k, config, warm=None):
-    """Prox of the gradient step: (X_hat, spectrum of X_hat)."""
-    W = X_k - (mu_k / gamma) * G
-    tau = config.lam * mu_k / gamma
+def _prox_step(X_k, G, mu_k, d_k, config, warm=None):
+    """Prox of the gradient step at curvature 1 / mu_k: (X_hat, spectrum of X_hat)."""
+    W = X_k - mu_k * G
+    tau = config.lam * mu_k
     return prox_matrix_with_spectrum(W, d_k, tau, config.nu, warm)
 
 
@@ -166,7 +168,7 @@ def _spg_step(X_k, f_k, G, mu_k, d_k, binding, config, warm=None):
     L_f + q)), with room for second-order terms. tol costs O(1) and scales
     with the data, so a scaling by 2^e moves no decision.
     """
-    X_hat, sigma_hat = _prox_step(X_k, G, mu_k, 1.0, d_k, config, warm)
+    X_hat, sigma_hat = _prox_step(X_k, G, mu_k, d_k, config, warm)
     diff = X_hat - X_k
     step = _frobenius(diff)
     r = binding.residuals(X_hat)

@@ -12,7 +12,9 @@ prices it in, it computes only the triplets above tau * step, certified,
 and falls back to the full SVD otherwise (see linalg._leading_svd). A
 high-rank iterate falls back once from its cold first block and is then
 priced onto the Gram route from 80 x 80 up, where the certified top
-eigenpairs of the Gram matrix serve as its triplets with no sweep.
+eigenpairs of the Gram matrix serve as its triplets with no sweep: its
+wide blocks over a slowly falling tail predict too slow a shrink for the
+warm Gram call's Rayleigh-Ritz steps, so each call takes the full eigh.
 """
 
 from dataclasses import dataclass

@@ -9,8 +9,8 @@ paper's SPG step is written here from its definition, and so are the
 majorizing penalty phi_d of a branch selector and the SVT baseline's
 loop, with its own SVD and soft threshold. One prox step at curvature
 gamma / mu (`spg_step`) is a thin wrapper around the solver's private
-`_prox_step`; the tests check it against `q_model`. The solver itself
-takes that step at gamma = 1 only.
+`_prox_step`, called at mu / gamma; the tests check it against
+`q_model`. The solver itself takes that step at gamma = 1 only.
 """
 
 import numpy as np
@@ -76,7 +76,7 @@ def spg_step(X_k, mu_k, gamma_k, d_k, binding, config):
     if not mu_k > 0 or not gamma_k > 0:
         raise ValueError("mu_k and gamma_k must be positive")
     G = binding.gradient(X_k, mu_k)
-    X_hat, _ = _prox_step(X_k, G, mu_k, gamma_k, d_k, config)
+    X_hat, _ = _prox_step(X_k, G, mu_k / gamma_k, d_k, config)
     return X_hat
 
 

@@ -364,6 +364,27 @@ def test_rpca_missing_truth_is_runtime_error(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["solve", "rpca"])
+def test_truth_of_the_wrong_shape_is_rejected_before_the_solve(tmp_path, capsys, command):
+    # a 12 x 20 truth for a 20 x 12 input: one error line and exit 1, with
+    # no output written, as the check runs before the solve
+    cfg = write_config(tmp_path, {**SMALL, "m": 20, "n": 12})
+    data_dir = tmp_path / "data"
+    assert run(["synth", "--config", cfg, "--out-dir", str(data_dir)]) == 0
+    M = matrix_csv_read((data_dir / "M.csv").read_text())
+    truth = tmp_path / "truth.csv"
+    truth.write_text(matrix_csv_write(M.T), "utf-8")
+    if command == "solve":
+        args = ["--mask", str(data_dir / "mask.csv")]
+    else:
+        args = ["--input", str(data_dir / "M.csv")]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([command, "--config", cfg, "--truth", str(truth), "--out-dir", str(out)] + args) == 1
+    assert capsys.readouterr().err == "error: shape mismatch: --truth is 12 x 20, the input 20 x 12\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "rpca"])
 def test_cli_trace_equals_library_trace(tmp_path, command):
     # the CLI writes the trace of the same solve the library runs
     if command == "solve":

@@ -578,18 +578,86 @@ def test_gram_eigenpairs_agree_with_the_exact_prox_whenever_returned(
             prox_matrix_with_spectrum(W, d, 0.05, 0.05, warm)
 
 
-def test_gram_start_proves_each_tail_from_its_own_gram():
+def test_gram_start_proves_each_tail_from_its_own_gram(monkeypatch):
     # the m x m proof on C - Y_k Y_k^T replaces the carried bound: every
-    # call runs one certificate on the eigenpairs of C, no sweep, and
+    # call runs one certificate, the first on the eigenpairs of C and the
+    # warm ones after it on Rayleigh-Ritz pairs from the block it kept, and
     # leaves no tail to carry
+    grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
     W = spectral_matrix((1600, 60), CARRIED_SIGMA[:60], seed=11)
     d = selector(3, 60)
     warm = ProxWarmStart(2)
     for j in range(4):
         W = perturbed(W, 1e-3, seed=j)
+        sweeps = warm.sweeps
         assert certified_step(W, d, warm) == (1, 0)
         assert warm.tail is None
-    assert warm.sweeps == 0
+        assert (warm.sweeps > sweeps) == (j > 0)
+    assert len(grams) == 1
+
+
+def thin_spectra(kind, k, log_spread, p):
+    """(sigma_0, sigma): the spectra of p values of a cold Gram call and
+    of the warm call after it. k values lie above tau / nu = 1 over a tail
+    below it, "clustered" within 1e-9 of each other, "spread" from 1.5 up
+    to 1.5e6 over a tail below 0.3, or "at_threshold", where the warm
+    call's next two are 1 and 1 - 1e-12 over a tail below 0.1 and the cold
+    call's are ten times smaller; "zero" is all zeros."""
+    if kind == "zero":
+        return np.zeros(p), np.zeros(p)
+    if kind == "clustered":
+        sigma = np.r_[2.0 * (1 + 1e-9 * np.arange(k, 0, -1)), 0.5 * 0.97 ** np.arange(p - k)]
+    elif kind == "spread":
+        sigma = np.r_[np.geomspace(1.5 * 10.0**log_spread, 1.5, k), 0.3 * 0.97 ** np.arange(p - k)]
+    else:
+        sigma = np.r_[np.geomspace(30.0, 10.0, k), 1.0, 1.0 - 1e-12, 0.1 * 0.97 ** np.arange(p - k - 2)]
+        return np.r_[sigma[:k], 0.1 * sigma[k:]], sigma
+    return sigma, sigma
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tall=st.booleans(),
+    kind=st.sampled_from(["clustered", "at_threshold", "spread", "zero"]),
+    k=st.integers(1, 6),
+    twos=st.booleans(),
+    log_spread=st.floats(0.0, 6.0),
+    log_drift=st.floats(-9.0, -1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_warm_gram_call_agrees_with_the_exact_prox_or_declines(
+    tall, kind, k, twos, log_spread, log_drift, seed
+):
+    # a cold Gram call that passes keeps its block; the warm call after it,
+    # on the same singular vectors moved by 1e-9 to 1e-1 in Frobenius norm,
+    # either returns triplets that match the exact prox or declines to the
+    # full SVD, which is the exact prox
+    shape = (400, 30) if tall else (30, 400)
+    cold, sigma = thin_spectra(kind, k, log_spread, 30)
+    W = perturbed(spectral_matrix(shape, sigma, seed), 10.0**log_drift, seed)
+    if kind == "zero":
+        W = np.zeros(shape)
+    d = selector(k if twos and kind != "zero" else 0, 30)
+    warm = ProxWarmStart(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg_module, "_route", lambda *args: "gram")
+        for X in (spectral_matrix(shape, cold, seed), W):
+            block = warm.gram
+            truncated, exact, fallbacks = truncated_and_exact(X, d, warm)
+            if fallbacks:
+                assert all(np.array_equal(t, e) for t, e in zip(truncated, exact))
+            else:
+                assert_prox_agrees(truncated, exact)
+        if kind == "zero":
+            # the warm call on W = 0 takes one Rayleigh-Ritz step and keeps nothing
+            assert warm.sweeps == 1 and not fallbacks and not truncated[1].any()
+        # a non-finite W gets no factors, from the warm block or the full
+        # eigh, and the exact path rejects it
+        W[3, 2] = np.nan
+        warm.gram = block
+        assert linalg_module._leading_svd(W, 0, 1.0, warm) is None
+        with pytest.raises(ValueError, match="finite"):
+            prox_matrix_with_spectrum(W, d, 0.05, 0.05, warm)
 
 
 def test_gram_start_that_fails_to_decompose_falls_back_to_the_exact_path(monkeypatch):
@@ -667,7 +735,8 @@ def gram_tail_proof(W, k, beta):
     the top k eigenpairs of C, v_i = W^T u_i / s_i, as _gram_triplets runs
     it, the residual test aside."""
     wide = W if W.shape[0] <= W.shape[1] else W.T
-    C, values, vectors = linalg_module._gram_basis(wide)
+    C = wide @ wide.T
+    values, vectors = linalg_module._gram_basis(C)
     P = wide.T @ vectors[:, :k] / np.sqrt(values[:k])
     G, delta = linalg_module._gram_residual(C, wide @ P, wide.shape[1])
     return linalg_module._norm_below(G, beta, delta)

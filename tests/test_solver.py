@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -486,21 +487,21 @@ def test_solve_checks_neither_d_nor_the_truncated_w(monkeypatch):
 
 
 def test_solve_takes_one_prox_per_iteration(monkeypatch):
-    # Every iteration calls the prox exactly once, at gamma = 1: there is
-    # no search that could retry it.
+    # Every iteration calls the prox exactly once, at its own mu_k (gamma =
+    # 1): there is no search that could retry it.
     steps = []
     prox_step = solver_module._prox_step
 
-    def recording_prox_step(X_k, G, mu_k, gamma, *args):
-        steps.append(gamma)
-        return prox_step(X_k, G, mu_k, gamma, *args)
+    def recording_prox_step(X_k, G, mu_k, *args):
+        steps.append(mu_k)
+        return prox_step(X_k, G, mu_k, *args)
 
     monkeypatch.setattr(solver_module, "_prox_step", recording_prox_step)
     calls = count_prox_calls(monkeypatch)
     _, L = sparse_corrupted_low_rank()
     result = solve(RpcaLoss(L), SolverConfig(lam=0.4, nu=0.05, max_iter=300))
     assert len(steps) == len(calls) == result.prox_calls == result.iterations
-    assert set(steps) == {1.0}
+    assert steps == [rec.mu_k for rec in result.trace]
     assert all(rec.gamma_k == 1.0 for rec in result.trace)
 
 
@@ -740,28 +741,91 @@ def test_solve_thin_input_above_cutoff_counts_no_fallbacks(monkeypatch):
     assert result.trace == exact.trace
 
 
-def test_solve_thin_input_takes_the_gram_eigenpairs_with_no_sweep(monkeypatch):
-    # 400 x 30: a thin input whose prox takes the eigenpairs of the 30 x 30
-    # Gram matrix, one certificate and no sweep per call
+def thin_rpca_input():
+    """(truth, L): a 400 x 30 rank-3 matrix and a copy with 10 % of its
+    entries moved by up to 1."""
     rng = np.random.default_rng(11)
     truth = gen_low_rank(400, 30, 3, 11)
     L = truth.copy()
     hit = rng.random(L.shape) < 0.1
     L[hit] += rng.uniform(-1.0, 1.0, int(hit.sum()))
+    return truth, L
+
+
+def test_solve_thin_input_takes_warm_gram_calls(monkeypatch):
+    # 400 x 30: a thin input whose prox takes the Gram route on every call,
+    # one certificate each. The cold first call and two calls whose kept
+    # block predicted too slow a shrink as the rank grew run the full eigh
+    # of the 30 x 30 Gram matrix; every other call takes Rayleigh-Ritz
+    # pairs from the block the last call kept, about 1.3 steps each
+    truth, L = thin_rpca_input()
     cfg = SolverConfig(lam=1.0, nu=0.05, max_iter=300)
     grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
     routed = record_routes(monkeypatch)
     result = solve(RpcaLoss(L), cfg)
     assert routed == [True] * result.prox_calls
-    assert len(grams) == result.prox_calls
-    assert result.prox_fallbacks == result.prox_sweeps == 0
+    assert len(grams) == 3
+    assert result.prox_fallbacks == 0
     assert result.prox_certificates == result.prox_calls
+    assert result.prox_calls - 3 <= result.prox_sweeps <= 1.5 * result.prox_calls
     energies = [r.energy for r in result.trace]
     assert all(e1 <= e0 + 1e-10 for e0, e1 in zip(energies, energies[1:]))
     exact_path_only(monkeypatch)
     exact = solve(RpcaLoss(L), cfg)
     assert result.rank == exact.rank == 3
     assert spglr.rmse(result.X_final, truth) <= 1.01 * spglr.rmse(exact.X_final, truth)
+
+
+def scaled_problem(name, c):
+    """(binding, config) of a scale-test problem with the data, lam, nu,
+    mu0 and mu_stop multiplied by c: a 400 x 30 rpca input, whose prox
+    takes the Gram route, or a 40 x 40 completion."""
+    if name == "rpca_400x30":
+        binding, lam = RpcaLoss(c * thin_rpca_input()[1]), 1.0
+    else:
+        spec = spglr.TrialSpec(
+            m=40, n=40, r=3, sr=0.8, noise=spglr.GmmNoiseParams(1e-4, 0.1, 0.1), seed=2
+        )
+        _, data = spglr.build_trial_data(spec)
+        binding, lam = CompletionLoss(
+            MaskedData(40, 40, data.row_idx, data.col_idx, c * data.values)), 0.75
+    config = SolverConfig(lam=c * lam, nu=c * 0.05, mu0=c * 10.0, mu_stop=c * 1e-6, max_iter=40)
+    return binding, config
+
+
+@settings(max_examples=10, deadline=None)
+@given(problem=st.sampled_from(["rpca_400x30", "completion_40x40"]), e=st.integers(-40, 40))
+def test_solve_scales_bit_for_bit(problem, e):
+    # every decision of the solve, the truncated prox routes included, is
+    # relative: scaling the data, lam, nu, mu0 and mu_stop by c = 2^e,
+    # exact in floating point, scales X_final bit for bit and leaves the
+    # stop, the iterations and the prox counts as they were
+    c = 2.0**e
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PenaltyCapAdvisory)
+        base = solve(*scaled_problem(problem, 1.0))
+        scaled = solve(*scaled_problem(problem, c))
+    assert np.array_equal(scaled.X_final, c * base.X_final)
+    counts = ("status", "iterations", "prox_calls", "prox_fallbacks", "prox_certificates",
+              "prox_sweeps")
+    assert [getattr(scaled, a) for a in counts] == [getattr(base, a) for a in counts]
+
+
+def test_video_like_solve_runs_one_full_eigh(monkeypatch):
+    # 400 x 60 at the benchmark's settings: 479 of the 500 prox calls take
+    # the Gram route, which ran the full eigh of the 60 x 60 Gram matrix on
+    # each of them. Now only the cold first one does: the rest take their
+    # pairs from Rayleigh-Ritz steps on the block the last call kept, with
+    # the same certificates and no fallback.
+    cfg = SolverConfig(lam=2.5, nu=0.05, mu0=100.0, max_iter=500, seed=1)
+    gram_calls = count_calls(monkeypatch, linalg_module, "_gram_triplets")
+    grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PenaltyCapAdvisory)
+        result = solve(RpcaLoss(video_like(1)), cfg)
+    assert (len(gram_calls), len(grams)) == (479, 1)
+    assert (result.prox_calls, result.prox_certificates, result.prox_fallbacks) == (500, 488, 0)
+    assert result.rank == 3
 
 
 @pytest.mark.parametrize(

@@ -9,8 +9,9 @@ a loop long enough to take LOOP_S (0.2 s), in microseconds, at the shapes
 the `_prices` comment names:
 
   full SVD      linalg.svd, Gaussian input;
-  Gram + eigh   linalg._gram_basis on the wide orientation (unpriced: the
-                eigh term is half the full SVD's square term);
+  Gram + eigh   C = W W^T on the wide orientation and its full eigh,
+                linalg._gram_basis (unpriced: the eigh term is half the full
+                SVD's square term);
   one sweep     one sweep of linalg._subspace_triplets on a warm call:
                 linalg._rayleigh_ritz with _POWER_STEPS power steps from a
                 block W V of b columns, V orthonormal, and the residual
@@ -23,10 +24,15 @@ the `_prices` comment names:
                 the residual, its short-side Gram and the Cholesky, priced
                 as the subspace price at one certificate per call less the
                 price at none;
-  Gram call     a whole call of linalg._gram_triplets, which takes the
-                eigenpairs of C (k values above the threshold), against the
-                Gram price for a block of b = k + 5 at the prior pace of 0
-                sweeps and 1 certificate.
+  Gram call     a whole cold call of linalg._gram_triplets, which takes
+                the eigenpairs of C (k values above the threshold), against
+                the Gram price for a block of b = k + 5 at the prior pace of
+                0 sweeps and 1 certificate;
+  warm Gram call  a whole warm call of linalg._gram_triplets on W moved by
+                1e-3 of its norm, from the block of b columns a cold call on
+                W kept (k = b - 5 values above the threshold): Rayleigh-Ritz
+                steps on C in place of its full eigh, against the same Gram
+                price, which does not model them.
 
 One line per operation and shape: measured, priced and their ratio.
 """
@@ -38,6 +44,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import math
 import sys
 import timeit
 from pathlib import Path
@@ -56,6 +63,8 @@ CERTIFICATE = [((60, 60), 10), ((200, 200), 10), ((1600, 60), 10)]
 # (shape, k) for a whole Gram call
 GRAM_CALL = [((60, 60), 5), ((200, 200), 5), ((120, 120), 42), ((200, 200), 100),
              ((1600, 60), 3), ((400, 30), 9), ((1300, 8), 2)]
+# (shape, b) for a warm Gram call
+WARM_GRAM_CALL = [((1600, 60), 8), ((400, 30), 8)]
 
 
 # Seconds each timed loop takes at least; its call count doubles until it does.
@@ -92,7 +101,7 @@ def rows(linalg, repeat):
         yield "full SVD", (m, n), "", best_us(lambda: linalg.svd(W), repeat), priced
     for m, n in GRAM:
         W = rng.standard_normal((min(m, n), max(m, n)))
-        yield "Gram + eigh", (m, n), "", best_us(lambda: linalg._gram_basis(W), repeat), None
+        yield "Gram + eigh", (m, n), "", best_us(lambda: linalg._gram_basis(W @ W.T), repeat), None
     for (m, n), b in SWEEP:
         W = rng.standard_normal((m, n))
         Y = W @ np.linalg.qr(rng.standard_normal((n, b)))[0]
@@ -133,6 +142,22 @@ def rows(linalg, repeat):
 
         priced = prices(m, n, k + linalg._BLOCK_PAD, prior)[1]
         yield "Gram call", (m, n), k, best_us(gram_call, repeat), priced
+    for (m, n), b in WARM_GRAM_CALL:
+        W = spectral((m, n), b - linalg._BLOCK_PAD)
+        moved = W + 1e-3 * np.linalg.norm(W) / math.sqrt(W.size) * rng.standard_normal(W.shape)
+        warm = linalg.ProxWarmStart(0)
+        linalg._gram_triplets(W, 0, 1.0, warm)
+        block = warm.gram
+        wide = moved if m <= n else moved.T
+        if linalg._gram_ritz(wide, wide @ wide.T, block, 0, 1.0, warm) is None:
+            raise RuntimeError(f"the warm Gram call took the full eigh on {m} x {n}")
+
+        def warm_gram_call():
+            warm.gram = block
+            linalg._gram_triplets(moved, 0, 1.0, warm)
+
+        priced = prices(m, n, b, prior)[1]
+        yield "warm Gram call", (m, n), b, best_us(warm_gram_call, repeat), priced
 
 
 def main(argv=None):
@@ -143,9 +168,9 @@ def main(argv=None):
     sys.path.insert(0, str(args.src))
     from spglr import linalg
 
-    print(f"{'operation':<12} {'shape':>9} {'b/k':>4} {'measured':>9} {'priced':>9} {'ratio':>6}")
+    print(f"{'operation':<14} {'shape':>9} {'b/k':>4} {'measured':>9} {'priced':>9} {'ratio':>6}")
     for op, (m, n), size, measured, priced in rows(linalg, args.repeat):
-        line = f"{op:<12} {f'{m}x{n}':>9} {size:>4} {measured:9.1f}"
+        line = f"{op:<14} {f'{m}x{n}':>9} {size:>4} {measured:9.1f}"
         if priced is not None:
             line += f" {priced:9.1f} {priced / measured:6.2f}"
         print(line, flush=True)
