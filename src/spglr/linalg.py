@@ -117,88 +117,37 @@ _MAX_SWEEPS = 30
 _RESIDUAL_TOL = 1e-13
 # u, the unit roundoff of float64.
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
-# Each truncated route's running (sweeps, certificates, calls) before a
-# solve's first call on it: a Gram call takes one proof and no sweep. After
-# their filter step, warm subspace calls of rank-5 completions average
-# 1.6-2.0 sweeps and 0.13-0.23 proofs over whole solves at 60 x 60, and 1.15
-# and 0.13 at 200 x 200, but about 1.85 and 0.4 (1.4 at 200 x 200) while the
-# rank climbs. The prior sits above that: a solve's running pace reaches it
-# before its rank does, and at 60 x 60 it prices blocks of up to 11 onto the
-# route and SVT's blocks of 12 and more onto the full SVD, where their calls
-# (about 12 sweeps each when forced onto the route) belong.
-_PRIOR_PACE = {"gram": (0.0, 1.0, 1), "subspace": (2.5, 0.4, 1)}
-# Near ties go to the exact path: a truncated route runs only when priced
-# below this share of the full SVD. Rank-5 completion solves forced onto the
-# subspace route took 0.62 of the full SVD's time at 60 x 60 and 0.77 at
-# 40 x 40 (rank 1 there), a near tie the prices give to the full SVD.
-_TIE = 0.8
-
-# Prices are microseconds with one BLAS thread for an m x n input with short
-# side p and long side q, after the operation counts of Halko, Martinsson &
-# Tropp (SIAM Review 2011, section 6). `python tools/price_table.py` prints
-# them beside best-of-5 times. Three of its runs on a shared 2-vCPU Xeon
-# (numpy 2.4, OpenBLAS 0.3.31) measured, in ms, with the price in brackets:
-#   full SVD     40^2 0.27-0.44 (0.21), 60^2 0.59-0.83 (0.56), 120^2 2.0-3.0 (2.9),
-#                200^2 6.3-9.2 (10.0), 500^2 64-83 (90), 1600x60 3.3-4.9 (4.1),
-#                400x30 0.32-0.41 (0.41), 1300x8 0.12-0.17 (0.15)
-#   one sweep    two power steps, b = 10: 40^2 0.10-0.15 (0.10), 60^2 0.10-0.16 (0.12),
-#                80^2 0.11-0.14 (0.13), 200^2 0.24-0.27 (0.31), 500^2 2.1-2.3 (1.2, where
-#                W leaves the cache and no choice is near a tie); b = 8: 1600x60 0.52-0.60
-#                (0.67), 400x30 0.15-0.20 (0.19); b = 5: 1300x8 0.13-0.15 (0.20); b = 20:
-#                60^2 0.20-0.31 (0.23); b = 48: 120^2 1.2-1.4 (1.3), 200^2 1.8-2.1 (2.4)
-#   filter step  two power steps, b = 10: 40^2 0.03-0.06 (0.04), 60^2 0.05-0.07 (0.05),
-#                80^2 0.08 (0.06), 200^2 0.16-0.24 (0.18), 500^2 2.4-2.5 (0.91); b = 8:
-#                1600x60 0.36-0.49 (0.43), 400x30 0.08-0.11 (0.10); b = 20: 60^2
-#                0.05-0.10 (0.06); b = 48: 120^2 0.23-0.24 (0.28), 200^2 0.81-1.04 (0.71)
-#   certificate  k = 5: 60^2 0.06-0.07 (0.05), 200^2 0.52-0.77 (0.83), 1600x60 0.60-0.64 (0.61)
-#   Gram call    k = 5: 60^2 0.62-0.82 (0.52); k = 42: 120^2 1.5-2.2 (1.9); k = 100: 200^2
-#                5.2-6.4 (6.4); k = 3: 1600x60 0.87-1.21 (0.87); k = 9: 400x30 0.20-0.25 (0.30)
-#   warm Gram call  two steps, b = 8: 1600x60 0.68-0.77 (0.87), 400x30 0.27-0.37 (0.30)
-# The Gram price is that of a cold call, with its full eigh. A warm Gram call
-# runs Rayleigh-Ritz steps on C in place of the eigh, 1.2-1.6 per call on the
-# 1600 x 60 video, which the price overstates there and prices about right at
-# 400 x 30, where a 30 x 30 eigh costs about two steps. The prices stay as
-# they are, so no route moves with the warm calls; a refit is left to a
-# change that measures the routes it would move.
-# A sweep's four power products cost less than its QR and small SVD, whose
-# per-column cost the 4 b term carries; the filter step, one QR and six
-# products, prices its QR in its constant. Each of a tall input's q - p extra rows
-# costs 5e-3 p^1.5 in the full SVD and 1e-2 b in a sweep. The eigh costs about
-# half a square SVD. Each subspace call adds 40 us beyond its kernels, from whole
-# solves at 60^2, and a Gram call 200 us. Per call, the Gram route took 0.73-0.81
-# of the full SVD's time inside SVT solves from 60^2 to 200^2, but 0.84-0.91 inside
-# SPG solves from 40^2 to 80^2 and SVT at 40^2, and whole calls at 60^2 read
-# 0.87-1.1 of it: below about 80^2 it is priced as a near tie, which _TIE gives to
-# the full SVD.
 
 
-def _prices(m, n, b, pace):
-    """(full, gram, subspace, sweep, filter_step): the prices of the full
-    SVD, of the two truncated routes from a block of b columns, each at the
-    rates of its running counts in pace, of one sweep and of the filter step
-    each warm subspace call runs once. A block that leaves under
-    _BLOCK_PAD columns of the short side does the full SVD's work."""
+def _routes(m, n, b):
+    """The truncated routes allowed for a block of b columns of an m x n
+    input with short side p and long side q, in order of preference: the
+    Gram route first on a thin input, q >= 4 p, where its p x p eigh
+    replaces work on the long side, and the subspace route first on the
+    rest. The Gram route needs m n >= 10^4 and a thin input or p >= 80,
+    below which its per-call costs eat its gain; the subspace route needs
+    p >= 50 and 6 b <= p, as a wider block pays more sweeps than the full
+    SVD they replace. A block that leaves under _BLOCK_PAD columns of the
+    short side does the full SVD's work and takes neither.
+
+    So rank-5 completions take the subspace route from 60 x 60 up, SVT's
+    blocks of about 95-110 at 200 x 200 and the 1600 x 60 video take the
+    Gram route, and SVT's blocks of 15-20 at 60 x 60 take the full SVD.
+    None of these is near a tie: priced by operation counts after Halko,
+    Martinsson & Tropp (SIAM Review 2011, section 6), the subspace blocks
+    cost 0.06-0.6 of the full SVD, the Gram blocks 0.2-0.63, and SVT's
+    60 x 60 blocks at least 0.96 of it on either route.
+    """
     p, q = min(m, n), max(m, n)
-    square = 0.03 * p**2.4
-    full = square + 5e-3 * (q - p) * p**1.5
-    sweep = 45 + 4 * b + 4e-4 * m * n * b + 1.5e-3 * (m + n) * b * b + 0.01 * (q - p) * b
-    filter_step = 35 + 3.5e-4 * m * n * b + 0.01 * (q - p) * b
     if b > p - _BLOCK_PAD:
-        return full, math.inf, math.inf, sweep, filter_step
-    (gs, gc, gn), (ss, sc, sn) = pace["gram"], pace["subspace"]
-    proof = 15 + 4e-5 * p**3
-    gram = 200 + 5e-5 * q * p * (p + 2 * b) + square / 2 + (gs * sweep + gc * proof) / gn
-    subspace = 40 + filter_step + (ss * sweep + sc * (30 + 1e-4 * q * p * p)) / sn
-    return full, gram, subspace, sweep, filter_step
-
-
-def _route(m, n, b, pace):
-    """The route predictor: "gram" or "subspace", whichever _prices makes
-    cheaper, or None where the full SVD should run."""
-    full, gram, subspace, _, _ = _prices(m, n, b, pace)
-    if min(gram, subspace) >= _TIE * full:
-        return None
-    return "gram" if gram < subspace else "subspace"
+        return ()
+    thin = q >= 4 * p
+    allowed = {
+        "gram": m * n >= 10_000 and (thin or p >= 80),
+        "subspace": p >= 50 and 6 * b <= p,
+    }
+    order = ("gram", "subspace") if thin else ("subspace", "gram")
+    return tuple(route for route in order if allowed[route])
 
 
 def _gram_basis(C):
@@ -245,8 +194,9 @@ class ProxWarmStart:
 
     V is the right factor of the last prox output (None before the first),
     rng draws the random starting columns and `tail` is the (W_ref, B,
-    k_ref) proof the next subspace call may carry, or None. `pace` maps each
-    truncated route to its running (sweeps, certificates, calls). `calls`
+    k_ref) proof the next subspace call may carry, or None. `hold` maps a
+    truncated route to the block of its last failed call while that failure
+    keeps the route out (see _leading_svd). `calls`
     counts the calls, `fallbacks` those that tried a route and returned no
     factors, `certificates` the Cholesky factorisations and `sweeps` the
     Rayleigh-Ritz steps of both routes, not the subspace route's filter
@@ -261,7 +211,7 @@ class ProxWarmStart:
         self.V = None
         self.rng = np.random.default_rng(seed)
         self.tail = None
-        self.pace = dict(_PRIOR_PACE)
+        self.hold = {}
         self.calls = 0
         self.fallbacks = 0
         self.certificates = 0
@@ -286,38 +236,34 @@ def _leading_svd(W, k_min, threshold, warm):
     value at or above `threshold`, or None where the full SVD should run.
     W, a float64 matrix, is not checked; a non-finite one gets None.
 
-    _route picks the route for a block of max(k_min, columns of warm.V) +
-    _BLOCK_PAD columns. A Gram call, or a subspace call warm started from
-    columns of warm.V, adds its sweeps and certificates to its route's
-    warm.pace; a failed one restarts them from its own cost, the full SVD it
-    forced counted in sweeps of its block, which prices the route out until
-    the rank falls well below that block. A cold subspace call leaves the
-    pace alone, or every cold start would price the route out. A Gram
-    call's Rayleigh-Ritz steps count in warm.sweeps but not in its pace,
-    which prices every Gram call at its full eigh.
+    The block has max(k_min, columns of warm.V) + _BLOCK_PAD columns, and
+    the call takes the first of _routes for it that is not held. A failed
+    Gram call, or a failed subspace call warm started from columns of
+    warm.V, holds its route while the block stays above half of its own:
+    a failure at one rank predicts failures at ranks near it, each paying
+    for the route and then the full SVD. A held call falls through to the
+    next allowed route, or to the full SVD; the first call that takes the
+    route again ends its hold. A failed cold subspace call sets no hold, as
+    its random block says nothing of the warm calls after it.
     """
     warm.calls += 1
     tail, warm.tail = warm.tail, None
     m, n = W.shape
     start = np.empty((n, 0)) if warm.V is None else warm.V
     b = max(k_min, start.shape[1]) + _BLOCK_PAD
-    route = _route(m, n, b, warm.pace)
-    if route is None:
+    routes = [r for r in _routes(m, n, b) if 2 * b <= warm.hold.get(r, math.inf)]
+    if not routes:
         return None
-    sweeps, certificates = warm.sweeps, warm.certificates
+    route = routes[0]
+    warm.hold.pop(route, None)
     if route == "gram":
         factors = _gram_triplets(W, k_min, threshold, warm)
     else:
         factors = _subspace_triplets(W, k_min, threshold, warm, start, b, tail)
-    spent = (0 if route == "gram" else warm.sweeps - sweeps, warm.certificates - certificates, 1)
     if factors is None:
         warm.fallbacks += 1
-    if route == "gram" or start.shape[1]:
-        if factors is None:
-            full, _, _, sweep, _ = _prices(m, n, b, warm.pace)
-            warm.pace[route] = (spent[0] + full / sweep, spent[1], 1)
-        else:
-            warm.pace[route] = tuple(map(sum, zip(warm.pace[route], spent)))
+        if route == "gram" or start.shape[1]:
+            warm.hold[route] = b
     return factors
 
 
@@ -335,7 +281,9 @@ def _gram_triplets(W, k_min, threshold, warm):
     this size at most half as wide as C, first takes the pairs from
     _gram_ritz. When those miss, and on every other call, the pairs come
     from the full eigh of C. Every call with pairs that pass leaves the
-    top k + _BLOCK_PAD of them in warm.gram.
+    top k + _BLOCK_PAD of them in warm.gram. A C whose trace is not finite,
+    as a non-finite entry of W or an overflow puts one on its diagonal,
+    gets None before any step.
     """
     flip = W.shape[0] > W.shape[1]
     if flip:
@@ -343,6 +291,8 @@ def _gram_triplets(W, k_min, threshold, warm):
     C = W @ W.T
     p = C.shape[0]
     start, warm.gram = warm.gram, None
+    if not math.isfinite(np.trace(C)):
+        return None
     factors = None
     if start is not None and start[0].shape[0] == p and 2 * start[0].shape[1] <= p:
         try:
@@ -586,9 +536,11 @@ def _norm_below(G, bound, slack=0.0):
 
 
 def rank_estimate(sigma):
-    """Numerical rank: count of singular values above max(1e-8, 1e-8 * sigma[0])."""
+    """Numerical rank: count of singular values above 1e-8 * sigma[0], a
+    tolerance relative to the largest, so the count is unchanged when the
+    matrix is scaled."""
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.size == 0:
         return 0
-    tol = max(1e-8, 1e-8 * float(sigma[0]))
+    tol = 1e-8 * float(sigma[0])
     return int(np.count_nonzero(sigma > tol))

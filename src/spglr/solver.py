@@ -11,12 +11,13 @@ A step whose smoothed loss exceeds the model by more than the rounding
 bound of _spg_step can only come from a bug: the solve raises
 MajorizationError, naming the iteration, and does not retry.
 
-Where a cost model prices it below the full SVD, the prox decomposes W
-only as far as its output needs, warm-started from the right factor of
-the previous prox output, or taken from the short-side Gram matrix and
-warm-started from the eigenvectors the last such prox kept; see
-linalg._leading_svd. Its random starting columns come from a generator
-seeded with SolverConfig.seed per solve, so a solve is deterministic.
+Where the input's shape and the block allow a truncated route (see
+linalg._routes), the prox decomposes W only as far as its output needs,
+warm-started from the right factor of the previous prox output, or taken
+from the short-side Gram matrix and warm-started from the eigenvectors
+the last such prox kept; see linalg._leading_svd. Its random starting
+columns come from a generator seeded with SolverConfig.seed per solve,
+so a solve is deterministic.
 
 The energy value loss~(X, mu) + lam * penalty + kappa * mu is
 nonincreasing along the iterates, which is what drives the schedule.

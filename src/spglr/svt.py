@@ -7,14 +7,15 @@ show how an l2 data fit degrades under heavy-tailed noise.
 
 The soft threshold is the capped penalty's prox with every branch
 selector on branch 1 and nu = 1, whose majorizer is ||X||_*. It runs
-with a warm start of its own, as in `solve`, so where the cost model
-prices it in, it computes only the triplets above tau * step, certified,
-and falls back to the full SVD otherwise (see linalg._leading_svd). A
-high-rank iterate falls back once from its cold first block and is then
-priced onto the Gram route from 80 x 80 up, where the certified top
-eigenpairs of the Gram matrix serve as its triplets with no sweep: its
-wide blocks over a slowly falling tail predict too slow a shrink for the
-warm Gram call's Rayleigh-Ritz steps, so each call takes the full eigh.
+with a warm start of its own, as in `solve`, so where the shape allows a
+truncated route, it computes only the triplets above tau * step,
+certified, and falls back to the full SVD otherwise (see
+linalg._leading_svd). A high-rank iterate falls back once from its cold
+first block. From 80 x 80 up its wide blocks then take the Gram route,
+where the certified top eigenpairs of the Gram matrix serve as its
+triplets with no sweep; over a slowly falling tail they predict too slow
+a shrink for the warm Gram call's Rayleigh-Ritz steps, so each call
+takes the full eigh. Below that size they take the full SVD.
 """
 
 from dataclasses import dataclass

@@ -101,10 +101,10 @@ def test_rank_estimate():
 
 
 def test_predictor_route_table_at_the_first_rank_5_block():
-    # the choice of _route for a rank-5 iterate's first block under the
-    # prior pace, before a solve has run a call of its own
-    def route(m, n):
-        return linalg_module._route(m, n, 5 + linalg_module._BLOCK_PAD, linalg_module._PRIOR_PACE)
+    # the first route _routes allows for a block, by default a rank-5
+    # iterate's first one
+    def route(m, n, b=5 + linalg_module._BLOCK_PAD):
+        return (linalg_module._routes(m, n, b) or (None,))[0]
 
     # small and narrow inputs keep the full SVD; 1300 x 8 has no room for the block
     assert [route(40, 40), route(1300, 8)] == [None] * 2
@@ -114,5 +114,19 @@ def test_predictor_route_table_at_the_first_rank_5_block():
     # 200 x 200 completions, and of 17 on 60 x 60, where eigh's gain is lost
     # to per-call costs and the sweeps of a wide block cost more than it saves
     blocks = [(120, 47), (200, 97), (60, 17)]
-    routes = [linalg_module._route(p, p, b, linalg_module._PRIOR_PACE) for p, b in blocks]
-    assert routes == ["gram", "gram", None]
+    assert [route(p, p, b) for p, b in blocks] == ["gram", "gram", None]
+    # the blocks of the benchmark's solves, either way round: SPG's and SVT's
+    # on complete-m200 and mc-m60, the rpca-video-cli matrix and the thin
+    # inputs of the CLI snapshot
+    table = [
+        ((200, 200), range(5, 11), "subspace"),
+        ((200, 200), range(95, 110), "gram"),
+        ((60, 60), range(5, 11), "subspace"),
+        ((60, 60), range(11, 21), None),
+        ((1600, 60), range(5, 13), "gram"),
+        ((400, 30), range(5, 11), "gram"),
+        ((1300, 8), range(5, 11), None),
+    ]
+    for (m, n), blocks, expected in table:
+        assert {route(m, n, b) for b in blocks} == {expected}
+        assert {route(n, m, b) for b in blocks} == {expected}

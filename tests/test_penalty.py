@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -426,10 +427,10 @@ def test_warm_call_on_the_slower_gap_of_r2_converges_with_power_steps(shape):
 
 
 @pytest.mark.parametrize("count", [6, 60])
-def test_cold_block_with_no_gap_falls_back_and_leaves_the_pace(monkeypatch, count):
+def test_cold_block_with_no_gap_falls_back_and_sets_no_hold(monkeypatch, count):
     # `count` values above tau / nu = 1: the cold block of five columns has
     # no gap after one sweep, so the full SVD runs and the fallback counts,
-    # but the subspace pace keeps its prior, since a random block says
+    # but the subspace route is not held, since a random block says
     # nothing of the warm calls after it
     grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
     routed = record_routes(monkeypatch)
@@ -439,7 +440,7 @@ def test_cold_block_with_no_gap_falls_back_and_leaves_the_pace(monkeypatch, coun
     warm = ProxWarmStart(0)
     (X_t, x_t), (X_e, x_e), fallbacks = truncated_and_exact(W, d, warm)
     assert (fallbacks, warm.sweeps, warm.certificates) == (1, 1, 0)
-    assert warm.pace["subspace"] == linalg_module._PRIOR_PACE["subspace"]
+    assert warm.hold == {}
     assert np.array_equal(X_t, X_e) and np.array_equal(x_t, x_e)
     # started from the full SVD's factor, the next call takes a route: the
     # subspace one at rank 6, the Gram one for the block of 65
@@ -564,18 +565,22 @@ def test_gram_eigenpairs_agree_with_the_exact_prox_whenever_returned(
     d = selector(0, p)
     warm = ProxWarmStart(seed)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linalg_module, "_route", lambda *args: "gram")
+        patch.setattr(linalg_module, "_routes", lambda *args: ("gram",))
         truncated, exact, fallbacks = truncated_and_exact(W, d, warm)
         assert not fallbacks or log_spread > 2
         if not fallbacks:
             assert warm.certificates == 1
             assert_prox_agrees(truncated, exact)
             assert np.linalg.svd(W, compute_uv=False)[k] < 1.0
-        # a non-finite W gets no factors, and the exact path rejects it
+        # a non-finite W gets no factors, cold or from the block the call
+        # above kept, with no step on a non-finite C to warn of, and the
+        # exact path rejects it
         W[p // 2, p // 3] = bad
-        assert linalg_module._leading_svd(W, 0, 1.0, ProxWarmStart(seed)) is None
-        with pytest.raises(ValueError, match="finite"):
-            prox_matrix_with_spectrum(W, d, 0.05, 0.05, warm)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert linalg_module._leading_svd(W, 0, 1.0, ProxWarmStart(seed)) is None
+            with pytest.raises(ValueError, match="finite"):
+                prox_matrix_with_spectrum(W, d, 0.05, 0.05, warm)
 
 
 def test_gram_start_proves_each_tail_from_its_own_gram(monkeypatch):
@@ -640,9 +645,10 @@ def test_warm_gram_call_agrees_with_the_exact_prox_or_declines(
     d = selector(k if twos and kind != "zero" else 0, 30)
     warm = ProxWarmStart(seed)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linalg_module, "_route", lambda *args: "gram")
+        patch.setattr(linalg_module, "_routes", lambda *args: ("gram",))
         for X in (spectral_matrix(shape, cold, seed), W):
             block = warm.gram
+            warm.hold.clear()
             truncated, exact, fallbacks = truncated_and_exact(X, d, warm)
             if fallbacks:
                 assert all(np.array_equal(t, e) for t, e in zip(truncated, exact))
@@ -655,6 +661,7 @@ def test_warm_gram_call_agrees_with_the_exact_prox_or_declines(
         # eigh, and the exact path rejects it
         W[3, 2] = np.nan
         warm.gram = block
+        warm.hold.clear()
         assert linalg_module._leading_svd(W, 0, 1.0, warm) is None
         with pytest.raises(ValueError, match="finite"):
             prox_matrix_with_spectrum(W, d, 0.05, 0.05, warm)
@@ -683,28 +690,32 @@ def test_gram_block_priced_out_falls_back_then_holds(monkeypatch):
         return spectral_matrix((1600, 60), sigma, seed)
 
     # fifty-two values above tau / nu = 1 with sigma_1 / sigma_52 = 5e4: the
-    # smallest kept eigenpairs of C fail the residual test, so the call
-    # falls back before a proof
+    # smallest kept eigenpairs of C fail the residual test, so the call on
+    # the block of 25 falls back before a proof and holds the Gram route
     assert certified_step(above(52, 21, top=1e5), d, warm) == (0, 1)
     assert (len(grams), warm.sweeps, warm.V.shape[1]) == (1, 0, 52)
+    assert warm.hold == {"gram": 25}
     # at ranks 40, 44 and then 20, where the failed call started, calls
-    # decline with nothing counted
+    # decline with nothing counted: the blocks of 45 and 49 are too wide
+    # for the subspace route, and 25 is more than half of 25
     W = spectral_matrix((1600, 60), CARRIED_SIGMA[:60], seed=20)
     for X in (above(40, 22), above(44, 23), above(20, 24), W):
         assert certified_step(X, d, warm) == (0, 0)
     assert (len(grams), warm.sweeps, warm.fallbacks) == (1, 0, 1)
-    # the last output has rank 3, far enough below 20: the Gram route runs again
+    # the last output has rank 3, and its block of 8 is at most half of 25:
+    # the Gram route runs again and its hold ends
     assert certified_step(perturbed(W, 1e-6, seed=25), d, warm) == (1, 0)
-    assert (len(grams), warm.sweeps) == (2, 0)
+    assert (len(grams), warm.sweeps, warm.hold) == (2, 0, {})
 
 
 def test_gram_proof_lost_to_the_spread_falls_back_then_holds(monkeypatch):
     # sigma_1 / (tau / nu) = 1.5e6: the Gram's rounding margin is too wide
     # to prove the tail, and the kept value 1.5 loses its digits before
-    # that, so the call falls back at the residual test, and the restarted
-    # pace keeps the next calls at that rank off the Gram route: they take
-    # the subspace route, whose spread of 1.5e6 leaves no room for the
-    # filter step, so they take no filter and no power step
+    # that, so the call falls back at the residual test, and its hold keeps
+    # the next calls, whose block of 8 is more than half of its 5, off the
+    # Gram route: they take the subspace route, whose spread of 1.5e6
+    # leaves no room for the filter step, so they take no filter and no
+    # power step
     grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
     sigma = np.r_[np.geomspace(1.5e6, 1.5, 3), 0.99 * 0.97 ** np.arange(57)]
     W = spectral_matrix((1600, 60), sigma, seed=1)
@@ -714,7 +725,7 @@ def test_gram_proof_lost_to_the_spread_falls_back_then_holds(monkeypatch):
     for j in range(3):
         assert certified_step(perturbed(W, 1e-6, seed=j), d, warm)[1] == 0
         assert linalg_module._power_steps(warm.spread, 2) is None
-    assert (len(grams), warm.fallbacks) == (1, 1)
+    assert (len(grams), warm.fallbacks, warm.hold) == (1, 1, {"gram": 5})
     assert warm.sweeps > 0
 
 
@@ -879,29 +890,32 @@ def test_carried_bound_needs_every_kept_value_above_the_threshold():
 def test_fallback_holds_the_full_svd_until_the_rank_drops():
     d = selector(0, 100)
     warm = ProxWarmStart(6)
-    # a solve at rank 30 whose subspace calls have each taken one sweep,
-    # and whose Gram route is held by a failure of its own
-    warm.pace["subspace"] = (1.0, 0.0, 1)
-    warm.pace["gram"] = (100.0, 0.0, 1)
-    warm.V = np.linalg.qr(np.random.default_rng(16).standard_normal((100, 30)))[0]
-    # seventy-five values above the threshold: the warm block of 35 has no
-    # gap, and the fallback restarts the pace from its own cost, the full
-    # SVD it forced included
+    # a solve at rank 10 whose Gram route is held by a failure of its own
+    warm.hold["gram"] = 15
+    warm.V = np.linalg.qr(np.random.default_rng(16).standard_normal((100, 10)))[0]
+    # seventy-five values above the threshold: the warm block of 15 has no
+    # gap, and the fallback holds the subspace route at that block
     many = spectral_matrix((120, 100), np.r_[np.full(75, 2.0), noise_tail(25, 0.5, 0.9)], seed=17)
     assert certified_step(many, d, warm)[1] == 1
     assert warm.tail is None
-    # at rank 75, then 30 and 30 again, calls decline with nothing counted
+    assert warm.hold == {"gram": 15, "subspace": 15}
+    # after rank 75, then 10 twice and 3, the blocks of 80, 15 and 8 are
+    # too wide for the subspace route or more than half of 15, and so more
+    # than half of the Gram route's hold too: the calls decline with
+    # nothing counted
     sweeps = warm.sweeps
-    thirty = spectral_matrix((120, 100), np.r_[np.full(30, 2.0), noise_tail(70, 0.5, 0.9)], seed=18)
-    W = spectral_matrix((120, 100), CARRIED_SIGMA, seed=16)
-    for X in (thirty, perturbed(thirty, 1e-6, seed=18), W):
+    ten = spectral_matrix((120, 100), np.r_[np.full(10, 2.0), noise_tail(90, 0.5, 0.9)], seed=18)
+    three = spectral_matrix((120, 100), CARRIED_SIGMA, seed=16)
+    two = spectral_matrix((120, 100), np.r_[10.0, 6.0, noise_tail(98, 0.5, 0.9)], seed=16)
+    for X in (ten, perturbed(ten, 1e-6, seed=18), three, two):
         assert certified_step(X, d, warm) == (0, 0)
     assert (warm.sweeps, warm.fallbacks) == (sweeps, 1)
-    # the last output has rank 3, far enough below 30 for the restarted
-    # pace: the route runs again, and with no carried bound it proves the
-    # tail afresh
-    assert certified_step(perturbed(W, 1e-6, seed=19), d, warm)[0] > 0
+    # the last output has rank 2, a block of 7, at most half of 15: the
+    # subspace route runs again, ends its hold, and with no carried bound
+    # it proves the tail afresh
+    assert certified_step(perturbed(two, 1e-6, seed=19), d, warm)[0] > 0
     assert warm.sweeps > sweeps
+    assert warm.hold == {"gram": 15}
 
 
 @settings(max_examples=12, deadline=None)
@@ -945,12 +959,13 @@ def test_shared_warm_start_on_degenerate_inputs():
             certified_step(W, selector(3, 100), scaled, tau=0.05 * scale)
         assert scaled.fallbacks == 0
     # a non-finite W cannot be certified, so the route falls back to svd,
-    # which rejects it
+    # which rejects it, with no step on non-finite values to warn of
     for value in (np.nan, np.inf):
         bad = spectral_matrix((120, 100), CARRIED_SIGMA, seed=10)
         certified_step(bad, selector(3, 100), warm)
         bad[5, 7] = value
-        with pytest.raises(ValueError, match="finite"):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="finite"):
+            warnings.simplefilter("error", RuntimeWarning)
             prox_matrix_with_spectrum(bad, selector(3, 100), 0.05, 0.05, warm)
 
 

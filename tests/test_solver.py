@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spglr
@@ -605,8 +605,8 @@ def record_routes(monkeypatch):
 
 
 def exact_path_only(monkeypatch):
-    """Make the route predictor send every prox to the full SVD."""
-    monkeypatch.setattr(linalg_module, "_route", lambda *args: None)
+    """Make the route rule allow no truncated route, so every prox takes the full SVD."""
+    monkeypatch.setattr(linalg_module, "_routes", lambda *args: ())
 
 
 def test_solve_on_truncated_path_is_deterministic(monkeypatch):
@@ -795,11 +795,17 @@ def scaled_problem(name, c):
 
 @settings(max_examples=10, deadline=None)
 @given(problem=st.sampled_from(["rpca_400x30", "completion_40x40"]), e=st.integers(-40, 40))
+@example(problem="rpca_400x30", e=-40)
+@example(problem="rpca_400x30", e=-30)
+@example(problem="completion_40x40", e=-40)
+@example(problem="completion_40x40", e=-30)
 def test_solve_scales_bit_for_bit(problem, e):
     # every decision of the solve, the truncated prox routes included, is
     # relative: scaling the data, lam, nu, mu0 and mu_stop by c = 2^e,
     # exact in floating point, scales X_final bit for bit and leaves the
-    # stop, the iterations and the prox counts as they were
+    # stop, the iterations and the prox counts as they were; the rank the
+    # result and its trace report, and so the stationarity residual, are
+    # unchanged, and the objective gap scales by c, down to 2^-40
     c = 2.0**e
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PenaltyCapAdvisory)
@@ -807,24 +813,26 @@ def test_solve_scales_bit_for_bit(problem, e):
         scaled = solve(*scaled_problem(problem, c))
     assert np.array_equal(scaled.X_final, c * base.X_final)
     counts = ("status", "iterations", "prox_calls", "prox_fallbacks", "prox_certificates",
-              "prox_sweeps")
+              "prox_sweeps", "rank", "stationarity_residual")
     assert [getattr(scaled, a) for a in counts] == [getattr(base, a) for a in counts]
+    assert [r.rank_estimate for r in scaled.trace] == [r.rank_estimate for r in base.trace]
+    assert scaled.objective_gap == c * base.objective_gap
 
 
 def test_video_like_solve_runs_one_full_eigh(monkeypatch):
-    # 400 x 60 at the benchmark's settings: 479 of the 500 prox calls take
-    # the Gram route, which ran the full eigh of the 60 x 60 Gram matrix on
-    # each of them. Now only the cold first one does: the rest take their
-    # pairs from Rayleigh-Ritz steps on the block the last call kept, with
-    # the same certificates and no fallback.
+    # 400 x 60 at the benchmark's settings: all 500 prox calls take the
+    # Gram route, thin inputs' first choice. Only the cold first one runs
+    # the full eigh of the 60 x 60 Gram matrix: the rest take their pairs
+    # from Rayleigh-Ritz steps on the block the last call kept, with one
+    # certificate each and no fallback.
     cfg = SolverConfig(lam=2.5, nu=0.05, mu0=100.0, max_iter=500, seed=1)
     gram_calls = count_calls(monkeypatch, linalg_module, "_gram_triplets")
     grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PenaltyCapAdvisory)
         result = solve(RpcaLoss(video_like(1)), cfg)
-    assert (len(gram_calls), len(grams)) == (479, 1)
-    assert (result.prox_calls, result.prox_certificates, result.prox_fallbacks) == (500, 488, 0)
+    assert (len(gram_calls), len(grams)) == (500, 1)
+    assert (result.prox_calls, result.prox_certificates, result.prox_fallbacks) == (500, 500, 0)
     assert result.rank == 3
 
 

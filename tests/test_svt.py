@@ -123,7 +123,7 @@ def test_svt_trace_schema(monkeypatch):
 def svt_and_full_svd_svt(monkeypatch, data, config):
     """svt_solve as it runs, and with the truncated route switched off."""
     routed = svt_solve(data, config)
-    monkeypatch.setattr(linalg_module, "_route", lambda *args: None)
+    monkeypatch.setattr(linalg_module, "_routes", lambda *args: ())
     return routed, svt_solve(data, config)
 
 
@@ -170,6 +170,25 @@ def test_svt_on_a_high_rank_iterate_falls_back_once(monkeypatch):
 def test_svt_at_the_benchmark_completion_shape_takes_the_gram_route(monkeypatch):
     # complete-m200's shape and tau: the iterate keeps rank 91 of 200
     assert_gram_route_after_one_fallback(monkeypatch, 200, 91)
+
+
+def test_svt_at_60x60_takes_no_route_after_its_cold_call(monkeypatch):
+    # an mc-m60 SVT trial whose second prox has a block of 11 columns, more
+    # than a sixth of the short side: the subspace route would take about
+    # 20 sweeps for it, so that call and every later one, whose blocks stay
+    # as wide, decline with no sweep, and the solve is the full-SVD solve
+    # bit for bit
+    spec = spglr.TrialSpec(
+        m=60, n=60, r=5, sr=0.8, noise=spglr.GmmNoiseParams(1e-4, 0.1, 0.1), seed=202231
+    )
+    _, data = spglr.build_trial_data(spec)
+    routes = record_routes(monkeypatch)
+    routed, exact = svt_and_full_svd_svt(monkeypatch, data, SvtConfig(tau=1.0))
+    (first, sweeps), *later = routes[: routed.prox_calls]
+    assert not first
+    assert later == [(False, sweeps)] * (routed.prox_calls - 1)
+    assert (routed.prox_fallbacks, routed.prox_certificates) == (1, 0)
+    assert np.array_equal(routed.X_final, exact.X_final)
 
 
 def test_svt_on_a_thin_full_observation_takes_the_route(monkeypatch):
