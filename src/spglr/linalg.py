@@ -85,33 +85,26 @@ def svd(W):
 # Extra columns carried beyond the triplets a truncated SVD must return;
 # the gap to singular value b + 1 sets how fast the kept ones converge.
 _BLOCK_PAD = 5
-# Products with W W^T applied to the block before each QR of a warm call.
-# q of them raise the factor a sweep shrinks the Ritz residuals by to the
-# power 2 q + 1, and each costs two products with W, less than the QR and
-# small SVD that a sweep pays anyway.
+# The most power steps a warm subspace call applies to its block before
+# each QR (see _subspace_triplets); each costs two products with W, less
+# than the QR and small SVD that a step pays anyway.
 _POWER_STEPS = 2
-# The largest power of the spread s_1 / s_b of the last Ritz values that the
-# block before any QR may reach: q power steps raise a block W V to the
-# power 2 q + 1, and the block W (W^T Q) the filter step hands on to 2 q + 2.
-# Past it, the pad columns fall below the rounding of the top ones in the QR
-# and the block loses them.
+# The largest power of the spread of a block's Ritz values that the block
+# may reach before any QR (see _powers).
 _POWER_SPREAD = 1e10
-# The most products with C = W W^T a warm Gram call's Rayleigh-Ritz step
-# applies to its block before the QR, capped by the spread of the kept values
-# (_gram_powers). Over 1600 x 60 video solves (seeds 1-10, 4990 warm calls),
-# two products per step took 1.98 steps per call and 172 full eighs, three
-# 1.36 steps and four 1.30, with no full eigh; five uncapped took 1.85, as
-# the small kept directions sank below the rounding of the top one.
-_GRAM_POWERS = 4
-# Rayleigh-Ritz steps a warm Gram call runs before it takes the full eigh.
-_GRAM_STEPS = 3
-# A warm Gram call runs only when its last block predicts a shrink per step,
-# (theta_b / theta_k)^(j + 1) for the block's last value theta_b, the last
-# kept one theta_k and j products, of at most this. The video's warm calls
-# predict 1e-5 or less; SVT's wide blocks at 120 x 120 and 200 x 200 predict
-# 0.1-1 and missed on every call before the full eigh ran anyway.
+# The most power steps Y <- C Y a warm Gram call's step applies to its block
+# C Q before the QR. Over 1600 x 60 video solves (seeds 1-10, 4990 warm
+# calls, at most three steps a call), one power step took 1.98 steps per
+# call and 172 full eighs, two 1.36 steps and three 1.30, with no full eigh;
+# four uncapped took 1.85, as the small kept directions sank below the
+# rounding of the top one.
+_GRAM_POWERS = 3
+# The most shrink per step a warm Gram call's start block may predict (see
+# _gram_triplets). The video's warm calls predict 1e-5 or less; SVT's wide
+# blocks at 120 x 120 and 200 x 200 predict 0.1-1 and missed on every call
+# before the full eigh ran anyway.
 _GRAM_SHRINK = 1e-4
-# Sweeps a subspace call runs before it leaves the prox to the full SVD.
+# Rayleigh-Ritz steps a call runs before it gives up (see _ritz).
 _MAX_SWEEPS = 30
 # A kept triplet has converged once ||W v_i - s_i u_i|| <= _RESIDUAL_TOL * s_1.
 _RESIDUAL_TOL = 1e-13
@@ -200,11 +193,11 @@ class ProxWarmStart:
     counts the calls, `fallbacks` those that tried a route and returned no
     factors, `certificates` the Cholesky factorisations and `sweeps` the
     Rayleigh-Ritz steps of both routes, not the subspace route's filter
-    steps. `spread` is s_1 / s_b of the last sweep's Ritz values, inf
-    before the first, which caps the power steps of the next warm subspace
-    call. `gram` is the (eigenvectors, eigenvalues) block of the top k +
-    _BLOCK_PAD pairs of C = W W^T, W wide, that the last Gram call which
-    returned factors kept, or None; the next Gram call starts from it.
+    steps. `spread` is s_1 / s_b of the last subspace step's Ritz values,
+    inf before the first, which caps the power steps of the next warm
+    subspace call. `gram` is the (eigenvectors, eigenvalues) block of the
+    top k + _BLOCK_PAD pairs of C = W W^T, W wide, that the last Gram call
+    which returned factors kept, or None; the next Gram call starts from it.
     """
 
     def __init__(self, seed):
@@ -220,21 +213,9 @@ class ProxWarmStart:
         self.gram = None
 
 
-def _power_steps(spread, reach):
-    """q, the most power steps up to _POWER_STEPS with spread^(2 q + reach)
-    <= _POWER_SPREAD for the spread s_1 / s_b of the last Ritz values, or
-    None where not even q = 0 fits. A block W V has reach 1; the block
-    W (W^T Q) that the filter step hands on, Q orthonormal, has reach 2."""
-    for q in range(_POWER_STEPS, -1, -1):
-        if spread <= _POWER_SPREAD ** (1 / (2 * q + reach)):
-            return q
-    return None
-
-
 def _leading_svd(W, k_min, threshold, warm):
     """Leading singular triplets of W, certified to cover every singular
     value at or above `threshold`, or None where the full SVD should run.
-    W, a float64 matrix, is not checked; a non-finite one gets None.
 
     The block has max(k_min, columns of warm.V) + _BLOCK_PAD columns, and
     the call takes the first of _routes for it that is not held. A failed
@@ -245,6 +226,11 @@ def _leading_svd(W, k_min, threshold, warm):
     next allowed route, or to the full SVD; the first call that takes the
     route again ends its hold. A failed cold subspace call sets no hold, as
     its random block says nothing of the warm calls after it.
+
+    W, a float64 matrix, is not checked on entry. A W whose ||W||_F^2 is
+    not finite, as a non-finite entry or an overflow makes it, fails its
+    route before any product, with no warning: the full SVD rejects a
+    non-finite W, and scales one that overflows only in its square.
     """
     warm.calls += 1
     tail, warm.tail = warm.tail, None
@@ -256,7 +242,11 @@ def _leading_svd(W, k_min, threshold, warm):
         return None
     route = routes[0]
     warm.hold.pop(route, None)
-    if route == "gram":
+    a = W.ravel("K")
+    # vdot, unlike matmul, leaves an overflow to its result with no warning
+    if not math.isfinite(np.vdot(a, a)):
+        factors = None
+    elif route == "gram":
         factors = _gram_triplets(W, k_min, threshold, warm)
     else:
         factors = _subspace_triplets(W, k_min, threshold, warm, start, b, tail)
@@ -265,6 +255,81 @@ def _leading_svd(W, k_min, threshold, warm):
         if route == "gram" or start.shape[1]:
             warm.hold[route] = b
     return factors
+
+
+def _powers(spread, most, reach):
+    """q, the most power steps up to `most` that keep spread^(2 q + reach)
+    within _POWER_SPREAD, or None where not even q = 0 does.
+
+    `spread` is s_1 / s_j of Ritz values of W. A block W P, P orthonormal,
+    has reach 1 and a block W W^T Q, Q orthonormal, reach 2; q power steps
+    Y <- W W^T Y raise the spread of either to the power 2 q + reach.
+    Past the cap the smaller columns sink below the rounding of the top
+    one in the QR, and the block loses them.
+    """
+    for q in range(most, -1, -1):
+        if spread <= _POWER_SPREAD ** (1 / (2 * q + reach)):
+            return q
+    return None
+
+
+def _ritz(apply, solve, Y, k_min, threshold, q, warm, lead=None, powers=None, slow=True):
+    """(k, s, kept) from Rayleigh-Ritz steps on the block Y for the top
+    singular triplets of a matrix W, or None (Halko, Martinsson & Tropp,
+    SIAM Review 2011, Alg. 4.4; Saad, Numerical Methods for Large
+    Eigenvalue Problems, 2011, ch. 5).
+
+    apply(Y) is the route's product of W W^T with Y, and solve(Q) its
+    small Ritz solve on an orthonormal Q, which returns (s, R, Y, kept):
+    the Ritz values s of W, descending, the residuals R whose column i is
+    W v_i - s_i u_i for the i-th Ritz triplet (u_i, s_i, v_i), the next
+    block and what the route keeps of the step. A step applies q power
+    steps Y <- apply(Y), takes Q from the QR of Y and solves, counts one
+    warm.sweeps, and keeps k = max(k_min, #{s_i > threshold}) triplets;
+    with `powers`, the next step takes powers(s, k) power steps.
+    The first step in which every kept triplet has ||W v_i - s_i u_i|| <=
+    _RESIDUAL_TOL * s_1 returns. A step shrinks a kept residual by about
+    (s_{b+1} / s_i)^(2 q + 1), s_{b+1} the first value past the block.
+
+    With `lead`, a filter step runs first: `lead` power steps, the QR and
+    the next block apply(Q), with no solve and no test. A warm call's
+    first step seldom meets the test, and its Ritz rotation leaves the
+    span that the next step starts from unchanged, so the filter does that
+    work for less.
+
+    A step that leaves no gap (k equal to the block), a kept value of
+    zero, a failed decomposition or _MAX_SWEEPS steps without convergence
+    get None. With `slow`, from the second step at an unchanged k, so does
+    a measured shrink of the largest kept residual that, kept up for the
+    steps left, cannot meet the test: a slow gap falls back in a few steps,
+    not _MAX_SWEEPS.
+    """
+    last = None
+    try:
+        if lead is not None:
+            for _ in range(lead):
+                Y = apply(Y)
+            Y = apply(np.linalg.qr(Y)[0])
+        for sweep in range(1, _MAX_SWEEPS + 1):
+            for _ in range(q):
+                Y = apply(Y)
+            s, R, Y, kept = solve(np.linalg.qr(Y)[0])
+            warm.sweeps += 1
+            k = max(k_min, int(np.count_nonzero(s > threshold)))
+            if k >= s.size or k and not s[k - 1] > 0:
+                return None
+            resid, goal = _largest_column_norm(R[:, :k]), _RESIDUAL_TOL * s[0]
+            if resid <= goal:
+                return k, s, kept
+            if slow and last is not None and last[0] == k and (
+                    resid >= last[1] or resid * (resid / last[1]) ** (_MAX_SWEEPS - sweep) > goal):
+                return None
+            last = (k, resid)
+            if powers is not None:
+                q = powers(s, k)
+    except np.linalg.LinAlgError:
+        pass
+    return None
 
 
 def _gram_triplets(W, k_min, threshold, warm):
@@ -277,13 +342,22 @@ def _gram_triplets(W, k_min, threshold, warm):
     as the Gram squares the spectrum, and _norm_below proves sigma_{k+1}(W)
     < threshold from _gram_residual, which costs less than carrying a tail.
 
-    A warm call, one whose warm.gram holds a block of eigenvectors of a C of
-    this size at most half as wide as C, first takes the pairs from
-    _gram_ritz. When those miss, and on every other call, the pairs come
-    from the full eigh of C. Every call with pairs that pass leaves the
-    top k + _BLOCK_PAD of them in warm.gram. A C whose trace is not finite,
-    as a non-finite entry of W or an overflow puts one on its diagonal,
-    gets None before any step.
+    A warm call, one whose warm.gram holds a block Q of eigenvectors of a C
+    of this size at most half as wide as C, first takes its pairs from
+    _ritz on the block C Q, with operator C and the eigh (theta, S) of
+    Q^T C Q as its small solve: Ritz vectors Q S and s_i = sqrt(theta_i).
+    As W v_i - s_i u_i = (C u_i - theta_i u_i) / s_i for v_i = W^T u_i /
+    s_i, the residuals come from the p x b block, with no product with W,
+    so only a converged block pays for the W-side test and the proof. Its
+    first step takes q = _powers(s_1 / s_k, _GRAM_POWERS, 2) power steps,
+    or none where that is None, for the values s_i = sqrt(theta_i) of the
+    block Q, k of them kept, and each later step counts q again from the
+    Ritz values before it. No step runs when the values of Q leave no gap,
+    keep a zero or predict a shrink per step (theta_b / theta_k)^(q + 2)
+    above _GRAM_SHRINK. When the steps or the
+    pairs miss, and on every other call, the pairs come from the full eigh
+    of C. Every call with pairs that pass leaves the top k + _BLOCK_PAD of
+    them in warm.gram.
     """
     flip = W.shape[0] > W.shape[1]
     if flip:
@@ -291,14 +365,29 @@ def _gram_triplets(W, k_min, threshold, warm):
     C = W @ W.T
     p = C.shape[0]
     start, warm.gram = warm.gram, None
-    if not math.isfinite(np.trace(C)):
-        return None
+
+    def solve(Q):
+        CQ = C @ Q
+        theta, S = np.linalg.eigh(Q.T @ CQ)
+        theta, S = theta[::-1], S[:, ::-1]
+        Q, CQ = Q @ S, CQ @ S
+        s = np.sqrt(theta.clip(0.0))
+        return s, (CQ - Q * theta) / np.where(s > 0, s, 1.0), CQ, (theta, Q)
+
+    def powers(s, k):
+        return (_powers(s[0] / s[k - 1], _GRAM_POWERS, 2) or 0) if k else _GRAM_POWERS
+
     factors = None
     if start is not None and start[0].shape[0] == p and 2 * start[0].shape[1] <= p:
-        try:
-            factors = _gram_ritz(W, C, start, k_min, threshold, warm)
-        except np.linalg.LinAlgError:
-            pass
+        Q, theta = start
+        k = max(k_min, int(np.count_nonzero(theta > threshold * threshold)))
+        theta_k = theta[k - 1] if k else math.inf
+        q = powers(np.sqrt(theta[:k]), k) if k < theta.size and theta_k > 0 else None
+        if q is not None and (theta[-1] / theta_k) ** (q + 2) <= _GRAM_SHRINK:
+            found = _ritz(lambda Y: C @ Y, solve, C @ Q, k_min, threshold, q, warm, powers=powers)
+            if found:
+                k, _, (theta, Q) = found
+                factors = _gram_pairs(W, C, theta, Q, k, threshold, warm)
     if factors is None:
         try:
             values, vectors = _gram_basis(C)
@@ -310,66 +399,6 @@ def _gram_triplets(W, k_min, threshold, warm):
         return None
     U, s, P = factors
     return SvdFactors(P, s, U) if flip else SvdFactors(U, s, P)
-
-
-def _gram_ritz(W, C, start, k_min, threshold, warm):
-    """The warm Gram call's pairs: up to _GRAM_STEPS Rayleigh-Ritz steps on
-    C from the block `start` = (Q, theta), the eigenvectors and values the
-    last Gram call kept, then _gram_pairs on the first step whose kept
-    pairs pass the C-side residual test; or None (Saad, Numerical Methods
-    for Large Eigenvalue Problems, 2011, ch. 5).
-
-    Each step takes Y = C^j Q, j = _gram_powers(theta, k), the QR Q of Y
-    and the eigh (theta, S) of Q^T C Q, and keeps k = max(k_min, #{theta_i
-    > threshold^2}) Ritz pairs (theta_i, Q S_i). The next step starts from
-    the Ritz vectors and their product with C, so it pays one product less.
-    Each step counts one warm.sweeps. No step runs when the block's own
-    values leave no gap (k equal to the block) or predict a shrink per
-    step (theta_b / theta_k)^(j + 1) above _GRAM_SHRINK; a step that leaves
-    no gap ends the call. As W v_i - s_i u_i = (C u_i - lambda_i u_i) / s_i
-    for v_i = W^T u_i / s_i, the C-side test ||C u_i - theta_i u_i|| <=
-    _RESIDUAL_TOL * s_1 s_i is the W-side residual test worked on the p x b
-    block, with no product with W, so only a converged block pays for the
-    W-side test and the proof.
-    """
-    Q, values = start
-    w = Q.shape[1]
-    k = max(k_min, int(np.count_nonzero(values > threshold * threshold)))
-    if k and (k >= w or not values[k - 1] > 0
-              or (values[-1] / values[k - 1]) ** (_gram_powers(values, k) + 1) > _GRAM_SHRINK):
-        return None
-    CQ = C @ Q
-    for _ in range(_GRAM_STEPS):
-        Y = CQ
-        for _ in range(_gram_powers(values, k) - 1):
-            Y = C @ Y
-        Q = np.linalg.qr(Y)[0]
-        CQ = C @ Q
-        values, S = np.linalg.eigh(Q.T @ CQ)
-        values, S = values[::-1], S[:, ::-1]
-        Q, CQ = Q @ S, CQ @ S
-        warm.sweeps += 1
-        k = max(k_min, int(np.count_nonzero(values > threshold * threshold)))
-        if k >= w or k and not values[k - 1] > 0:
-            return None
-        goal = _RESIDUAL_TOL * math.sqrt(max(values[0], 0.0))
-        resid = (CQ[:, :k] - Q[:, :k] * values[:k]) / np.sqrt(values[:k])
-        if _largest_column_norm(resid) <= goal:
-            return _gram_pairs(W, C, values, Q, k, threshold, warm)
-    return None
-
-
-def _gram_powers(values, k):
-    """j, the most products with C up to _GRAM_POWERS, and at least one, a
-    Gram Rayleigh-Ritz step applies before its QR to a block whose values
-    were `values`, k of them kept: spread^j <= _POWER_SPREAD for the
-    spread values[0] / values[k - 1] of the kept ones."""
-    if k == 0:
-        return _GRAM_POWERS
-    for j in range(_GRAM_POWERS, 1, -1):
-        if values[0] <= values[k - 1] * _POWER_SPREAD ** (1 / j):
-            return j
-    return 1
 
 
 def _gram_pairs(W, C, values, vectors, k, threshold, warm):
@@ -395,37 +424,24 @@ def _gram_pairs(W, C, values, vectors, k, threshold, warm):
 
 
 def _subspace_triplets(W, k_min, threshold, warm, start, b, tail):
-    """The subspace route for _leading_svd: SvdFactors from Rayleigh-Ritz
-    sweeps on a block of b columns, those of `start` and Gaussian ones from
-    warm.rng (Halko, Martinsson & Tropp, SIAM Review 2011), or None. Each
-    sweep (_rayleigh_ritz) applies q power steps Y <- W (W^T Y) to the
-    block Y = W V, V its right vectors, takes the SVD of W.T @ Q, Q the QR
-    of Y, and keeps k = max(k_min, #{s_i > threshold}) triplets once each
-    has ||W v_i - s_i u_i|| <= _RESIDUAL_TOL * s_1. No gap (k == b), no
-    convergence within _MAX_SWEEPS, a failed decomposition or a failed
-    proof gets None.
+    """The subspace route for _leading_svd: SvdFactors from _ritz on a
+    block of b columns, those of `start` and Gaussian ones from warm.rng,
+    or None. The block is W V, V the starting columns, the operator is
+    Y <- W (W^T Y) and the small solve is the SVD P s H^T of W^T Q: Ritz
+    triplets (Q H, s, P), whose next block W P the residual test also
+    reads. Each step records s_1 / s_b in warm.spread.
 
-    A sweep shrinks a kept residual by about (sigma_{b+1} / s_i)^(2 q + 1).
-    A warm call, one with columns from `start`, first runs one filter step
-    (_filter_step): the same power steps and QR, then the block W (W^T Q),
-    with no small SVD and no test. A warm call's first sweep seldom meets
-    the test, and its Ritz rotation leaves the span that the next sweep
-    starts from unchanged, so the filter does that work for less; a warm
-    call then takes about 1.7 sweeps at 60 x 60 and 1.15 at 200 x 200. Its
-    sweeps take q = _power_steps(warm.spread, 2), the most that keep the
-    spread of the last Ritz values, raised to 2 q + 2, within _POWER_SPREAD,
-    as the filtered block is one product pair past an orthonormal Q; the
-    filter's own QR sees 2 q + 1 of _power_steps(warm.spread, 1). Past the
-    cap the pad columns sink below the rounding of the top ones in the QR
-    and the block stops converging, and a spread past its square root takes
-    no filter. A cold call takes no filter and no power step. From the
-    second sweep of a warm call at an unchanged k, the call stops with None
-    once the measured shrink of the largest kept residual, kept up for the
-    sweeps left, cannot meet the test: a slow gap falls back in a few
-    sweeps, not _MAX_SWEEPS. A cold call runs on, as the random columns of
-    its first sweeps shrink unevenly. The filter and the power steps change
-    only the block, so the test, the proof and the carried bound below read
-    the same.
+    A warm call, one with columns from `start`, first runs a filter step
+    on the block W V with _powers(warm.spread, _POWER_STEPS, 1) power
+    steps. Its steps take q = _powers(warm.spread, _POWER_STEPS, 2), as
+    the filtered block W (W^T Q) is one product pair past an orthonormal
+    Q; a spread that allows no q takes no filter and no power step. A warm
+    call then takes about 1.7 steps at 60 x 60 and 1.15 at 200 x 200, and
+    stops once its measured shrink is too slow (see _ritz). A cold call
+    takes no filter and no power step, and runs on, as the random columns
+    of its first steps shrink unevenly. The filter and the power steps
+    change only the block, so the test, the proof and the carried bound
+    below read the same.
 
     The proof, counted in warm.certificates, is _norm_below on the Gram of
     R = W - (W V_k) V_k.T on its short side: W V_k V_k.T has rank k, so
@@ -452,36 +468,21 @@ def _subspace_triplets(W, k_min, threshold, warm, start, b, tail):
     if tail is not None and tail[0].shape == W.shape:
         W_ref, B, k_ref = tail
         carried = B + _frobenius(W - W_ref) * (1 + 1e-12)
-    q = _power_steps(warm.spread, 2) if start.shape[1] else None
-    Y = W @ np.concatenate([start, warm.rng.standard_normal((n, b - start.shape[1]))], axis=1)
-    if q is None:
-        q = 0
-    else:
-        try:
-            Y = _filter_step(W, Y, _power_steps(warm.spread, 1))
-        except np.linalg.LinAlgError:
-            return None
-    last = None
-    for sweep in range(1, _MAX_SWEEPS + 1):
-        try:
-            U, s, P, Y = _rayleigh_ritz(W, Y, q)
-        except np.linalg.LinAlgError:
-            return None
-        warm.sweeps += 1
+    q = _powers(warm.spread, _POWER_STEPS, 2) if start.shape[1] else None
+    lead = None if q is None else _powers(warm.spread, _POWER_STEPS, 1)
+
+    def solve(Q):
+        P, s, Ht = np.linalg.svd(W.T @ Q, full_matrices=False)
         warm.spread = s[0] / s[-1] if s[-1] > 0 else math.inf
-        k = max(k_min, int(np.count_nonzero(s > threshold)))
-        if k == b:
-            return None
-        resid = _largest_column_norm(Y[:, :k] - U[:, :k] * s[:k])
-        goal = _RESIDUAL_TOL * s[0]
-        if resid <= goal:
-            break
-        if start.shape[1] and last is not None and last[0] == k:
-            if resid >= last[1] or resid * (resid / last[1]) ** (_MAX_SWEEPS - sweep) > goal:
-                return None
-        last = (k, resid)
-    else:
+        U, Y = Q @ Ht.T, W @ P
+        return s, Y - U * s, Y, (U, P, Y)
+
+    Y = W @ np.concatenate([start, warm.rng.standard_normal((n, b - start.shape[1]))], axis=1)
+    found = _ritz(lambda Y: W @ (W.T @ Y), solve, Y, k_min, threshold, q or 0, warm,
+                  lead=lead, slow=start.shape[1] > 0)
+    if found is None:
         return None
+    k, s, (U, P, Y) = found
     factors = SvdFactors(U[:, :k], s[:k], P[:, :k])
     if carried < threshold and k >= k_ref and (k == 0 or s[k - 1] > threshold):
         warm.tail = tail
@@ -495,31 +496,6 @@ def _subspace_triplets(W, k_min, threshold, warm, start, b, tail):
             warm.tail = (W.copy(), bound, k)
             return factors
     return None
-
-
-def _powered_basis(W, Y, q):
-    """Q, the QR factor of the block Y = W V after q power steps Y <- W (W^T Y)."""
-    for _ in range(q):
-        Y = W @ (W.T @ Y)
-    return np.linalg.qr(Y)[0]
-
-
-def _filter_step(W, Y, q):
-    """The QR-only filter step of a warm call from the block Y = W V: Q from
-    q power steps and a QR, then the next block W (W^T Q)."""
-    Q = _powered_basis(W, Y, q)
-    return W @ (W.T @ Q)
-
-
-def _rayleigh_ritz(W, Y, q):
-    """One sweep of the subspace route from the block Y = W V: q power
-    steps Y <- W (W^T Y), Q the QR of Y and the SVD P s H^T of W^T Q.
-    Returns the Ritz triplets (U, s, P) with U = Q H and the next block
-    W P, whose columns the residual test also reads."""
-    Q = _powered_basis(W, Y, q)
-    P, s, Ht = np.linalg.svd(W.T @ Q, full_matrices=False)
-    Y = W @ P
-    return Q @ Ht.T, s, P, Y
 
 
 def _norm_below(G, bound, slack=0.0):

@@ -251,8 +251,10 @@ def solve(binding, config):
     a direction enters the iterate only once the data pulls on it harder
     than the prox threshold, which avoids locking in the spurious
     spectrum of the raw observed matrix. Stops at max_iter or once
-    mu <= mu_stop and the relative step stays below step_tol for three
-    consecutive iterations. The trace holds one record per iteration.
+    mu <= mu_stop and the step, relative to the iterate it leaves, is at
+    most step_tol for three consecutive iterations; with no absolute
+    floor in that test, a scaled problem stops where it did. The trace
+    holds one record per iteration.
     """
     if config.nu >= config.lam / binding.loss_lipschitz_Lf:
         warnings.warn(
@@ -277,7 +279,7 @@ def solve(binding, config):
     for k in range(config.max_iter):
         d_k = _d_vector(sigma, config.nu)
         G = binding.gradient_at(r, mu)
-        norm_scale = max(1.0, _frobenius(X))
+        norm_X = _frobenius(X)
         X, sigma, r, loss_next, l1_next, step, excess, tol = _spg_step(
             X, f_k, G, mu, d_k, binding, config, warm
         )
@@ -308,7 +310,7 @@ def solve(binding, config):
             )
         )
 
-        if mu <= config.mu_stop and step / norm_scale <= config.step_tol:
+        if mu <= config.mu_stop and step <= config.step_tol * norm_X:
             small_steps += 1
         else:
             small_steps = 0

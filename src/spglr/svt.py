@@ -50,8 +50,10 @@ class SvtConfig:
 
 
 def svt_solve(data, config):
-    """Iterate gradient step + spectral soft threshold until the relative
-    step falls below tol or max_iter is reached.
+    """Iterate gradient step + spectral soft threshold until the step is
+    at most tol times the norm of the iterate it leaves, or max_iter is
+    reached. The test has no absolute floor, so a scaled problem stops
+    where it did.
 
     The trace reuses the shared record schema: the three objective
     columns all carry the nuclear-norm objective, mu_k is 0 and gamma_k
@@ -99,9 +101,9 @@ def svt_solve(data, config):
                 mu_reset=False,
             )
         )
-        rel_step = step_norm / max(1.0, float(np.linalg.norm(X)))
+        small = step_norm <= config.tol * float(np.linalg.norm(X))
         X = X_next
-        if rel_step <= config.tol:
+        if small:
             status = "converged"
             break
 

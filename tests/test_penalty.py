@@ -349,14 +349,34 @@ def test_truncated_prox_warm_start_reuses_previous_factor(monkeypatch):
 
 def record_power_steps(monkeypatch):
     """("filter", q) for each filter step and ("sweep", q) for each
-    Rayleigh-Ritz step, q its power steps, in call order."""
+    Rayleigh-Ritz step, q its power steps, in call order, read from the
+    products and small solves each _ritz call runs: a filter step is its
+    power steps and one more product, and a sweep its power steps and a
+    solve."""
     steps = []
-    for name, kind in [("_filter_step", "filter"), ("_rayleigh_ritz", "sweep")]:
-        def recording(W, Y, q, step=getattr(linalg_module, name), kind=kind):
-            steps.append((kind, q))
-            return step(W, Y, q)
+    ritz = linalg_module._ritz
 
-        monkeypatch.setattr(linalg_module, name, recording)
+    def recording(apply, solve, *args, lead=None, **kwargs):
+        marks = []
+
+        def counted_apply(Y):
+            marks.append("p")
+            return apply(Y)
+
+        def counted_solve(Q):
+            marks.append("s")
+            return solve(Q)
+
+        found = ritz(counted_apply, counted_solve, *args, lead=lead, **kwargs)
+        run = "".join(marks)
+        if lead is not None:
+            assert run.startswith("p" * (lead + 1))
+            steps.append(("filter", lead))
+            run = run[lead + 1:]
+        steps.extend(("sweep", len(powers)) for powers in run.split("s")[:-1])
+        return found
+
+    monkeypatch.setattr(linalg_module, "_ritz", recording)
     return steps
 
 
@@ -364,15 +384,19 @@ def test_power_steps_are_capped_by_the_spread_of_the_last_ritz_values():
     # q power steps raise the spread s_1 / s_b of a block W V to the power
     # 2 q + 1, which must stay within 1e10: 100^5, 2154^3 and 1e10^1; the
     # block the filter step hands on is one product pair further, 2 q + 2:
-    # 46.4^6, 316^4 and 1e5^2
+    # 46.4^6, 316^4 and 1e5^2. A Gram step's block C Q is W W^T Q, also
+    # 2 q + 2, with up to three power steps on the spread s_1 / s_k of the
+    # kept values: 17.8^8 first
     cap = linalg_module._POWER_SPREAD
-    assert linalg_module._POWER_STEPS == 2
-    for reach, table in [
-        (1, [(1.0, 2), (100.0, 2), (101.0, 1), (cap ** (1 / 3), 1), (2200.0, 0), (cap, 0)]),
-        (2, [(1.0, 2), (46.0, 2), (47.0, 1), (316.0, 1), (317.0, 0), (1e5, 0), (1.01e5, None)]),
+    assert (linalg_module._POWER_STEPS, linalg_module._GRAM_POWERS) == (2, 3)
+    for most, reach, table in [
+        (2, 1, [(1.0, 2), (100.0, 2), (101.0, 1), (cap ** (1 / 3), 1), (2200.0, 0), (cap, 0)]),
+        (2, 2, [(1.0, 2), (46.0, 2), (47.0, 1), (316.0, 1), (317.0, 0), (1e5, 0), (1.01e5, None)]),
+        (3, 2, [(1.0, 3), (17.7, 3), (17.8, 2), (46.0, 2), (47.0, 1), (316.0, 1), (317.0, 0),
+                (1e5, 0), (1.01e5, None)]),
     ]:
         for spread, q in table + [(1e20, None), (math.inf, None), (math.nan, None)]:
-            assert linalg_module._power_steps(spread, reach) == q, (reach, spread)
+            assert linalg_module._powers(spread, most, reach) == q, (most, reach, spread)
     assert ProxWarmStart(0).spread == math.inf
 
 
@@ -724,9 +748,25 @@ def test_gram_proof_lost_to_the_spread_falls_back_then_holds(monkeypatch):
     assert certified_step(W, d, warm) == (0, 1)
     for j in range(3):
         assert certified_step(perturbed(W, 1e-6, seed=j), d, warm)[1] == 0
-        assert linalg_module._power_steps(warm.spread, 2) is None
+        assert linalg_module._powers(warm.spread, linalg_module._POWER_STEPS, 2) is None
     assert (len(grams), warm.fallbacks, warm.hold) == (1, 1, {"gram": 5})
     assert warm.sweeps > 0
+
+
+def test_warm_gram_call_recounts_its_power_steps_after_each_step(monkeypatch):
+    # the kept spread s_1 / s_3 is 46 in the block the cold call kept, which
+    # allows two power steps (46.4^6 is 1e10), and 47 in the drifted W,
+    # which allows one: the first step takes two, and each later step
+    # recounts from the Ritz values before it and takes one
+    steps = record_power_steps(monkeypatch)
+    tail = noise_tail(57, 0.3, 0.97)
+    d = selector(3, 60)
+    warm = ProxWarmStart(0)
+    cold = spectral_matrix((1600, 60), np.r_[46.0, 4.0, 1.0, tail], 5)
+    assert certified_step(cold, d, warm)[1] == 0 and steps == []
+    W = perturbed(spectral_matrix((1600, 60), np.r_[47.0, 4.0, 1.0, tail], 5), 0.1, 105)
+    assert certified_step(W, d, warm) == (1, 0)
+    assert steps == [("sweep", 2), ("sweep", 1), ("sweep", 1)]
 
 
 def test_gram_proof_that_fails_falls_back_with_no_sweep():
@@ -967,6 +1007,43 @@ def test_shared_warm_start_on_degenerate_inputs():
         with warnings.catch_warnings(), pytest.raises(ValueError, match="finite"):
             warnings.simplefilter("error", RuntimeWarning)
             prox_matrix_with_spectrum(bad, selector(3, 100), 0.05, 0.05, warm)
+
+
+@pytest.mark.parametrize("route", ["subspace", "gram"])
+def test_warm_call_on_a_w_with_no_finite_norm_declines_with_no_warning(route):
+    # a warm call on a W whose ||W||_F^2 is not finite, from a NaN, an inf
+    # or squares that overflow, declines before any product: it counts a
+    # fallback, holds its route and runs no step; the full SVD rejects a
+    # non-finite W, and a W scaled by 2^530 gets the full-SVD prox bit for
+    # bit
+    shape = {"subspace": (120, 100), "gram": (1600, 60)}[route]
+    p = min(shape)
+    d = selector(3, p)
+    W = spectral_matrix(shape, CARRIED_SIGMA[:p], seed=13)
+    drifted = perturbed(W, 1e-3, seed=14)
+
+    def warmed():
+        warm = ProxWarmStart(13)
+        assert certified_step(W, d, warm) == (1, 0)
+        assert warm.V.shape == (shape[1], 3) and (route == "subspace") == (warm.gram is None)
+        return warm
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for value in (np.nan, np.inf, -np.inf):
+            bad = drifted.copy()
+            bad[5, 7] = value
+            warm = warmed()
+            sweeps = warm.sweeps
+            assert linalg_module._leading_svd(bad, 3, 1.0, warm) is None
+            assert (warm.fallbacks, warm.hold, warm.sweeps) == (1, {route: 8}, sweeps)
+            with pytest.raises(ValueError, match="finite"):
+                prox_matrix_with_spectrum(bad, d, 0.05, 0.05, warmed())
+        scale = 2.0**530
+        warm = warmed()
+        truncated, exact, fallbacks = truncated_and_exact(scale * drifted, d, warm, 0.05 * scale)
+        assert (fallbacks, warm.hold) == (1, {route: 8})
+        assert all(np.array_equal(t, e) for t, e in zip(truncated, exact))
 
 
 def wide_spectrum_case(seed):

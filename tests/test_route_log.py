@@ -1,0 +1,44 @@
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "route_log.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("route_log", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_two_route_logs_compare_clean_and_a_doctored_call_is_reported(tmp_path, capsys):
+    tool = load_tool()
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for path in (a, b):
+        assert tool.main([str(path), "--case", "mc-m60-5000-spg", "--max-iter", "20"]) == 0
+    capsys.readouterr()
+    assert tool.main(["--compare", str(a), str(b)]) == 0
+    assert capsys.readouterr().out == "1 solves, 20 calls: identical\n"
+
+    # every call of the 60 x 60 solve takes the subspace route, and the
+    # counter deltas of its calls add up to the solve's counters
+    (solve,) = json.loads(b.read_text("utf-8"))
+    calls = [dict(zip(tool.CALL_FIELDS, call)) for call in solve["calls"]]
+    assert {call["route"] for call in calls} == {"subspace"}
+    assert all(call["shape"] == [60, 60] for call in calls)
+    totals = [sum(call["deltas"][j] for call in calls) for j in range(4)]
+    assert totals == [solve[f"prox_{c}"] for c in tool.COUNTERS]
+
+    # a doctored call is reported by its index, on both sides, and a
+    # doctored counter by its name and both values
+    solve["calls"][3][2] = "gram"
+    solve["prox_sweeps"] += 1
+    b.write_text(json.dumps([solve]), "utf-8")
+    assert tool.main(["--compare", str(a), str(b)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    sweeps = solve["prox_sweeps"]
+    assert out[0] == f"mc-m60-5000-spg: differs; prox_sweeps {sweeps - 1} vs {sweeps}"
+    assert out[1].startswith("  call 3 A: {'shape': [60, 60], 'k_min': ")
+    assert "'route': 'subspace'" in out[1] and "'route': 'gram'" in out[2]
+    assert out[-1] == "1 solves, 20 calls: 1 solves differ"

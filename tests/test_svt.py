@@ -191,20 +191,50 @@ def test_svt_at_60x60_takes_no_route_after_its_cold_call(monkeypatch):
     assert np.array_equal(routed.X_final, exact.X_final)
 
 
+def svt_input(name):
+    """(data, tau) of an SVT input: a fully observed 400 x 30 input, whose
+    prox takes the Gram route, or a 60 x 60 mc-m60 trial."""
+    if name == "thin_400x30":
+        rng = np.random.default_rng(11)
+        L = gen_low_rank(400, 30, 3, 11)
+        hit = rng.random(L.shape) < 0.1
+        L[hit] += rng.uniform(-1.0, 1.0, int(hit.sum()))
+        return full_mask_data(L), 4.0
+    spec = spglr.TrialSpec(
+        m=60, n=60, r=5, sr=0.8, noise=spglr.GmmNoiseParams(1e-4, 0.1, 0.1), seed=3
+    )
+    return spglr.build_trial_data(spec)[1], 1.0
+
+
 def test_svt_on_a_thin_full_observation_takes_the_route(monkeypatch):
     # 400 x 30 with nine values above tau: each prox takes the eigenpairs of
     # the 30 x 30 Gram matrix, one certificate and no sweep
-    rng = np.random.default_rng(11)
-    L = gen_low_rank(400, 30, 3, 11)
-    hit = rng.random(L.shape) < 0.1
-    L[hit] += rng.uniform(-1.0, 1.0, int(hit.sum()))
+    data, tau = svt_input("thin_400x30")
     routes = record_routes(monkeypatch)
-    routed, exact = svt_and_full_svd_svt(monkeypatch, full_mask_data(L), SvtConfig(tau=4.0))
+    routed, exact = svt_and_full_svd_svt(monkeypatch, data, SvtConfig(tau=tau))
     assert routes[: routed.prox_calls] == [(True, 0)] * routed.prox_calls
     assert routed.prox_fallbacks == routed.prox_sweeps == 0
     assert routed.prox_certificates == routed.prox_calls
     assert routed.rank == exact.rank == 9
     assert np.linalg.norm(routed.X_final - exact.X_final) <= 1e-10 * np.linalg.norm(exact.X_final)
+
+
+@pytest.mark.parametrize("e", [-30, -7, 5, 31])
+@pytest.mark.parametrize("name", ["thin_400x30", "trial_60x60"])
+def test_svt_solve_scales_bit_for_bit(name, e):
+    # scaling the data and tau by c = 2^e, exact in floating point, scales
+    # X_final bit for bit: the stop test is relative to the iterate, with
+    # no absolute floor, and the prox routes decide on ratios
+    c = 2.0**e
+    data, tau = svt_input(name)
+    scaled_data = MaskedData(data.rows, data.cols, data.row_idx, data.col_idx, c * data.values)
+    base = svt_solve(data, SvtConfig(tau=tau))
+    scaled = svt_solve(scaled_data, SvtConfig(tau=c * tau))
+    assert np.array_equal(scaled.X_final, c * base.X_final)
+    counts = ("status", "iterations", "rank", "prox_calls", "prox_fallbacks",
+              "prox_certificates", "prox_sweeps")
+    assert [getattr(scaled, a) for a in counts] == [getattr(base, a) for a in counts]
+    assert base.status == "converged"
 
 
 def test_svt_config_validation():
