@@ -9,6 +9,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 
 class DecompositionError(RuntimeError):
@@ -82,6 +83,53 @@ def svd(W):
     return SvdFactors(U, s, Vh.T)
 
 
+def _lapack_failed(err, flag):
+    raise np.linalg.LinAlgError("LAPACK reported a failure")
+
+
+def _lapack_errstate():
+    """The error state numpy.linalg runs its LAPACK gufuncs under: they
+    flag a failure (no convergence, a matrix that is not positive definite)
+    as an invalid value, which raises np.linalg.LinAlgError, and no other
+    floating-point flag warns."""
+    return np.errstate(call=_lapack_failed, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
+
+
+# The small decompositions of the truncated routes call the LAPACK gufuncs
+# behind numpy.linalg themselves: the same calls in the same order, so the
+# same bits, without the per-call checks and the R that np.linalg.qr forms
+# and these callers discard. At 60 x 10 that wrapper costs about as much
+# as the factorisation.
+def _q_factor(Y):
+    """np.linalg.qr(Y)[0] of a float64 matrix Y, bit for bit: the
+    Householder Q alone."""
+    a = Y.copy()  # qr_r_raw overwrites its input with R and the reflectors
+    with _lapack_errstate():
+        return _umath_linalg.qr_reduced(a, _umath_linalg.qr_r_raw(a))
+
+
+def _thin_svd(A):
+    """np.linalg.svd(A, full_matrices=False) of a float64 matrix A, bit
+    for bit: (U, s, Vh)."""
+    with _lapack_errstate():
+        return _umath_linalg.svd_s(A)
+
+
+def _eigh(A):
+    """np.linalg.eigh(A) of a symmetric float64 matrix A, bit for bit:
+    eigenvalues ascending and their eigenvectors, from the lower triangle."""
+    with _lapack_errstate():
+        return _umath_linalg.eigh_lo(A)
+
+
+def _cholesky(A):
+    """np.linalg.cholesky(A) of a symmetric float64 matrix A, bit for bit:
+    the lower factor, or np.linalg.LinAlgError where A is not positive definite."""
+    with _lapack_errstate():
+        return _umath_linalg.cholesky_lo(A)
+
+
 # Extra columns carried beyond the triplets a truncated SVD must return;
 # the gap to singular value b + 1 sets how fast the kept ones converge.
 _BLOCK_PAD = 5
@@ -108,6 +156,12 @@ _GRAM_SHRINK = 1e-4
 _MAX_SWEEPS = 30
 # A kept triplet has converged once ||W v_i - s_i u_i|| <= _RESIDUAL_TOL * s_1.
 _RESIDUAL_TOL = 1e-13
+# Power products run on W as it is while ||W||_F^2 = f 2^e, 1/2 <= f < 1,
+# has |e| <= _UNSCALED_EXPONENT. The largest of them, (W W^T)^4 Q on the
+# Gram route, then stays below 2^512, so neither it nor the kept directions
+# far below it overflow or underflow. Past that each product first scales
+# its operand by 2^-e (see _ritz).
+_UNSCALED_EXPONENT = 128
 # u, the unit roundoff of float64.
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
@@ -230,7 +284,13 @@ def _leading_svd(W, k_min, threshold, warm):
     W, a float64 matrix, is not checked on entry. A W whose ||W||_F^2 is
     not finite, as a non-finite entry or an overflow makes it, fails its
     route before any product, with no warning: the full SVD rejects a
-    non-finite W, and scales one that overflows only in its square.
+    non-finite W, and scales one that overflows only in its square. A W
+    with a finite ||W||_F^2 far from 1 (see _UNSCALED_EXPONENT) has its
+    power products scaled by a power of two, so c W and c threshold, c a
+    power of two, take the route and the counts of W and threshold, and
+    the same factors with s times c, while no entry of c W is subnormal
+    and, on the Gram route, ||c W||_F^2 stays below about 2^480, past
+    which LAPACK's eigh scales C by a factor that is not a power of two.
     """
     warm.calls += 1
     tail, warm.tail = warm.tail, None
@@ -244,12 +304,15 @@ def _leading_svd(W, k_min, threshold, warm):
     warm.hold.pop(route, None)
     a = W.ravel("K")
     # vdot, unlike matmul, leaves an overflow to its result with no warning
-    if not math.isfinite(np.vdot(a, a)):
+    norm2 = np.vdot(a, a)
+    e = math.frexp(norm2)[1]
+    scale = 1.0 if abs(e) <= _UNSCALED_EXPONENT else math.ldexp(1.0, -e)
+    if not math.isfinite(norm2):
         factors = None
     elif route == "gram":
-        factors = _gram_triplets(W, k_min, threshold, warm)
+        factors = _gram_triplets(W, k_min, threshold, warm, scale)
     else:
-        factors = _subspace_triplets(W, k_min, threshold, warm, start, b, tail)
+        factors = _subspace_triplets(W, k_min, threshold, warm, start, b, tail, scale)
     if factors is None:
         warm.fallbacks += 1
         if route == "gram" or start.shape[1]:
@@ -273,7 +336,8 @@ def _powers(spread, most, reach):
     return None
 
 
-def _ritz(apply, solve, Y, k_min, threshold, q, warm, lead=None, powers=None, slow=True):
+def _ritz(apply, solve, Y, k_min, threshold, q, warm, scale, lead=None, powers=None,
+         slow=True):
     """(k, s, kept) from Rayleigh-Ritz steps on the block Y for the top
     singular triplets of a matrix W, or None (Halko, Martinsson & Tropp,
     SIAM Review 2011, Alg. 4.4; Saad, Numerical Methods for Large
@@ -286,7 +350,9 @@ def _ritz(apply, solve, Y, k_min, threshold, q, warm, lead=None, powers=None, sl
     block and what the route keeps of the step. A step applies q power
     steps Y <- apply(Y), takes Q from the QR of Y and solves, counts one
     warm.sweeps, and keeps k = max(k_min, #{s_i > threshold}) triplets;
-    with `powers`, the next step takes powers(s, k) power steps.
+    with `powers`, the next step takes powers(s, k) power steps. Where
+    `scale`, a power of two, is not 1, every product is taken as
+    apply(scale * Y), which changes no bit of the Q that its QR returns.
     The first step in which every kept triplet has ||W v_i - s_i u_i|| <=
     _RESIDUAL_TOL * s_1 returns. A step shrinks a kept residual by about
     (s_{b+1} / s_i)^(2 q + 1), s_{b+1} the first value past the block.
@@ -304,16 +370,17 @@ def _ritz(apply, solve, Y, k_min, threshold, q, warm, lead=None, powers=None, sl
     steps left, cannot meet the test: a slow gap falls back in a few steps,
     not _MAX_SWEEPS.
     """
+    product = apply if scale == 1.0 else lambda Y: apply(scale * Y)
     last = None
     try:
         if lead is not None:
             for _ in range(lead):
-                Y = apply(Y)
-            Y = apply(np.linalg.qr(Y)[0])
+                Y = product(Y)
+            Y = product(_q_factor(Y))
         for sweep in range(1, _MAX_SWEEPS + 1):
             for _ in range(q):
-                Y = apply(Y)
-            s, R, Y, kept = solve(np.linalg.qr(Y)[0])
+                Y = product(Y)
+            s, R, Y, kept = solve(_q_factor(Y))
             warm.sweeps += 1
             k = max(k_min, int(np.count_nonzero(s > threshold)))
             if k >= s.size or k and not s[k - 1] > 0:
@@ -332,7 +399,7 @@ def _ritz(apply, solve, Y, k_min, threshold, q, warm, lead=None, powers=None, sl
     return None
 
 
-def _gram_triplets(W, k_min, threshold, warm):
+def _gram_triplets(W, k_min, threshold, warm, scale):
     """The Gram route for _leading_svd: SvdFactors of the top k = max(k_min,
     #{lambda_i > threshold^2}) eigenpairs (lambda_i, u_i) of C = W W^T, W
     taken wide (Golub & Van Loan, Matrix Computations, 8.6), or None.
@@ -368,7 +435,7 @@ def _gram_triplets(W, k_min, threshold, warm):
 
     def solve(Q):
         CQ = C @ Q
-        theta, S = np.linalg.eigh(Q.T @ CQ)
+        theta, S = _eigh(Q.T @ CQ)
         theta, S = theta[::-1], S[:, ::-1]
         Q, CQ = Q @ S, CQ @ S
         s = np.sqrt(theta.clip(0.0))
@@ -384,7 +451,8 @@ def _gram_triplets(W, k_min, threshold, warm):
         theta_k = theta[k - 1] if k else math.inf
         q = powers(np.sqrt(theta[:k]), k) if k < theta.size and theta_k > 0 else None
         if q is not None and (theta[-1] / theta_k) ** (q + 2) <= _GRAM_SHRINK:
-            found = _ritz(lambda Y: C @ Y, solve, C @ Q, k_min, threshold, q, warm, powers=powers)
+            found = _ritz(lambda Y: C @ Y, solve, C @ Q, k_min, threshold, q, warm, scale,
+                          powers=powers)
             if found:
                 k, _, (theta, Q) = found
                 factors = _gram_pairs(W, C, theta, Q, k, threshold, warm)
@@ -423,7 +491,7 @@ def _gram_pairs(W, C, values, vectors, k, threshold, warm):
     return U, s[:k], P
 
 
-def _subspace_triplets(W, k_min, threshold, warm, start, b, tail):
+def _subspace_triplets(W, k_min, threshold, warm, start, b, tail, scale):
     """The subspace route for _leading_svd: SvdFactors from _ritz on a
     block of b columns, those of `start` and Gaussian ones from warm.rng,
     or None. The block is W V, V the starting columns, the operator is
@@ -472,13 +540,13 @@ def _subspace_triplets(W, k_min, threshold, warm, start, b, tail):
     lead = None if q is None else _powers(warm.spread, _POWER_STEPS, 1)
 
     def solve(Q):
-        P, s, Ht = np.linalg.svd(W.T @ Q, full_matrices=False)
+        P, s, Ht = _thin_svd(W.T @ Q)
         warm.spread = s[0] / s[-1] if s[-1] > 0 else math.inf
         U, Y = Q @ Ht.T, W @ P
         return s, Y - U * s, Y, (U, P, Y)
 
     Y = W @ np.concatenate([start, warm.rng.standard_normal((n, b - start.shape[1]))], axis=1)
-    found = _ritz(lambda Y: W @ (W.T @ Y), solve, Y, k_min, threshold, q or 0, warm,
+    found = _ritz(lambda Y: W @ (W.T @ Y), solve, Y, k_min, threshold, q or 0, warm, scale,
                   lead=lead, slow=start.shape[1] > 0)
     if found is None:
         return None
@@ -503,9 +571,9 @@ def _norm_below(G, bound, slack=0.0):
     succeeds; for G within slack of the Gram matrix of R, that proves
     ||R||_2 < bound."""
     A = -G
-    A.flat[:: A.shape[0] + 1] += bound * bound - slack
+    A.ravel()[:: A.shape[0] + 1] += bound * bound - slack
     try:
-        np.linalg.cholesky(A)
+        _cholesky(A)
     except np.linalg.LinAlgError:
         return False
     return True

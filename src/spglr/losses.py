@@ -40,7 +40,8 @@ def _tube(a, mu, out=None):
 def _clip_grad(s, mu):
     """Derivative of the smoothed term: clip(s, -mu, mu) / mu, which is
     sign(s) outside the tube and s / mu inside."""
-    g = np.clip(s, -mu, mu)
+    g = np.maximum(s, -mu)
+    np.minimum(g, mu, out=g)
     g /= mu
     return g
 

@@ -174,9 +174,8 @@ def _spg_step(X_k, f_k, G, mu_k, d_k, binding, config, warm=None):
     step = _frobenius(diff)
     r = binding.residuals(X_hat)
     lhs, l1 = binding.value_and_l1_at(r, mu_k)
-    diff *= G
     q = step * step / (2.0 * mu_k)
-    rhs = f_k + float(diff.sum()) + q
+    rhs = f_k + float(np.vdot(diff, G)) + q
     tol = 4 * _UNIT_ROUNDOFF * ((binding.n_terms + 2) * (lhs + f_k)
                                 + (diff.size + 2) * (step * binding.loss_lipschitz_Lf + q))
     return X_hat, sigma_hat, r, lhs, l1, step, lhs - rhs, tol

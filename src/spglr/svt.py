@@ -11,9 +11,10 @@ with a warm start of its own, as in `solve`, so where the shape allows a
 truncated route, it computes only the triplets above tau * step,
 certified, and falls back to the full SVD otherwise (see
 linalg._leading_svd). A high-rank iterate falls back once from its cold
-first block. From 80 x 80 up its wide blocks then take the Gram route,
-where the certified top eigenpairs of the Gram matrix serve as its
-triplets with no sweep; over a slowly falling tail they predict too slow
+first block. From 100 x 100 up, where the Gram route's floor of 10^4
+entries lies, its wide blocks then take the Gram route, where the
+certified top eigenpairs of the Gram matrix serve as its triplets with
+no sweep; over a slowly falling tail they predict too slow
 a shrink for the warm Gram call's Rayleigh-Ritz steps, so each call
 takes the full eigh. Below that size they take the full SVD.
 """

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import spglr
+from spglr import linalg as linalg_module
 from spglr import losses as losses_module
 from spglr import penalty as penalty_module
 from spglr.cli import run
@@ -466,7 +467,7 @@ def test_majorization_failure_is_runtime_error(tmp_path, monkeypatch, capsys):
     "command, shape, routed",
     [
         ("solve", (14, 12), False),
-        # the first prox tries the subspace route, whose sweep SVD fails
+        # the first prox tries the subspace route, whose sweep SVD kernel fails
         ("solve", (100, 100), True),
         ("rpca", (16, 16), False),
         # the first prox tries the Gram route, whose eigh fails
@@ -497,6 +498,7 @@ def test_decomposition_failure_inside_a_solve_exits_2(
     monkeypatch.setattr(penalty_module, "_leading_svd", recording)
     monkeypatch.setattr(np.linalg, "eigh", fail)
     monkeypatch.setattr(np.linalg, "svd", fail)
+    monkeypatch.setattr(linalg_module, "_thin_svd", fail)
     out = tmp_path / "out"
     assert run([command, "--config", cfg, "--out-dir", str(out), *args]) == 2
     assert capsys.readouterr().err.startswith(f"error: SVD failed on ({m}, {n}) matrix")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,76 @@ def test_predictor_route_table_at_the_first_rank_5_block():
     for (m, n), blocks, expected in table:
         assert {route(m, n, b) for b in blocks} == {expected}
         assert {route(n, m, b) for b in blocks} == {expected}
+
+
+def spread_columns(shape, seed):
+    """A Gaussian matrix whose columns fall from 1 to 1e-10 in norm, as a
+    power product's do."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) * np.geomspace(1.0, 1e-10, shape[1])
+
+
+def spd(p, seed, shift=1.0):
+    B = np.random.default_rng(seed).standard_normal((p, p))
+    return B @ B.T + shift * np.eye(p)
+
+
+@pytest.mark.parametrize("shape", [(60, 10), (200, 10), (60, 8), (1600, 8)])
+def test_q_factor_kernel_equals_numpy_qr_bit_for_bit(shape):
+    # the truncated routes take Q from the LAPACK gufuncs behind
+    # np.linalg.qr; a numpy build that changes them must fail here
+    for seed in range(3):
+        for Y in (spread_columns(shape, seed), np.random.default_rng(seed).standard_normal(shape)):
+            before = Y.copy()
+            assert np.array_equal(linalg_module._q_factor(Y), np.linalg.qr(Y)[0])
+            assert np.array_equal(Y, before)
+            F = np.asfortranarray(Y)
+            assert np.array_equal(linalg_module._q_factor(F), np.linalg.qr(F)[0])
+
+
+@pytest.mark.parametrize("shape", [(60, 10), (200, 10)])
+def test_thin_svd_kernel_equals_numpy_svd_bit_for_bit(shape):
+    for seed in range(3):
+        A = spread_columns(shape, seed)
+        for M in (A, A.T, np.asfortranarray(A)):
+            expected = np.linalg.svd(M, full_matrices=False)
+            got = linalg_module._thin_svd(M)
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected, strict=True))
+
+
+@pytest.mark.parametrize("p", [8, 60])
+def test_eigh_kernel_equals_numpy_eigh_bit_for_bit(p):
+    for seed in range(3):
+        A = spd(p, seed, shift=0.0)
+        got, expected = linalg_module._eigh(A), np.linalg.eigh(A)
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected, strict=True))
+
+
+@pytest.mark.parametrize("p", [60, 200])
+def test_cholesky_kernel_equals_numpy_cholesky_bit_for_bit(p):
+    for seed in range(3):
+        A = spd(p, seed)
+        assert np.array_equal(linalg_module._cholesky(A), np.linalg.cholesky(A))
+
+
+def test_kernel_failures_raise_linalg_error_with_no_warning():
+    # LAPACK flags a failure as an invalid value, which the kernels turn
+    # into LinAlgError, as numpy.linalg does; no floating-point warning
+    # escapes, so _norm_below reads a failed Cholesky as "not proven"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        not_definite = spd(60, 0) - 1e3 * np.eye(60)
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg_module._cholesky(not_definite)
+        G = spd(60, 1)
+        top = np.linalg.eigvalsh(G)[-1]
+        assert not linalg_module._norm_below(G, 0.99 * np.sqrt(top))
+        assert linalg_module._norm_below(G, 1.01 * np.sqrt(top))
+        A = spread_columns((60, 10), 0)
+        A[3, 4] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg_module._thin_svd(A)
+        S = spd(8, 0)
+        S[2, 1] = S[1, 2] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg_module._eigh(S)

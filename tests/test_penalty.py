@@ -1077,3 +1077,64 @@ def test_wide_spectra_agree_with_the_exact_prox_or_fall_back():
             assert_prox_agrees(truncated, exact)
             fallbacks += fallback
     assert fallbacks <= 3
+
+
+# ---------------------------------------------------------------------------
+# extreme scales
+
+
+def scale_case(name):
+    """(W_0, W_1, k_min) of a cold call and the warm call after it at
+    threshold 6: a 120 x 100 rank-5 input plus Gaussian noise, which takes
+    the subspace route, a 200 x 200 input with 38 values above the
+    threshold, whose block is too wide for it and takes the Gram route,
+    and a thin 1600 x 60 rank-3 input, which takes the Gram route."""
+    if name == "subspace_120x100":
+        top = np.r_[np.geomspace(12.0, 7.0, 5), np.zeros(95)]
+        noise = np.random.default_rng(1).standard_normal((120, 100))
+        W, k = spectral_matrix((120, 100), top, seed=1) + 0.1 * noise, 5
+    elif name == "gram_200x200":
+        sigma = np.r_[np.geomspace(40.0, 10.0, 38), noise_tail(162, 1.0, 0.97)]
+        W, k = spectral_matrix((200, 200), sigma, seed=1), 38
+    else:
+        sigma = np.r_[30.0, 20.0, 10.0, noise_tail(57, 1.0, 0.95)]
+        W, k = spectral_matrix((1600, 60), sigma, seed=1), 3
+    return W, perturbed(W, 1e-3, seed=3), k
+
+
+@pytest.mark.parametrize("e", [-200, 200])
+@pytest.mark.parametrize("name", ["subspace_120x100", "gram_200x200", "gram_1600x60"])
+def test_warm_call_at_an_extreme_scale_repeats_the_call_at_scale_one(monkeypatch, name, e):
+    # power products grow like ||W||^(2 q + 2): scaled by c = 2^e, exact in
+    # floating point, they would overflow or underflow at 2^+-200; scaled
+    # back by a power of two, the warm call keeps the route and the counts
+    # it has at c = 1, and returns the same U and V and s times c
+    taken = []
+    for route in ("gram", "subspace"):
+        inner = getattr(linalg_module, f"_{route}_triplets")
+
+        def traced(*args, inner=inner, route=route):
+            taken.append(route)
+            return inner(*args)
+
+        monkeypatch.setattr(linalg_module, f"_{route}_triplets", traced)
+    W_0, W_1, k = scale_case(name)
+    counters = ("calls", "fallbacks", "certificates", "sweeps")
+
+    def warm_call(c):
+        warm = ProxWarmStart(2)
+        warm.V = linalg_module._leading_svd(c * W_0, k, c * 6.0, warm).V
+        before = [getattr(warm, a) for a in counters]
+        del taken[:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            factors = linalg_module._leading_svd(c * W_1, k, c * 6.0, warm)
+        return list(taken), [getattr(warm, a) - b for a, b in zip(counters, before)], factors
+
+    c = 2.0**e
+    route, deltas, base = warm_call(1.0)
+    assert route == [name.split("_")[0]] and deltas[:2] == [1, 0] and base is not None
+    scaled = warm_call(c)
+    assert scaled[:2] == (route, deltas)
+    assert np.array_equal(scaled[2].U, base.U) and np.array_equal(scaled[2].V, base.V)
+    assert np.array_equal(scaled[2].sigma, c * base.sigma)

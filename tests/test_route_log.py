@@ -1,6 +1,9 @@
 import importlib.util
 import json
+import os
 from pathlib import Path
+
+import numpy as np
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "route_log.py"
 
@@ -21,9 +24,14 @@ def test_two_route_logs_compare_clean_and_a_doctored_call_is_reported(tmp_path, 
     assert tool.main(["--compare", str(a), str(b)]) == 0
     assert capsys.readouterr().out == "1 solves, 20 calls: identical\n"
 
+    # the log records the numpy version and the BLAS thread variables
+    log = json.loads(b.read_text("utf-8"))
+    assert log["environment"] == {
+        "numpy": np.__version__, **{var: os.environ[var] for var in tool.BLAS_THREAD_VARS}}
+
     # every call of the 60 x 60 solve takes the subspace route, and the
     # counter deltas of its calls add up to the solve's counters
-    (solve,) = json.loads(b.read_text("utf-8"))
+    (solve,) = log["solves"]
     calls = [dict(zip(tool.CALL_FIELDS, call)) for call in solve["calls"]]
     assert {call["route"] for call in calls} == {"subspace"}
     assert all(call["shape"] == [60, 60] for call in calls)
@@ -34,7 +42,7 @@ def test_two_route_logs_compare_clean_and_a_doctored_call_is_reported(tmp_path, 
     # doctored counter by its name and both values
     solve["calls"][3][2] = "gram"
     solve["prox_sweeps"] += 1
-    b.write_text(json.dumps([solve]), "utf-8")
+    b.write_text(json.dumps(log), "utf-8")
     assert tool.main(["--compare", str(a), str(b)]) == 1
     out = capsys.readouterr().out.splitlines()
     sweeps = solve["prox_sweeps"]
@@ -42,3 +50,31 @@ def test_two_route_logs_compare_clean_and_a_doctored_call_is_reported(tmp_path, 
     assert out[1].startswith("  call 3 A: {'shape': [60, 60], 'k_min': ")
     assert "'route': 'subspace'" in out[1] and "'route': 'gram'" in out[2]
     assert out[-1] == "1 solves, 20 calls: 1 solves differ"
+
+
+def test_compare_prints_a_changed_environment_first_and_reads_older_logs(tmp_path, capsys):
+    tool = load_tool()
+    a, b, old = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "old.json"
+    assert tool.main([str(a), "--case", "mc-m60-5000-spg", "--max-iter", "5"]) == 0
+    log = json.loads(a.read_text("utf-8"))
+    log["environment"].update(numpy="1.0.0", OMP_NUM_THREADS="2")
+    b.write_text(json.dumps(log), "utf-8")
+    # a log written before logs recorded their environment holds only the solves
+    old.write_text(json.dumps(log["solves"]), "utf-8")
+    capsys.readouterr()
+    # the settings differ, the solves do not
+    assert tool.main(["--compare", str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"environment: numpy {np.__version__!r} vs '1.0.0'",
+        f"environment: OMP_NUM_THREADS {os.environ['OMP_NUM_THREADS']!r} vs '2'",
+        "1 solves, 5 calls: identical",
+    ]
+    solves = log["solves"]
+    solves[0]["prox_calls"] += 1
+    old.write_text(json.dumps(solves), "utf-8")
+    assert tool.main(["--compare", str(old), str(a)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "environment: not recorded in A"
+    assert out[1].startswith("mc-m60-5000-spg: differs; prox_calls ")
+    assert tool.main(["--compare", str(old), str(old)]) == 0
+    assert capsys.readouterr().out == "1 solves, 5 calls: identical\n"

@@ -806,6 +806,12 @@ def scaled_problem(name, c):
 @example(problem="completion_40x40_stops", e=-20)
 @example(problem="completion_40x40_stops", e=-8)
 @example(problem="completion_40x40_stops", e=8)
+@example(problem="rpca_400x30", e=-200)
+@example(problem="rpca_400x30", e=200)
+@example(problem="completion_40x40", e=-200)
+@example(problem="completion_40x40", e=200)
+@example(problem="completion_40x40_stops", e=-200)
+@example(problem="completion_40x40_stops", e=200)
 def test_solve_scales_bit_for_bit(problem, e):
     # every decision of the solve, the truncated prox routes and the stop
     # test included, is relative: scaling the data, lam, nu, mu0 and
@@ -813,7 +819,8 @@ def test_solve_scales_bit_for_bit(problem, e):
     # bit and leaves the stop, the iterations and the prox counts as they
     # were; the rank the result and its trace report, and so the
     # stationarity residual, are unchanged, and the objective gap scales
-    # by c, down to 2^-40
+    # by c, from 2^-200 to 2^200, where the prox's power products would
+    # overflow or underflow unless scaled back
     c = 2.0**e
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PenaltyCapAdvisory)

@@ -219,7 +219,7 @@ def test_svt_on_a_thin_full_observation_takes_the_route(monkeypatch):
     assert np.linalg.norm(routed.X_final - exact.X_final) <= 1e-10 * np.linalg.norm(exact.X_final)
 
 
-@pytest.mark.parametrize("e", [-30, -7, 5, 31])
+@pytest.mark.parametrize("e", [-200, -30, -7, 5, 31, 200])
 @pytest.mark.parametrize("name", ["thin_400x30", "trial_60x60"])
 def test_svt_solve_scales_bit_for_bit(name, e):
     # scaling the data and tau by c = 2^e, exact in floating point, scales

@@ -14,21 +14,26 @@ process out of the log's sight. A case is named
 of its shell-style patterns, and `--max-iter` caps every solve's
 max_iter.
 
-For each solve the log holds the sha256 of X_final and the four prox
-counters. For each call of `linalg._leading_svd` it holds the shape of
-W, k_min, the route the call took ("gram", "subspace" or null for
-none), whether factors came back, the change in each prox counter and
-the sha256 of the returned factors (null when none came back).
+The log records what its bits depend on besides the code: the numpy
+version and the BLAS thread variables. For each solve it holds the
+sha256 of X_final and the four prox counters. For each call of
+`linalg._leading_svd` it holds the shape of W, k_min, the route the call
+took ("gram", "subspace" or null for none), whether factors came back,
+the change in each prox counter and the sha256 of the returned factors
+(null when none came back).
 
-The second form prints, for each solve that differs, its differing
-summary fields and its first differing call on both sides, then a line
-of totals. The exit status is 0 when the logs agree and 1 otherwise.
+The second form first prints each recorded setting that differs between
+the two logs (a log written before logs recorded them has none), then,
+for each solve that differs, its differing summary fields and its first
+differing call on both sides, then a line of totals. The exit status is
+0 when the solves agree and 1 otherwise.
 """
 
 import os
 
 # One BLAS thread, set before numpy loads, so that a log repeats bit for bit.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 import argparse
@@ -51,6 +56,20 @@ MC_SEEDS = tuple(range(5000, 5016))
 VIDEO_SEED = 7
 # The keys of one call record, in the order the log stores them.
 CALL_FIELDS = ("shape", "k_min", "route", "returned", "deltas", "factors")
+
+
+def environment():
+    """The settings a log's bits depend on besides the code."""
+    return {"numpy": np.__version__, **{var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
+
+
+def read_log(path):
+    """(environment, solves) of a log; the environment is None in a log
+    written before logs recorded it, which holds only the solves."""
+    log = json.loads(Path(path).read_text("utf-8"))
+    if isinstance(log, list):
+        return None, log
+    return log["environment"], log["solves"]
 
 
 def digest(*arrays):
@@ -152,9 +171,15 @@ def record(src, patterns, max_iter):
 
 
 def compare(path_a, path_b):
-    """Print how two logs differ; return True when they agree."""
-    logs = [{s["name"]: s for s in json.loads(Path(path).read_text("utf-8"))}
-            for path in (path_a, path_b)]
+    """Print how two logs differ; return True when their solves agree."""
+    (env_a, solves_a), (env_b, solves_b) = read_log(path_a), read_log(path_b)
+    if env_a != env_b and None in (env_a, env_b):
+        print(f"environment: not recorded in {'A' if env_a is None else 'B'}")
+    elif env_a != env_b:
+        for key in dict.fromkeys([*env_a, *env_b]):
+            if env_a.get(key) != env_b.get(key):
+                print(f"environment: {key} {env_a.get(key)!r} vs {env_b.get(key)!r}")
+    logs = [{s["name"]: s for s in solves} for solves in (solves_a, solves_b)]
     names = [*logs[0], *(name for name in logs[1] if name not in logs[0])]
     differing = calls = 0
     for name in names:
@@ -196,7 +221,8 @@ def main(argv=None):
     if args.out is None:
         parser.error("give OUT or --compare A B")
     solves = record(args.src, args.case or ["*"], args.max_iter)
-    Path(args.out).write_text(json.dumps(solves) + "\n", "utf-8")
+    log = {"environment": environment(), "solves": solves}
+    Path(args.out).write_text(json.dumps(log) + "\n", "utf-8")
     return 0
 
 
