@@ -19,7 +19,7 @@ import numpy as np
 
 from .linalg import as_matrix
 from .losses import CompletionLoss, MaskedData
-from .solver import SolverConfig, check_field_types, solve
+from .solver import SolverConfig, check_field_types, check_type, solve
 from .svt import SvtConfig, svt_solve
 
 PRNG_DESCRIPTION = (
@@ -300,10 +300,12 @@ def _trial_outcome(trial_spec, solver_choice, solver_config, svt_config):
 def monte_carlo(spec, solver_choice="spg", trials=10, solver_config=None, svt_config=None):
     """Independent repetitions with derived seeds; failures, an unknown
     arm among them, are recorded per trial instead of aborting the sweep.
+    `trials` must be an integer, not a bool, and at least 1.
 
     Trials run through _pool_map, in trial order as far as their results
     and warnings show.
     """
+    check_type("trials", trials, int)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     specs = [replace(spec, seed=spec.seed + t) for t in range(trials)]

@@ -2,7 +2,9 @@
 
 Matrices are plain 2-D float64 numpy arrays with finite entries; the
 helpers here validate that contract and wrap the numerical backend so
-downstream modules never call LAPACK directly.
+downstream modules never call LAPACK directly. Every factorisation, the
+full SVD and the Gram route's full eigh included, goes through the four
+kernels _q_factor, _thin_svd, _eigh and _cholesky.
 """
 
 import math
@@ -68,19 +70,17 @@ def _largest_column_norm(R):
 def svd(W):
     """Thin SVD with the tall orientation handled internally.
 
-    When W has fewer rows than columns the decomposition runs on the
-    transpose and the factors are swapped back, so callers always get
-    min(m, n) singular values in descending order.
+    When W has fewer rows than columns _thin_svd runs on the transpose
+    and the factors are swapped back, so callers always get min(m, n)
+    singular values in descending order.
     """
     W = as_matrix(W)
-    if W.shape[0] < W.shape[1]:
-        flipped = svd(W.T)
-        return SvdFactors(flipped.V, flipped.sigma, flipped.U)
+    wide = W.shape[0] < W.shape[1]
     try:
-        U, s, Vh = np.linalg.svd(W, full_matrices=False)
+        U, s, Vh = _thin_svd(W.T if wide else W)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"SVD failed on {W.shape} matrix: {exc}") from exc
-    return SvdFactors(U, s, Vh.T)
+    return SvdFactors(Vh.T, s, U) if wide else SvdFactors(U, s, Vh.T)
 
 
 def _lapack_failed(err, flag):
@@ -96,11 +96,10 @@ def _lapack_errstate():
                        divide="ignore", under="ignore")
 
 
-# The small decompositions of the truncated routes call the LAPACK gufuncs
-# behind numpy.linalg themselves: the same calls in the same order, so the
-# same bits, without the per-call checks and the R that np.linalg.qr forms
-# and these callers discard. At 60 x 10 that wrapper costs about as much
-# as the factorisation.
+# The kernels call the LAPACK gufuncs behind numpy.linalg themselves: the
+# same calls in the same order, so the same bits, without the per-call
+# checks and the R that np.linalg.qr forms and these callers discard. At
+# 60 x 10 that wrapper costs about as much as the factorisation.
 def _q_factor(Y):
     """np.linalg.qr(Y)[0] of a float64 matrix Y, bit for bit: the
     Householder Q alone."""
@@ -117,10 +116,12 @@ def _thin_svd(A):
 
 
 def _eigh(A):
-    """np.linalg.eigh(A) of a symmetric float64 matrix A, bit for bit:
-    eigenvalues ascending and their eigenvectors, from the lower triangle."""
+    """np.linalg.eigh(A) of a symmetric float64 matrix A, from the lower
+    triangle, reversed: eigenvalues descending and their eigenvectors, bit
+    for bit."""
     with _lapack_errstate():
-        return _umath_linalg.eigh_lo(A)
+        values, vectors = _umath_linalg.eigh_lo(A)
+    return values[::-1], vectors[:, ::-1]
 
 
 def _cholesky(A):
@@ -195,14 +196,6 @@ def _routes(m, n, b):
     }
     order = ("gram", "subspace") if thin else ("subspace", "gram")
     return tuple(route for route in order if allowed[route])
-
-
-def _gram_basis(C):
-    """The full eigh of C = W W^T: its eigenvalues in descending order and
-    their orthonormal eigenvectors, whose leading columns span the leading
-    left singular subspace of W."""
-    values, vectors = np.linalg.eigh(C)
-    return values[::-1], vectors[:, ::-1]
 
 
 def _gram_residual(C, Y, n):
@@ -436,7 +429,6 @@ def _gram_triplets(W, k_min, threshold, warm, scale):
     def solve(Q):
         CQ = C @ Q
         theta, S = _eigh(Q.T @ CQ)
-        theta, S = theta[::-1], S[:, ::-1]
         Q, CQ = Q @ S, CQ @ S
         s = np.sqrt(theta.clip(0.0))
         return s, (CQ - Q * theta) / np.where(s > 0, s, 1.0), CQ, (theta, Q)
@@ -458,7 +450,7 @@ def _gram_triplets(W, k_min, threshold, warm, scale):
                 factors = _gram_pairs(W, C, theta, Q, k, threshold, warm)
     if factors is None:
         try:
-            values, vectors = _gram_basis(C)
+            values, vectors = _eigh(C)
         except np.linalg.LinAlgError:
             return None
         k = max(k_min, int(np.count_nonzero(values > threshold * threshold)))

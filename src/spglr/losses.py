@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import as_matrix
+from .solver import check_field_types
 
 
 def _check_positive(mu):
@@ -50,11 +51,13 @@ def _clip_grad(s, mu):
 class MaskedData:
     """Observed entries of an m x n matrix: index arrays plus values.
 
-    Indices must be in range and pairwise distinct; at least one entry
-    is required. Arrays are stored in input order and frozen after
-    construction. `flat_idx` is row_idx * cols + col_idx, the position of
-    each entry in the row-major flattened matrix, kept from the duplicate
-    check, which sorts a copy of it and compares neighbours.
+    rows and cols are integers, not bools, by the rule of the config
+    fields (see solver.check_type). Indices must be in range and pairwise
+    distinct; at least one entry is required. Arrays are stored in input
+    order and frozen after construction. `flat_idx` is row_idx * cols +
+    col_idx, the position of each entry in the row-major flattened
+    matrix, kept from the duplicate check, which sorts a copy of it and
+    compares neighbours.
     """
 
     rows: int
@@ -65,6 +68,7 @@ class MaskedData:
     flat_idx: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_field_types(self)
         if self.rows < 1 or self.cols < 1:
             raise ValueError("rows and cols must be positive")
         ri = np.asarray(self.row_idx, dtype=np.int64)

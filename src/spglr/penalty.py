@@ -53,11 +53,7 @@ def prox_vector(w, d, tau, nu):
     Coordinates with d_i = 2 pass through unchanged; coordinates with
     d_i = 1 are shrunk by tau / nu and clipped at zero.
     """
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1:
-        raise ValueError("w must be a 1-D vector")
-    if np.any(w < 0):
-        raise ValueError("w entries must be nonnegative")
+    w = _check_spectrum(w, "w")
     d = _check_d(d, w.size)
     _check_tau_nu(tau, nu)
     return _shrink(w, d, tau, nu)
@@ -127,12 +123,14 @@ def _check_nu(nu):
         raise ValueError(f"nu must be positive, got {nu}")
 
 
-def _check_spectrum(sigma):
+def _check_spectrum(sigma, name="sigma"):
+    """sigma as a float64 vector, or ValueError for another shape or an
+    entry that is negative or NaN."""
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.ndim != 1:
-        raise ValueError("sigma must be a 1-D vector")
-    if np.any(sigma < 0):
-        raise ValueError("sigma entries must be nonnegative")
+        raise ValueError(f"{name} must be a 1-D vector")
+    if not (sigma >= 0).all():
+        raise ValueError(f"{name} entries must be nonnegative numbers")
     return sigma
 
 

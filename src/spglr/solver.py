@@ -43,17 +43,21 @@ from .penalty import (
 _FIELD_TYPES = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
 
 
+def check_type(name, value, kind):
+    """Raise ValueError "<name> must be an integer" for kind int (or "a
+    number" for float) unless `value` is one: a bool is not, numpy
+    integers and floats are, and an integer passes as a float."""
+    accepted, noun = _FIELD_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"{name} must be {noun}")
+
+
 def check_field_types(config):
-    """Raise ValueError "<field> must be an integer" (or "a number") for
-    the first int (or float) dataclass field of `config` that holds a bool
-    or a value of another type; numpy integers and floats pass, and an
-    integer passes as a float."""
+    """check_type on each int or float dataclass field of `config`, in
+    order: the first that fails raises."""
     for f in fields(config):
         if f.type in _FIELD_TYPES:
-            kind, noun = _FIELD_TYPES[f.type]
-            value = getattr(config, f.name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{f.name} must be {noun}")
+            check_type(f.name, getattr(config, f.name), f.type)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ProxWarmStart, rank_estimate
+from .linalg import ProxWarmStart, _frobenius, rank_estimate
 from .losses import MaskedData
 from .penalty import prox_matrix_with_spectrum
 from .solver import IterationRecord, SolveResult, check_field_types
@@ -84,7 +84,7 @@ def svt_solve(data, config):
     status = "max_iter"
     for k in range(config.max_iter):
         X_next, shrunk = update(X, resid)
-        step_norm = float(np.linalg.norm(X_next - X))
+        step_norm = _frobenius(X_next - X)
         resid = np.take(X_next, flat) - vals
         objective = 0.5 * float(np.sum(resid * resid)) + config.tau * float(
             np.sum(shrunk)
@@ -102,7 +102,7 @@ def svt_solve(data, config):
                 mu_reset=False,
             )
         )
-        small = step_norm <= config.tol * float(np.linalg.norm(X))
+        small = step_norm <= config.tol * _frobenius(X)
         X = X_next
         if small:
             status = "converged"
@@ -112,7 +112,7 @@ def svt_solve(data, config):
         X_final=X,
         status=status,
         trace=trace,
-        stationarity_residual=float(np.linalg.norm(update(X, resid)[0] - X)),
+        stationarity_residual=_frobenius(update(X, resid)[0] - X),
         objective_gap=0.0,
         prox_calls=warm.calls,
         prox_fallbacks=warm.fallbacks,

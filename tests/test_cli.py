@@ -431,7 +431,7 @@ def test_decomposition_failure_is_runtime_error(tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    monkeypatch.setattr(np.linalg, "svd", fail)
+    monkeypatch.setattr(linalg_module, "_thin_svd", fail)
     assert run(["eval", str(path), str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: SVD failed on (3, 3) matrix")
 
@@ -496,8 +496,7 @@ def test_decomposition_failure_inside_a_solve_exits_2(
         raise np.linalg.LinAlgError("did not converge")
 
     monkeypatch.setattr(penalty_module, "_leading_svd", recording)
-    monkeypatch.setattr(np.linalg, "eigh", fail)
-    monkeypatch.setattr(np.linalg, "svd", fail)
+    monkeypatch.setattr(linalg_module, "_eigh", fail)
     monkeypatch.setattr(linalg_module, "_thin_svd", fail)
     out = tmp_path / "out"
     assert run([command, "--config", cfg, "--out-dir", str(out), *args]) == 2

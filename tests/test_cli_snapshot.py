@@ -1,5 +1,11 @@
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "cli_snapshot.py"
 
@@ -27,6 +33,22 @@ def test_two_snapshots_compare_identical(tmp_path, capsys):
     assert sum("thin1300x8/rpca/" in line for line in lines) == 4
     assert sum("thin400x30/svt_synth/" in line for line in lines) == 3
     assert all(line.startswith("identical: ") for line in lines)
+
+    # each snapshot records its numpy version and BLAS thread variables;
+    # --compare prints a differing setting, or a side with none, but does
+    # not count it as a differing file
+    env = json.loads((tmp_path / "b" / "environment.json").read_text("utf-8"))
+    assert env == tool.environment() and list(env) == ["numpy", *tool.BLAS_THREAD_VARS]
+    assert env["numpy"] == np.__version__
+    (tmp_path / "b" / "environment.json").write_text(
+        json.dumps({**env, "OPENBLAS_NUM_THREADS": "2"}), "utf-8")
+    assert tool.main(["--compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"environment: OPENBLAS_NUM_THREADS {env['OPENBLAS_NUM_THREADS']!r} vs '2'"
+    assert all(line.startswith("identical: ") for line in lines[1:])
+    (tmp_path / "b" / "environment.json").unlink()
+    assert tool.main(["--compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "environment: not recorded in B"
 
     # a changed trace cell is reported by its column
     trace = tmp_path / "b" / "m12" / "solve_mask" / "trace.csv"
@@ -72,3 +94,19 @@ def test_two_snapshots_compare_identical(tmp_path, capsys):
     assert ("differs: errors/seed_negative.txt: 'out-dir created: no' vs "
             "'out-dir created: yes'; 'error: \"seed\": must be nonnegative' vs "
             "'error: changed'") in out
+
+
+def test_snapshot_pins_blas_threads_unless_set():
+    # the tool sets each BLAS thread variable to 1 before numpy loads, and
+    # keeps a value the environment already holds
+    script = (f"import importlib.util, json\n"
+              f"spec = importlib.util.spec_from_file_location('cli_snapshot', {str(TOOL)!r})\n"
+              f"tool = importlib.util.module_from_spec(spec)\n"
+              f"spec.loader.exec_module(tool)\n"
+              f"print(json.dumps(tool.environment()))\n")
+    names = load_tool().BLAS_THREAD_VARS
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    out = subprocess.run([sys.executable, "-c", script], env={**env, "MKL_NUM_THREADS": "2"},
+                         capture_output=True, text=True, check=True).stdout
+    recorded = json.loads(out)
+    assert [recorded[var] for var in names] == ["1", "1", "2"]

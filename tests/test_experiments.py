@@ -205,6 +205,9 @@ def test_invalid_arm_configs_fail_before_monte_carlo():
     spec = TrialSpec(m=4, n=4, r=1, sr=0.5, noise=NOISE)
     with pytest.raises(ValueError, match="^trials must be at least 1, got 0$"):
         monte_carlo(spec, "spg", trials=0)
+    for trials in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="^trials must be an integer$"):
+            monte_carlo(spec, "spg", trials=trials)
 
 
 def test_trial_spec_rejects_negative_seed():

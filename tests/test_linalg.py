@@ -159,7 +159,9 @@ def test_q_factor_kernel_equals_numpy_qr_bit_for_bit(shape):
             assert np.array_equal(linalg_module._q_factor(F), np.linalg.qr(F)[0])
 
 
-@pytest.mark.parametrize("shape", [(60, 10), (200, 10)])
+# the subspace route's small solves, and the full SVDs of the benchmark's
+# 60 x 60, 200 x 200 and 1600 x 60 inputs
+@pytest.mark.parametrize("shape", [(60, 10), (200, 10), (60, 60), (200, 200), (1600, 60)])
 def test_thin_svd_kernel_equals_numpy_svd_bit_for_bit(shape):
     for seed in range(3):
         A = spread_columns(shape, seed)
@@ -167,14 +169,24 @@ def test_thin_svd_kernel_equals_numpy_svd_bit_for_bit(shape):
             expected = np.linalg.svd(M, full_matrices=False)
             got = linalg_module._thin_svd(M)
             assert all(np.array_equal(g, e) for g, e in zip(got, expected, strict=True))
+        # svd of the tall or square A gives np.linalg.svd's factors, and of
+        # the wide A.T the same factors swapped
+        U, s, Vh = np.linalg.svd(A, full_matrices=False)
+        assert all(np.array_equal(g, e) for g, e in zip(svd(A), (U, s, Vh.T), strict=True))
+        if shape[0] > shape[1]:
+            assert all(np.array_equal(g, e) for g, e in zip(svd(A.T), (Vh.T, s, U), strict=True))
 
 
-@pytest.mark.parametrize("p", [8, 60])
+# up to SVT's 200 x 200 Gram matrices on complete-m200
+@pytest.mark.parametrize("p", [8, 60, 200])
 def test_eigh_kernel_equals_numpy_eigh_bit_for_bit(p):
+    # descending: np.linalg.eigh's pairs reversed
     for seed in range(3):
         A = spd(p, seed, shift=0.0)
-        got, expected = linalg_module._eigh(A), np.linalg.eigh(A)
-        assert all(np.array_equal(g, e) for g, e in zip(got, expected, strict=True))
+        values, vectors = np.linalg.eigh(A)
+        got = linalg_module._eigh(A)
+        assert all(np.array_equal(g, e)
+                   for g, e in zip(got, (values[::-1], vectors[:, ::-1]), strict=True))
 
 
 @pytest.mark.parametrize("p", [60, 200])

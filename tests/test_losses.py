@@ -58,6 +58,16 @@ def test_masked_data_validation():
         MaskedData(2, 2, np.array([0, 1]), np.array([0]), np.array([1.0]))
     with pytest.raises(TypeError, match="CompletionLoss expects MaskedData"):
         CompletionLoss(np.ones((2, 2)))
+    # a bool or a float shape is rejected when built, not later by
+    # observed_matrix or the residual gather; numpy integers pass
+    one = (np.array([0]), np.array([1]), np.array([1.0]))
+    for rows, cols, name in [(2.5, 3, "rows"), (True, 3, "rows"), (3, 2.0, "cols"),
+                             (3, np.float64(2.0), "cols"), (3, False, "cols")]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+            MaskedData(rows, cols, *one)
+    data = MaskedData(np.int64(3), np.int32(2), *one)
+    assert data.flat_idx.dtype == np.int64
+    assert CompletionLoss(data).residuals(np.zeros((3, 2))).tolist() == [-1.0]
 
 
 @st.composite

@@ -18,6 +18,7 @@ from spglr.penalty import (
 )
 
 from oracles import batch_matrix_prox_objectives, grid_prox_objective, phi_d, prox_objective
+from seams import count_full_eighs, record_routes
 
 
 def test_phi_examples():
@@ -28,8 +29,12 @@ def test_phi_examples():
 
 
 def test_phi_rejects_negative():
-    with pytest.raises(ValueError, match="nonnegative"):
-        capped_surrogate(np.array([-0.1]), 0.5)
+    # a NaN entry is not nonnegative either, in the surrogate or the selector
+    for bad in (-0.1, np.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            capped_surrogate(np.array([bad]), 0.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            d_vector(np.array([bad, 1.0]), 0.05)
 
 
 def test_capped_surrogate_examples():
@@ -157,6 +162,8 @@ def test_prox_vector_preserves_descending_order(values, twos, ratio, nu):
 def test_prox_vector_validation():
     with pytest.raises(ValueError):
         prox_vector(np.array([-0.1]), np.array([1]), 0.1, 0.5)
+    with pytest.raises(ValueError, match="^w entries must be nonnegative"):
+        prox_vector(np.array([np.nan, 1.0]), np.array([1, 1]), 0.1, 0.05)
     with pytest.raises(ValueError):
         prox_vector(np.array([0.1]), np.array([1]), -0.1, 0.5)
     with pytest.raises(ValueError):
@@ -296,20 +303,6 @@ TRUNCATED_CASES = {
         2,
     ),
 }
-
-
-def record_routes(monkeypatch):
-    """Whether each prox got its factors from the truncated route, in call order."""
-    routed = []
-    leading_svd = penalty_module._leading_svd
-
-    def recording(*args):
-        factors = leading_svd(*args)
-        routed.append(factors is not None)
-        return factors
-
-    monkeypatch.setattr(penalty_module, "_leading_svd", recording)
-    return routed
 
 
 @pytest.mark.parametrize("shape", [(120, 100), (100, 120)], ids=["tall", "wide"])
@@ -456,7 +449,7 @@ def test_cold_block_with_no_gap_falls_back_and_sets_no_hold(monkeypatch, count):
     # no gap after one sweep, so the full SVD runs and the fallback counts,
     # but the subspace route is not held, since a random block says
     # nothing of the warm calls after it
-    grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
+    grams = count_full_eighs(monkeypatch, 100)
     routed = record_routes(monkeypatch)
     sigma = np.r_[np.full(count, 2.0), noise_tail(100 - count, 0.5, 0.9)]
     W = spectral_matrix((120, 100), sigma, seed=6)
@@ -490,7 +483,7 @@ def test_cold_block_with_no_gap_falls_back_and_sets_no_hold(monkeypatch, count):
     ids=["many_above_threshold", "many_twos", "many_last_columns"],
 )
 def test_truncated_prox_falls_back_to_the_exact_path(monkeypatch, sigma, twos, last_rank, counted):
-    grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
+    grams = count_full_eighs(monkeypatch, 100)
     W = spectral_matrix((120, 100), sigma, seed=6)
     warm = ProxWarmStart(0)
     if last_rank:
@@ -531,23 +524,11 @@ def test_truncated_prox_cold_start_certifies_before_returning_zero():
 # the Gram start on thin inputs
 
 
-def count_calls(monkeypatch, owner, name):
-    calls = []
-    original = getattr(owner, name)
-
-    def counting(*args):
-        calls.append(None)
-        return original(*args)
-
-    monkeypatch.setattr(owner, name, counting)
-    return calls
-
-
 def thin_gram_call(monkeypatch, shape, case):
     """One prox of a TRUNCATED_CASES spectrum on a thin input, checked
     against the exact prox; returns its warm start and the Gram matrices
     it formed."""
-    grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
+    grams = count_full_eighs(monkeypatch, 60)
     sigma, twos = TRUNCATED_CASES[case]
     W = spectral_matrix(shape, sigma[:60], seed=3)
     warm = ProxWarmStart(0)
@@ -612,7 +593,7 @@ def test_gram_start_proves_each_tail_from_its_own_gram(monkeypatch):
     # call runs one certificate, the first on the eigenpairs of C and the
     # warm ones after it on Rayleigh-Ritz pairs from the block it kept, and
     # leaves no tail to carry
-    grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
+    grams = count_full_eighs(monkeypatch, 60)
     W = spectral_matrix((1600, 60), CARRIED_SIGMA[:60], seed=11)
     d = selector(3, 60)
     warm = ProxWarmStart(2)
@@ -695,7 +676,7 @@ def test_gram_start_that_fails_to_decompose_falls_back_to_the_exact_path(monkeyp
     def fail(*args):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(linalg_module, "_gram_basis", fail)
+    monkeypatch.setattr(linalg_module, "_eigh", fail)
     W = spectral_matrix((1600, 60), CARRIED_SIGMA[:60], seed=12)
     (X_t, x_t), (X_e, x_e), fallbacks = truncated_and_exact(W, selector(3, 60))
     assert fallbacks == 1
@@ -703,7 +684,7 @@ def test_gram_start_that_fails_to_decompose_falls_back_to_the_exact_path(monkeyp
 
 
 def test_gram_block_priced_out_falls_back_then_holds(monkeypatch):
-    grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
+    grams = count_full_eighs(monkeypatch, 60)
     d = selector(0, 60)
     warm = ProxWarmStart(0)
     # the last output had rank 20
@@ -740,7 +721,7 @@ def test_gram_proof_lost_to_the_spread_falls_back_then_holds(monkeypatch):
     # Gram route: they take the subspace route, whose spread of 1.5e6
     # leaves no room for the filter step, so they take no filter and no
     # power step
-    grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
+    grams = count_full_eighs(monkeypatch, 60)
     sigma = np.r_[np.geomspace(1.5e6, 1.5, 3), 0.99 * 0.97 ** np.arange(57)]
     W = spectral_matrix((1600, 60), sigma, seed=1)
     d = selector(0, 60)
@@ -787,7 +768,7 @@ def gram_tail_proof(W, k, beta):
     it, the residual test aside."""
     wide = W if W.shape[0] <= W.shape[1] else W.T
     C = wide @ wide.T
-    values, vectors = linalg_module._gram_basis(C)
+    values, vectors = linalg_module._eigh(C)
     P = wide.T @ vectors[:, :k] / np.sqrt(values[:k])
     G, delta = linalg_module._gram_residual(C, wide @ P, wide.shape[1])
     return linalg_module._norm_below(G, beta, delta)
@@ -825,7 +806,7 @@ def test_square_and_near_square_inputs_never_form_the_gram(monkeypatch, shape):
     def refuse(*args):
         raise AssertionError(f"the Gram start ran on a {shape} input")
 
-    monkeypatch.setattr(linalg_module, "_gram_basis", refuse)
+    monkeypatch.setattr(linalg_module, "_eigh", refuse)
     p = min(shape)
     W = spectral_matrix(shape, np.r_[CARRIED_SIGMA, noise_tail(p - 100, 0.1, 0.9)][:p], seed=4)
     d = selector(3, p)

@@ -24,6 +24,7 @@ from spglr.solver import (
 from spglr.svt import SvtConfig, svt_solve
 
 from oracles import phi_d, q_model, spg_step
+from seams import count_calls, count_full_eighs, record_routes
 
 
 def scalar_completion(value=2.0):
@@ -341,20 +342,6 @@ def sparse_corrupted_low_rank():
     return truth, truth + S
 
 
-def count_calls(monkeypatch, owner, name):
-    """Route owner.name, a module global or one object's method, through
-    a wrapper that counts its calls."""
-    calls = []
-    original = getattr(owner, name)
-
-    def counting(*args):
-        calls.append(None)
-        return original(*args)
-
-    monkeypatch.setattr(owner, name, counting)
-    return calls
-
-
 def count_prox_calls(monkeypatch):
     return count_calls(monkeypatch, solver_module, "prox_matrix_with_spectrum")
 
@@ -590,20 +577,6 @@ def square_completion(m, seed=9):
     return M, CompletionLoss(data)
 
 
-def record_routes(monkeypatch):
-    """Whether each prox got its factors from the truncated route, in call order."""
-    routed = []
-    leading_svd = penalty_module._leading_svd
-
-    def recording(*args):
-        factors = leading_svd(*args)
-        routed.append(factors is not None)
-        return factors
-
-    monkeypatch.setattr(penalty_module, "_leading_svd", recording)
-    return routed
-
-
 def exact_path_only(monkeypatch):
     """Make the route rule allow no truncated route, so every prox takes the full SVD."""
     monkeypatch.setattr(linalg_module, "_routes", lambda *args: ())
@@ -728,7 +701,7 @@ def test_solve_thin_input_above_cutoff_counts_no_fallbacks(monkeypatch):
     L = gen_low_rank(1300, 8, 2, 7)
     L.flat[rng.choice(L.size, 500, replace=False)] += rng.uniform(-0.5, 0.5, 500)
     cfg = SolverConfig(lam=1.0, nu=0.05, max_iter=60)
-    grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
+    grams = count_full_eighs(monkeypatch, 8)
     routed = record_routes(monkeypatch)
     result = solve(RpcaLoss(L), cfg)
     assert routed == [False] * result.prox_calls
@@ -760,7 +733,7 @@ def test_solve_thin_input_takes_warm_gram_calls(monkeypatch):
     # pairs from the block the last call kept, about 1.3 steps each
     truth, L = thin_rpca_input()
     cfg = SolverConfig(lam=1.0, nu=0.05, max_iter=300)
-    grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
+    grams = count_full_eighs(monkeypatch, 30)
     routed = record_routes(monkeypatch)
     result = solve(RpcaLoss(L), cfg)
     assert routed == [True] * result.prox_calls
@@ -774,6 +747,51 @@ def test_solve_thin_input_takes_warm_gram_calls(monkeypatch):
     exact = solve(RpcaLoss(L), cfg)
     assert result.rank == exact.rank == 3
     assert spglr.rmse(result.X_final, truth) <= 1.01 * spglr.rmse(exact.X_final, truth)
+
+
+def test_every_factorisation_goes_through_the_linalg_kernels(monkeypatch):
+    # with numpy.linalg's svd, eigh, qr and cholesky made to raise, the full
+    # SVD of either orientation, a 120 x 100 completion on the subspace
+    # route, whose first cold call at a nonzero rank falls back to the full
+    # SVD, the 400 x 30 rpca input on the Gram route and SVT's full eighs
+    # of the 200 x 200 Gram matrix give the same bits as with numpy.linalg
+    # in place
+    spec = spglr.TrialSpec(
+        m=120, n=100, r=4, sr=0.8, noise=spglr.GmmNoiseParams(1e-4, 0.1, 0.1), seed=0
+    )
+    completion = CompletionLoss(spglr.build_trial_data(spec)[1])
+    rpca = RpcaLoss(thin_rpca_input()[1])
+    svt_data = spglr.build_trial_data(dataclasses.replace(spec, m=200, n=200, r=5, seed=3))[1]
+    W = np.random.default_rng(0).standard_normal((7, 3))
+    routed = record_routes(monkeypatch)
+    thin_eighs, svt_eighs = count_full_eighs(monkeypatch, 30), count_full_eighs(monkeypatch, 200)
+
+    def runs():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PenaltyCapAdvisory)
+            return [spglr.svd(W), spglr.svd(W.T),
+                    solve(completion, SolverConfig(lam=0.5, nu=0.05, max_iter=40)),
+                    solve(rpca, SolverConfig(lam=1.0, nu=0.05, max_iter=40)),
+                    svt_solve(svt_data, SvtConfig(tau=1.0, max_iter=5))]
+
+    expected = runs()
+    completed, robust, svt = expected[2:]
+    assert routed[:40].count(False) == completed.prox_fallbacks == 1
+    assert completed.prox_sweeps > 0
+    assert robust.prox_certificates == robust.prox_calls and thin_eighs
+    assert svt.prox_certificates > 0 and len(svt_eighs) == svt.prox_certificates
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called from spglr")
+
+    for name in ("svd", "eigh", "qr", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for got, want in zip(runs(), expected, strict=True):
+        if isinstance(want, spglr.SolveResult):
+            assert np.array_equal(got.X_final, want.X_final)
+            assert dataclasses.replace(got, X_final=None) == dataclasses.replace(want, X_final=None)
+        else:
+            assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
 
 def scaled_problem(name, c):
@@ -891,7 +909,7 @@ def test_video_like_solve_runs_one_full_eigh(monkeypatch):
     # certificate each and no fallback.
     cfg = SolverConfig(lam=2.5, nu=0.05, mu0=100.0, max_iter=500, seed=1)
     gram_calls = count_calls(monkeypatch, linalg_module, "_gram_triplets")
-    grams = count_calls(monkeypatch, linalg_module, "_gram_basis")
+    grams = count_full_eighs(monkeypatch, 60)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PenaltyCapAdvisory)
         result = solve(RpcaLoss(video_like(1)), cfg)
@@ -913,7 +931,7 @@ def test_solve_below_cutoff_stays_on_exact_path(monkeypatch, make_binding):
     def refuse(*args):
         raise AssertionError("the Gram start ran on a small input")
 
-    monkeypatch.setattr(linalg_module, "_gram_basis", refuse)
+    monkeypatch.setattr(linalg_module, "_eigh", refuse)
     binding = make_binding()
     routed = record_routes(monkeypatch)
     result = solve(binding, SolverConfig(lam=0.4, nu=0.05, max_iter=40))

@@ -20,12 +20,19 @@ that every SVT prox takes the Gram route. The inputs the tool makes
 itself depend only on their shape, so two snapshots of different source
 trees see the same files.
 
+BLAS runs on one thread unless the environment sets OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS or MKL_NUM_THREADS: the outputs repeat bit for bit only
+at a fixed thread count. OUT_DIR/environment.json records the numpy
+version and those three variables.
+
 It also runs a fixed set of invalid `solve` commands (ERROR_CASES: the
 README config at m = 60 with one key or flag wrong) and writes each
 one's exit code, whether its --out-dir was created, and its stderr to
 OUT_DIR/errors/<name>.txt; their configs go to OUT_DIR/errors/inputs/.
 
-The second form walks both trees and prints one line per file: identical,
+The second form first prints each recorded setting that differs between
+the two environment.json files, or that a side has none ("not recorded"),
+then walks both trees and prints one line per other file: identical,
 differing, or present on one side only. `wall_time_s` in metrics.json and
 `mean_runtime_s` in results.csv are ignored. For a differing trace.csv it
 names each differing column and its largest relative difference, for a
@@ -33,8 +40,15 @@ differing X.csv, E.csv or M.csv the shape and the largest relative
 entry difference, for a differing results.csv each differing cell by
 data row and column with both values, and for a differing errors/*.txt
 each changed line on both sides. The exit status is 0 when every file
-is identical and 1 otherwise.
+but environment.json is identical and 1 otherwise.
 """
+
+import os
+
+# One BLAS thread, set before numpy loads, so that a snapshot repeats bit for bit.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in BLAS_THREAD_VARS:
+    os.environ.setdefault(_var, "1")
 
 import argparse
 import contextlib
@@ -49,6 +63,8 @@ from pathlib import Path
 import numpy as np
 
 CHECKOUT_SRC = Path(__file__).resolve().parents[1] / "src"
+# The settings file of a snapshot, which --compare reports apart from the outputs.
+ENVIRONMENT = "environment.json"
 IGNORED = {"metrics.json": "wall_time_s", "results.csv": "mean_runtime_s"}
 # Matrix outputs whose differences --compare reports by entry.
 MATRICES = {"X.csv", "E.csv", "M.csv"}
@@ -106,10 +122,18 @@ def smooth_pgm(size):
     return f"P5\n{size} {size}\n255\n".encode("ascii") + pixels.tobytes()
 
 
+def environment():
+    """The settings a snapshot's bits depend on besides the code."""
+    return {"numpy": np.__version__, **{var: os.environ.get(var) for var in BLAS_THREAD_VARS}}
+
+
 def snapshot(out_dir, src, sizes, max_iter):
     """Run the command set for every size; return the failed commands."""
     sys.path.insert(0, str(src))
     from spglr import cli
+
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    (Path(out_dir) / ENVIRONMENT).write_text(json.dumps(environment(), indent=1), "utf-8")
 
     failed = []
 
@@ -276,11 +300,26 @@ def compare_file(name, a, b):
     return "bytes differ"
 
 
+def compare_environments(dir_a, dir_b):
+    """Print each setting that differs between two snapshots, or the side
+    that recorded none."""
+    paths = [Path(d) / ENVIRONMENT for d in (dir_a, dir_b)]
+    env_a, env_b = (json.loads(p.read_text("utf-8")) if p.is_file() else None for p in paths)
+    if env_a != env_b and None in (env_a, env_b):
+        print(f"environment: not recorded in {'A' if env_a is None else 'B'}")
+    elif env_a != env_b:
+        for key in dict.fromkeys([*env_a, *env_b]):
+            if env_a.get(key) != env_b.get(key):
+                print(f"environment: {key} {env_a.get(key)!r} vs {env_b.get(key)!r}")
+
+
 def compare(dir_a, dir_b):
-    """Print one line per file; return True when every file agrees."""
+    """Print the differing settings, then one line per output file; return
+    True when every output file agrees."""
+    compare_environments(dir_a, dir_b)
     dir_a, dir_b = Path(dir_a), Path(dir_b)
-    files_a = {p.relative_to(dir_a) for p in dir_a.rglob("*") if p.is_file()}
-    files_b = {p.relative_to(dir_b) for p in dir_b.rglob("*") if p.is_file()}
+    files_a, files_b = ({p.relative_to(d) for p in d.rglob("*") if p.is_file()}
+                        - {Path(ENVIRONMENT)} for d in (dir_a, dir_b))
     same = True
     for rel in sorted(files_a | files_b):
         if rel not in files_b or rel not in files_a:
