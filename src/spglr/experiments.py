@@ -49,8 +49,6 @@ class GmmNoiseParams:
     def __post_init__(self):
         check_field_types(self)
         for name in ("var_a", "var_b"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if not 0 <= self.c <= 1:
@@ -229,33 +227,19 @@ def _trial_workers(trials):
         except ValueError:
             continue
         if threads > 0:
-            return max(1, min(trials, len(os.sched_getaffinity(0)) // threads))
+            affinity = getattr(os, "sched_getaffinity", None)
+            cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+            return max(1, min(trials, cpus // threads))
     return 1
 
 
-# Filled only in pool workers, by the showwarning _record_warnings installs.
-_worker_warnings = []
-
-
-def _record_warnings():
-    """Pool initializer: keep the warnings a worker would show, as
-    (message, filename, lineno), for _recorded_call to hand back.
-
-    A worker forks with the caller's filters, so an "error" filter still
-    fails the call and an "ignore" filter still drops the warning. Calls
-    run in-process are not recorded: warnings.catch_warnings would reset
-    every warning registry, and a "default" warning would repeat once
-    per sweep instead of showing once."""
-    warnings.showwarning = lambda message, category, filename, lineno, *_: (
-        _worker_warnings.append((message, filename, lineno)))
-
-
 def _recorded_call(fn, item):
-    """fn(item) in a pool worker, and the warnings it recorded meanwhile."""
-    value = fn(item)
-    caught = _worker_warnings[:]
-    _worker_warnings.clear()
-    return value, caught
+    """fn(item) in a pool worker, and its warnings as (message, filename,
+    lineno), recorded under the filters the worker forked with: an
+    "error" filter still fails the call, an "ignore" one drops them."""
+    with warnings.catch_warnings(record=True) as caught:
+        value = fn(item)
+    return value, [(w.message, w.filename, w.lineno) for w in caught]
 
 
 def _pool_map(fn, items):
@@ -264,8 +248,11 @@ def _pool_map(fn, items):
     The workers are forked, not spawned, so that they inherit the loaded
     modules, BLAS settings and warning filters without re-running the
     caller's script; fn must pickle by reference. A worker's warnings
-    are shown here, in item order, once every item has finished; with
-    one worker the items run in this process and warn as they go.
+    are shown here, in item order, once every item has finished. With
+    one worker, or where processes cannot fork, the items run in this
+    process and warn as they go, unrecorded: catch_warnings would reset
+    every warning registry, and a "default" warning would show once per
+    sweep, not once.
     """
     workers = _trial_workers(len(items))
     if workers == 1:
@@ -273,8 +260,9 @@ def _pool_map(fn, items):
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_record_warnings) as pool:
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return list(map(fn, items))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
         outcomes = list(pool.map(partial(_recorded_call, fn), items))
     # The registry warnings.warn uses for a warning raised in this module,
     # so that a "default" filter shows a warning repeated across workers,

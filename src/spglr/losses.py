@@ -52,7 +52,8 @@ class MaskedData:
     """Observed entries of an m x n matrix: index arrays plus values.
 
     rows and cols are integers, not bools, by the rule of the config
-    fields (see solver.check_type). Indices must be in range and pairwise
+    fields (see solver.check_type), and so are the entries of row_idx and
+    col_idx. Indices must be in range and pairwise
     distinct; at least one entry is required. Arrays are stored in input
     order and frozen after construction. `flat_idx` is row_idx * cols +
     col_idx, the position of each entry in the row-major flattened
@@ -71,8 +72,11 @@ class MaskedData:
         check_field_types(self)
         if self.rows < 1 or self.cols < 1:
             raise ValueError("rows and cols must be positive")
-        ri = np.asarray(self.row_idx, dtype=np.int64)
-        ci = np.asarray(self.col_idx, dtype=np.int64)
+        ri, ci = np.asarray(self.row_idx), np.asarray(self.col_idx)
+        # an empty list reads as float64, for the count check below to name
+        if any(idx.size and idx.dtype.kind not in "iu" for idx in (ri, ci)):
+            raise ValueError("row_idx and col_idx must hold integers")
+        ri, ci = ri.astype(np.int64, copy=False), ci.astype(np.int64, copy=False)
         vals = np.asarray(self.values, dtype=np.float64)
         if not (ri.ndim == ci.ndim == vals.ndim == 1):
             raise ValueError("row_idx, col_idx, values must be 1-D")

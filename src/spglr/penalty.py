@@ -125,12 +125,12 @@ def _check_nu(nu):
 
 def _check_spectrum(sigma, name="sigma"):
     """sigma as a float64 vector, or ValueError for another shape or an
-    entry that is negative or NaN."""
+    entry that is negative, infinite or NaN."""
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.ndim != 1:
         raise ValueError(f"{name} must be a 1-D vector")
-    if not (sigma >= 0).all():
-        raise ValueError(f"{name} entries must be nonnegative numbers")
+    if not ((sigma >= 0) & (sigma < np.inf)).all():
+        raise ValueError(f"{name} entries must be nonnegative finite numbers")
     return sigma
 
 
@@ -138,6 +138,6 @@ def _check_d(d, n):
     d = np.asarray(d)
     if d.shape != (n,):
         raise ValueError(f"d has length {d.size}, expected {n}")
-    if not ((d == 1) | (d == 2)).all():
+    if d.dtype == bool or not ((d == 1) | (d == 2)).all():
         raise ValueError("d entries must be 1 or 2")
     return d.astype(np.int64)

@@ -52,12 +52,21 @@ def check_type(name, value, kind):
         raise ValueError(f"{name} must be {noun}")
 
 
-def check_field_types(config):
+def check_field_types(config, infinite=()):
     """check_type on each int or float dataclass field of `config`, in
-    order: the first that fails raises."""
+    order: the first that fails raises. A float field must also be a
+    finite float, "<name> must be finite", or +inf if `infinite` names it."""
     for f in fields(config):
         if f.type in _FIELD_TYPES:
-            check_type(f.name, getattr(config, f.name), f.type)
+            value = getattr(config, f.name)
+            check_type(f.name, value, f.type)
+            if f.type is float and (f.name not in infinite or value != math.inf):
+                try:
+                    finite = math.isfinite(value)
+                except OverflowError:  # an integer beyond float range
+                    finite = False
+                if not finite:
+                    raise ValueError(f"{f.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -84,11 +93,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_field_types(self)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is float and f.name != "alpha" and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite")
+        check_field_types(self, infinite=("alpha",))
         for name in ("mu0", "alpha", "lam", "nu", "step_tol", "mu_stop"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")

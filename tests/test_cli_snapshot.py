@@ -24,15 +24,20 @@ def test_two_snapshots_compare_identical(tmp_path, capsys):
     capsys.readouterr()
     assert tool.main(["--compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 0
     lines = capsys.readouterr().out.splitlines()
-    # 4 inputs and 24 outputs, each thin rpca's 3 inputs and 4 outputs,
-    # the thin SVT's config and 3 outputs, then each error case's config
-    # and record
-    assert len(lines) == 28 + 7 * len(tool.THIN_RPCA) + 4 + 2 * len(tool.ERROR_CASES)
+    # 4 inputs and 33 outputs, each thin rpca's 3 inputs and 5 outputs,
+    # the thin SVT's config and 4 outputs, then each error case's config
+    # and record; every command's outputs include its warnings.txt
+    assert len(lines) == 37 + 8 * len(tool.THIN_RPCA) + 5 + 2 * len(tool.ERROR_CASES)
     assert sum("m12/ablate/results.csv" in line for line in lines) == 1
-    assert sum("thin400x30/rpca/" in line for line in lines) == 4
-    assert sum("thin1300x8/rpca/" in line for line in lines) == 4
-    assert sum("thin400x30/svt_synth/" in line for line in lines) == 3
+    assert sum("thin400x30/rpca/" in line for line in lines) == 5
+    assert sum("thin1300x8/rpca/" in line for line in lines) == 5
+    assert sum("thin400x30/svt_synth/" in line for line in lines) == 4
+    assert sum(line.endswith("/warnings.txt") for line in lines) == 9 + len(tool.THIN_RPCA) + 1
     assert all(line.startswith("identical: ") for line in lines)
+    # a warning is recorded by its category and message, with no path
+    warned = (tmp_path / "a" / "thin400x30" / "rpca" / "warnings.txt").read_text("utf-8")
+    assert warned.startswith("PenaltyCapAdvisory: nu=0.05 is at or above lam / L_f = ")
+    assert warned.count("\n") == 1 and ".py" not in warned
 
     # each snapshot records its numpy version and BLAS thread variables;
     # --compare prints a differing setting, or a side with none, but does

@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import multiprocessing
 import os
 import warnings
 from dataclasses import replace
@@ -107,6 +109,9 @@ def test_gmm_params_validation():
         GmmNoiseParams(var_b=math.inf)
     with pytest.raises(ValueError, match="^var_b must be nonnegative"):
         GmmNoiseParams(var_b=-0.1)
+    for field, value in [("var_a", 10**400), ("c", math.inf)]:
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            GmmNoiseParams(**{field: value})
     # real fields take Python and numpy reals, never a bool or a string
     for field, value in [("c", True), ("var_a", "0.1"), ("var_b", None)]:
         with pytest.raises(ValueError, match=f"^{field} must be a number$"):
@@ -254,11 +259,13 @@ def test_monte_carlo_two_workers_match_one(monkeypatch, arm, configs):
     assert [r.seed for r in pooled.results] == ([30, 31, 32] if arm != "bogus-solver" else [])
 
 
-@pytest.mark.parametrize("action, shown, failed", [("always", 6, 0), ("default", 1, 0),
-                                                   ("error", 0, 6)])
+@pytest.mark.parametrize("action, shown, failed", [
+    ("always", 6, 0), ("default", 1, 0), ("once", 1, 0), ("module", 1, 0), ("ignore", 0, 0),
+    ("error", 0, 6)])
 def test_monte_carlo_workers_warn_as_in_process(monkeypatch, action, shown, failed):
     # quick_config's nu is above lam / L_f at 20x16, so every trial warns;
-    # two sweeps, as ablate runs, show a "default" warning once in all.
+    # two sweeps, as ablate runs, show a "default", "once" or "module"
+    # warning once in all.
     seen = []
     for workers in (1, 2):
         with warnings.catch_warnings(record=True) as caught:
@@ -301,3 +308,18 @@ def test_trial_workers_fit_the_blas_thread_budget(monkeypatch):
                 w = workers(trials)
                 assert 1 <= w <= min(trials, cpus)
                 assert w == 1 or w * threads <= cpus
+
+
+def test_monte_carlo_off_linux(monkeypatch):
+    # without an affinity call (macOS, Windows) the CPU count stands in
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(name, "1")
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for cpus, expected in [(4, 4), (1, 1), (None, 1)]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert experiments._trial_workers(20) == expected
+    # without fork (Windows) the sweep runs in this process, with no pool
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+    summary = sweep_with_workers(monkeypatch, 2, "spg", trials=2, solver_config=quick_config(40))
+    assert [r.seed for r in summary.results] == [30, 31] and not summary.failures

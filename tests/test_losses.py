@@ -46,8 +46,13 @@ def test_masked_data_validation():
         MaskedData(2, 2, np.array([0, 0]), np.array([1, 1]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match="out of range"):
         MaskedData(2, 2, np.array([2]), np.array([0]), np.array([1.0]))
-    with pytest.raises(ValueError, match="at least one"):
-        MaskedData(2, 2, np.array([], dtype=int), np.array([], dtype=int), np.array([]))
+    for empty in (np.array([], dtype=int), []):  # [] reads as float64
+        with pytest.raises(ValueError, match="^at least one observed entry is required$"):
+            MaskedData(2, 2, empty, empty, [])
+    # a float or bool index is rejected, not cast to a position
+    for ri, ci in [([0.5], [1]), ([0], [1.7]), ([True], [0]), ([1], [False])]:
+        with pytest.raises(ValueError, match="^row_idx and col_idx must hold integers$"):
+            MaskedData(2, 2, ri, ci, [1.0])
     with pytest.raises(ValueError, match="finite"):
         MaskedData(2, 2, np.array([0]), np.array([0]), np.array([np.nan]))
     with pytest.raises(ValueError, match="rows and cols must be positive"):

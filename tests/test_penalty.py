@@ -29,8 +29,9 @@ def test_phi_examples():
 
 
 def test_phi_rejects_negative():
-    # a NaN entry is not nonnegative either, in the surrogate or the selector
-    for bad in (-0.1, np.nan):
+    # a NaN or infinite entry is not a nonnegative finite number either,
+    # in the surrogate or the selector
+    for bad in (-0.1, np.nan, np.inf):
         with pytest.raises(ValueError, match="nonnegative"):
             capped_surrogate(np.array([bad]), 0.5)
         with pytest.raises(ValueError, match="nonnegative"):
@@ -162,8 +163,12 @@ def test_prox_vector_preserves_descending_order(values, twos, ratio, nu):
 def test_prox_vector_validation():
     with pytest.raises(ValueError):
         prox_vector(np.array([-0.1]), np.array([1]), 0.1, 0.5)
-    with pytest.raises(ValueError, match="^w entries must be nonnegative"):
-        prox_vector(np.array([np.nan, 1.0]), np.array([1, 1]), 0.1, 0.05)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^w entries must be nonnegative"):
+            prox_vector(np.array([bad, 1.0]), np.array([1, 1]), 0.1, 0.05)
+    # a bool selector is not the d = 1 it compares equal to
+    with pytest.raises(ValueError, match="^d entries must be 1 or 2$"):
+        prox_vector(np.array([1.0, 1.0]), np.array([True, True]), 0.1, 0.05)
     with pytest.raises(ValueError):
         prox_vector(np.array([0.1]), np.array([1]), -0.1, 0.5)
     with pytest.raises(ValueError):

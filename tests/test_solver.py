@@ -533,11 +533,16 @@ def test_solver_config_validation():
     with pytest.raises(ValueError, match="^nu must be positive$"):
         SolverConfig(nu=-1.0)
     SolverConfig(alpha=math.inf)  # ablation mode is valid
+    for value in (-math.inf, math.nan, 10**400):
+        with pytest.raises(ValueError, match="^alpha must be finite$"):
+            SolverConfig(alpha=value)
     # one message per field, each led by the field's name
     with pytest.raises(ValueError, match="^mu0 must be finite$"):
         SolverConfig(mu0=math.inf)
     with pytest.raises(ValueError, match="^nu must be finite$"):
         SolverConfig(nu=math.nan)
+    with pytest.raises(ValueError, match="^mu0 must be finite$"):
+        SolverConfig(mu0=10**400)  # not OverflowError from the float conversion
     with pytest.raises(ValueError, match="^seed must be nonnegative$"):
         SolverConfig(seed=-1)
     # integer fields take Python and numpy integers, never a bool or a float

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -255,6 +256,11 @@ def test_svt_config_validation():
         with pytest.raises(ValueError, match=f"^{field} must be a number$"):
             SvtConfig(**{field: value})
     assert SvtConfig(tau=2, step=np.float64(0.5)).tau == 2
+    # every real is a finite float: an integer beyond float range is not
+    for field in ("tau", "step", "tol"):
+        for value in (math.inf, math.nan, 10**400):
+            with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+                SvtConfig(**{field: value})
     with pytest.raises(dataclasses.FrozenInstanceError):
         SvtConfig().tau = 1.0
     with pytest.raises(TypeError):

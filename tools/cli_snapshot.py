@@ -20,6 +20,13 @@ that every SVT prox takes the Gram route. The inputs the tool makes
 itself depend only on their shape, so two snapshots of different source
 trees see the same files.
 
+Each command runs under the "default" warning filter alone, and what it
+warns goes to its own warnings.txt, one "Category: message" line per
+warning shown, without the file and line, so that two source trees
+compare equal. At one BLAS thread on two or more CPUs, `solve --trials 3`
+and `ablate` run their trials in worker processes, so this file shows a
+relay of the workers' warnings that loses or repeats one.
+
 BLAS runs on one thread unless the environment sets OPENBLAS_NUM_THREADS,
 OMP_NUM_THREADS or MKL_NUM_THREADS: the outputs repeat bit for bit only
 at a fixed thread count. OUT_DIR/environment.json records the numpy
@@ -38,9 +45,9 @@ differing, or present on one side only. `wall_time_s` in metrics.json and
 names each differing column and its largest relative difference, for a
 differing X.csv, E.csv or M.csv the shape and the largest relative
 entry difference, for a differing results.csv each differing cell by
-data row and column with both values, and for a differing errors/*.txt
-each changed line on both sides. The exit status is 0 when every file
-but environment.json is identical and 1 otherwise.
+data row and column with both values, and for a differing warnings.txt
+or errors/*.txt each changed line on both sides. The exit status is 0
+when every file but environment.json is identical and 1 otherwise.
 """
 
 import os
@@ -58,6 +65,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -137,8 +145,14 @@ def snapshot(out_dir, src, sizes, max_iter):
 
     failed = []
 
-    def run(label, argv):
-        code = cli.run(argv)
+    def run(label, argv, out):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.resetwarnings()
+            warnings.simplefilter("default")
+            code = cli.run([*argv, "--out-dir", str(out)])
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "warnings.txt").write_text(
+            "".join(f"{w.category.__name__}: {w.message}\n" for w in caught), "utf-8")
         print(f"{label}: exit {code}", flush=True)
         if code != 0:
             failed.append(label)
@@ -164,7 +178,7 @@ def snapshot(out_dir, src, sizes, max_iter):
             "ablate": ["ablate", "--trials", "2", "--mu0-list", "10,100"],
         }
         for name, argv in commands.items():
-            run(f"m{size}/{name}", [*argv, "--config", str(config), "--out-dir", str(root / name)])
+            run(f"m{size}/{name}", [*argv, "--config", str(config)], root / name)
     for m, n in THIN_RPCA:
         root = Path(out_dir) / f"thin{m}x{n}"
         inputs = root / "inputs"
@@ -174,15 +188,15 @@ def snapshot(out_dir, src, sizes, max_iter):
         write_rpca_inputs(inputs, m, n)
         run(f"{root.name}/rpca", ["rpca", "--input", str(inputs / "L.csv"),
                                   "--truth", str(inputs / "L_truth.csv"),
-                                  "--config", str(config), "--out-dir", str(root / "rpca")])
+                                  "--config", str(config)], root / "rpca")
     m, n = THIN_SVT
     root = Path(out_dir) / f"thin{m}x{n}"
     config = root / "inputs" / "svt_config.json"
     config.parent.mkdir(parents=True, exist_ok=True)
     doc = {**readme_config(n, max_iter), "m": m, "sr": 1.0, "var_a": 1e-6, "c": 0.0}
     config.write_text(json.dumps(doc), "utf-8")
-    run(f"{root.name}/svt_synth", ["solve", "--solver", "svt", "--config", str(config),
-                                   "--out-dir", str(root / "svt_synth")])
+    run(f"{root.name}/svt_synth", ["solve", "--solver", "svt", "--config", str(config)],
+        root / "svt_synth")
     snapshot_errors(Path(out_dir) / "errors", cli, max_iter)
     return failed
 
