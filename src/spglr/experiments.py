@@ -54,10 +54,6 @@ class GmmNoiseParams:
         if not 0 <= self.c <= 1:
             raise ValueError("c must lie in [0, 1]")
 
-    @property
-    def mixture_variance(self):
-        return (1.0 - self.c) * self.var_a + self.c * self.var_b
-
 
 @dataclass(frozen=True)
 class TrialSpec:

@@ -329,8 +329,7 @@ def _powers(spread, most, reach):
     return None
 
 
-def _ritz(apply, solve, Y, k_min, threshold, q, warm, scale, lead=None, powers=None,
-         slow=True):
+def _ritz(apply, solve, Y, k_min, threshold, q, warm, scale, lead=None, powers=None):
     """(k, s, kept) from Rayleigh-Ritz steps on the block Y for the top
     singular triplets of a matrix W, or None (Halko, Martinsson & Tropp,
     SIAM Review 2011, Alg. 4.4; Saad, Numerical Methods for Large
@@ -358,19 +357,15 @@ def _ritz(apply, solve, Y, k_min, threshold, q, warm, scale, lead=None, powers=N
 
     A step that leaves no gap (k equal to the block), a kept value of
     zero, a failed decomposition or _MAX_SWEEPS steps without convergence
-    get None. With `slow`, from the second step at an unchanged k, so does
-    a measured shrink of the largest kept residual that, kept up for the
-    steps left, cannot meet the test: a slow gap falls back in a few steps,
-    not _MAX_SWEEPS.
+    get None.
     """
     product = apply if scale == 1.0 else lambda Y: apply(scale * Y)
-    last = None
     try:
         if lead is not None:
             for _ in range(lead):
                 Y = product(Y)
             Y = product(_q_factor(Y))
-        for sweep in range(1, _MAX_SWEEPS + 1):
+        for _ in range(_MAX_SWEEPS):
             for _ in range(q):
                 Y = product(Y)
             s, R, Y, kept = solve(_q_factor(Y))
@@ -378,13 +373,8 @@ def _ritz(apply, solve, Y, k_min, threshold, q, warm, scale, lead=None, powers=N
             k = max(k_min, int(np.count_nonzero(s > threshold)))
             if k >= s.size or k and not s[k - 1] > 0:
                 return None
-            resid, goal = _largest_column_norm(R[:, :k]), _RESIDUAL_TOL * s[0]
-            if resid <= goal:
+            if _largest_column_norm(R[:, :k]) <= _RESIDUAL_TOL * s[0]:
                 return k, s, kept
-            if slow and last is not None and last[0] == k and (
-                    resid >= last[1] or resid * (resid / last[1]) ** (_MAX_SWEEPS - sweep) > goal):
-                return None
-            last = (k, resid)
             if powers is not None:
                 q = powers(s, k)
     except np.linalg.LinAlgError:
@@ -496,12 +486,10 @@ def _subspace_triplets(W, k_min, threshold, warm, start, b, tail, scale):
     steps. Its steps take q = _powers(warm.spread, _POWER_STEPS, 2), as
     the filtered block W (W^T Q) is one product pair past an orthonormal
     Q; a spread that allows no q takes no filter and no power step. A warm
-    call then takes about 1.7 steps at 60 x 60 and 1.15 at 200 x 200, and
-    stops once its measured shrink is too slow (see _ritz). A cold call
-    takes no filter and no power step, and runs on, as the random columns
-    of its first steps shrink unevenly. The filter and the power steps
-    change only the block, so the test, the proof and the carried bound
-    below read the same.
+    call then takes about 1.7 steps at 60 x 60 and 1.15 at 200 x 200. A
+    cold call takes no filter and no power step. The filter and the power
+    steps change only the block, so the test, the proof and the carried
+    bound below read the same.
 
     The proof, counted in warm.certificates, is _norm_below on the Gram of
     R = W - (W V_k) V_k.T on its short side: W V_k V_k.T has rank k, so
@@ -539,7 +527,7 @@ def _subspace_triplets(W, k_min, threshold, warm, start, b, tail, scale):
 
     Y = W @ np.concatenate([start, warm.rng.standard_normal((n, b - start.shape[1]))], axis=1)
     found = _ritz(lambda Y: W @ (W.T @ Y), solve, Y, k_min, threshold, q or 0, warm, scale,
-                  lead=lead, slow=start.shape[1] > 0)
+                  lead=lead)
     if found is None:
         return None
     k, s, (U, P, Y) = found

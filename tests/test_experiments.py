@@ -87,7 +87,8 @@ def test_gmm_noise_pure_components():
 
 def test_gmm_noise_mixture_variance_and_components():
     samples = gmm_noise(100_000, NOISE, 7)
-    assert abs(samples.var() - NOISE.mixture_variance) <= 0.05 * NOISE.mixture_variance
+    variance = (1.0 - NOISE.c) * NOISE.var_a + NOISE.c * NOISE.var_b
+    assert abs(samples.var() - variance) <= 0.05 * variance
     # The same seed with var_a = 0 draws the same components and zeroes
     # every nominal sample, so the outliers are the nonzero draws.
     pure = gmm_noise(100_000, GmmNoiseParams(0.0, NOISE.var_b, NOISE.c), 7)

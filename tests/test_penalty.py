@@ -414,29 +414,32 @@ def test_cold_call_takes_no_filter_step_and_a_warm_call_one_before_one_sweep(mon
 
 
 @pytest.mark.parametrize("shape", [(120, 100), (100, 120)], ids=["tall", "wide"])
-def test_warm_call_on_a_slow_gap_falls_back_after_two_sweeps(shape):
+def test_warm_call_on_a_slow_gap_falls_back_and_holds_the_subspace_route(shape):
     # sigma_6 = 0.5, which d = 2 keeps, over a tail from 0.49 that falls by
     # 0.5 % a value: a powered sweep shrinks the residual of the sixth
-    # triplet by about (0.48 / 0.5)^5, far too little for 30 sweeps, so the
-    # call stops once two sweeps have measured that (without the stop it
-    # ran all 30 and then the full SVD)
+    # triplet by about (0.48 / 0.5)^5, far too little to pass the residual
+    # test within _MAX_SWEEPS, so the call falls back to the full SVD and
+    # holds the subspace route at its block of 6 + 5 columns
     sigma = np.r_[10.0, 6.0, 3.0, 0.8, 0.6, 0.5, noise_tail(94, 0.49, 0.995)]
     d = selector(6, 100)
     W = spectral_matrix(shape, sigma, seed=4)
     warm = ProxWarmStart(1)
     truncated_and_exact(W, d, warm)
-    sweeps = warm.sweeps
     (X_t, x_t), (X_e, x_e), fallbacks = truncated_and_exact(perturbed(W, 0.11, seed=5), d, warm)
-    assert (fallbacks, warm.sweeps - sweeps) == (1, 2)
+    assert fallbacks == 1 and warm.hold == {"subspace": 11}
     assert np.array_equal(X_t, X_e) and np.array_equal(x_t, x_e)
+    # the next call at that rank falls through to the Gram route, whose
+    # cold call takes the full eigh and one certificate, with no sweep
+    sweeps = warm.sweeps
+    assert certified_step(perturbed(W, 0.12, seed=6), d, warm) == (1, 0)
+    assert warm.sweeps == sweeps and warm.hold == {"subspace": 11}
 
 
 @pytest.mark.parametrize("shape", [(120, 100), (100, 120)], ids=["tall", "wide"])
 def test_warm_call_on_the_slower_gap_of_r2_converges_with_power_steps(shape):
     # sigma_6 = 0.5 and sigma_12 = 0.35 at a drift of 0.11: unpowered
     # sweeps needed about 30 (the wide call ran all 30 and fell back);
-    # powered ones converge in 10 (tall) or 12 (wide), and the measured
-    # shrink never stops them early
+    # powered ones converge in 10 (tall) or 12 (wide)
     sigma, twos = TRUNCATED_CASES["r2_beyond_threshold"]
     d = selector(twos, sigma.size)
     W = spectral_matrix(shape, sigma, seed=4)

@@ -78,3 +78,20 @@ def test_compare_prints_a_changed_environment_first_and_reads_older_logs(tmp_pat
     assert out[1].startswith("mc-m60-5000-spg: differs; prox_calls ")
     assert tool.main(["--compare", str(old), str(old)]) == 0
     assert capsys.readouterr().out == "1 solves, 5 calls: identical\n"
+
+
+def test_under_regularized_case_logs_the_route_hold(tmp_path):
+    # the 200 x 200 at lam 0.75 takes the subspace route until a warm call
+    # fails its certificate near iteration 70; the hold then sends every
+    # later call at that rank to the Gram route
+    tool = load_tool()
+    path = tmp_path / "log.json"
+    assert tool.main([str(path), "--case", "underreg-m200-1000-spg", "--max-iter", "75"]) == 0
+    (solve,) = json.loads(path.read_text("utf-8"))["solves"]
+    assert solve["name"] == "underreg-m200-1000-spg" and solve["prox_calls"] == 75
+    calls = [dict(zip(tool.CALL_FIELDS, call)) for call in solve["calls"]]
+    routes = [call["route"] for call in calls]
+    held = routes.index("gram")
+    assert calls[held - 1]["route"] == "subspace" and not calls[held - 1]["returned"]
+    assert set(routes[:held]) == {"subspace"} and set(routes[held:]) == {"gram"}
+    assert all(call["returned"] for call in calls[held:])

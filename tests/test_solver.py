@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import spglr
@@ -417,6 +417,53 @@ def test_solve_below_cap_emits_no_advisory():
     binding = random_completion(rng, m=8, n=8, frac=0.9)
     # lam / L_f = 0.1 / sqrt(57) = 0.0132
     solve(binding, SolverConfig(lam=0.1, nu=0.013, max_iter=3))
+
+
+@pytest.mark.parametrize("mu0", [1.0, 10.0, 100.0])
+@pytest.mark.parametrize("lam", [0.75, 2.0])
+def test_zero_is_a_fixed_point_inside_the_regime(lam, mu0):
+    # at X = 0 every gradient entry lies in [-1, 1], so ||mu G||_2 <=
+    # mu L_f < lam mu / nu, the prox threshold when every d is 1, which
+    # it is at sigma = 0: the solve from zero never leaves it
+    spec = spglr.TrialSpec(m=30, n=30, r=3, sr=0.8, noise=spglr.GmmNoiseParams(1e-4, 0.1, 0.1))
+    binding = CompletionLoss(spglr.build_trial_data(spec)[1])
+    cfg = SolverConfig(lam=lam, nu=0.99 * lam / binding.loss_lipschitz_Lf, mu0=mu0, max_iter=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", PenaltyCapAdvisory)
+        result = solve(binding, cfg)
+    assert result.trace and not result.X_final.any()
+    assert all(rec.step_norm == 0 and rec.rank_estimate == 0 for rec in result.trace)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    frac=st.floats(0.2, 1.0),
+    lam=st.floats(0.1, 5.0),
+    ratio=st.floats(0.01, 0.99),
+)
+@settings(max_examples=100, deadline=None)
+def test_truncation_below_nu_lowers_the_exact_objective_inside_the_regime(seed, frac, lam, ratio):
+    # at nu < lam / L_f, zeroing the singular values sigma_i < nu of X
+    # removes lam sigma_i / nu each from the penalty and moves the l1 loss
+    # by at most L_f ||X - X_t||_F <= L_f sum sigma_i; outside the regime
+    # this bound says nothing, so no draw leaves it
+    rng = np.random.default_rng(seed)
+    binding = random_completion(rng, m=20, n=15, frac=frac)
+    nu = ratio * lam / binding.loss_lipschitz_Lf
+    U = np.linalg.qr(rng.standard_normal((20, 15)))[0]
+    V = np.linalg.qr(rng.standard_normal((15, 15)))[0]
+    X = (U * nu * 10.0 ** rng.uniform(-3.0, 2.0, 15)) @ V.T
+    factors = spglr.svd(X)
+    below = factors.sigma < nu
+    assume(below.any())
+    X_t = (factors.U * np.where(below, 0.0, factors.sigma)) @ factors.V.T
+
+    def objective(Z):
+        return binding.value(Z, 0.0) + lam * capped_surrogate(spglr.svd(Z).sigma, nu)
+
+    before, after = objective(X), objective(X_t)
+    bound = (lam / nu - binding.loss_lipschitz_Lf) * factors.sigma[below].sum()
+    assert before - after >= bound - 1e-12 * before
 
 
 @pytest.mark.parametrize(

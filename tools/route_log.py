@@ -7,12 +7,15 @@ The first form imports spglr from SRC (default: this checkout's `src/`)
 and runs, in this process and in order, the SPG and SVT solves of the
 benchmark's workloads with the configs of `perfbench/workloads.py`:
 complete-m200 trial seeds 1000-1001, mc-m60 trial seeds 5000-5015 and
-the rpca-video-cli video of seed 7. Each trial's data is built from its
-seed, as `spglr.run_trial` builds it, so no solve runs in a worker
-process out of the log's sight. A case is named
-`<workload>-<seed>-<spg|svt>`; `--case` keeps the cases that match any
-of its shell-style patterns, and `--max-iter` caps every solve's
-max_iter.
+the rpca-video-cli video of seed 7. Then it runs the SPG solves of the
+under-regularized 200x200, the only config known to hold a route (see
+`linalg._leading_svd`): complete-m200's trials at seeds 1000-1002 with
+lam 0.75, nu 0.05, mu0 10 and 150 iterations, each about 0.6 s. Each
+trial's data is built from its seed, as `spglr.run_trial` builds it, so
+no solve runs in a worker process out of the log's sight. A case is
+named `<workload>-<seed>-<spg|svt>`, the under-regularized ones
+`underreg-m200-<seed>-spg`; `--case` keeps the cases that match any of
+its shell-style patterns, and `--max-iter` caps every solve's max_iter.
 
 The log records what its bits depend on besides the code: the numpy
 version and the BLAS thread variables. For each solve it holds the
@@ -54,6 +57,7 @@ COUNTERS = ("calls", "fallbacks", "certificates", "sweeps")
 COMPLETE_SEEDS = (1000, 1001)
 MC_SEEDS = tuple(range(5000, 5016))
 VIDEO_SEED = 7
+UNDERREG_SEEDS = (1000, 1001, 1002)
 # The keys of one call record, in the order the log stores them.
 CALL_FIELDS = ("shape", "k_min", "route", "returned", "deltas", "factors")
 
@@ -85,19 +89,20 @@ def cases(spglr, workloads):
     """(name, run, config) for every solve of the case set, in run order:
     run(config) solves the case's data, built here from its seed, and
     returns the SolveResult."""
-    def completion(workload, size, seed):
-        # both completion workloads draw rank-5 trials at sampling rate 0.8
+    def completion(name, size, seed, solver_config, svt_config=None):
+        # every completion case draws rank-5 trials at sampling rate 0.8
         spec = spglr.TrialSpec(m=size, n=size, r=5, sr=0.8, noise=workloads.NOISE, seed=seed)
         data = spglr.build_trial_data(spec)[1]
-        yield (f"{workload.name}-{seed}-spg",
-               lambda cfg: spglr.solve(spglr.CompletionLoss(data), cfg), workload.solver_config)
-        yield (f"{workload.name}-{seed}-svt",
-               lambda cfg: spglr.svt_solve(data, cfg), workload.svt_config)
+        yield (f"{name}-{seed}-spg",
+               lambda cfg: spglr.solve(spglr.CompletionLoss(data), cfg), solver_config)
+        if svt_config is not None:
+            yield f"{name}-{seed}-svt", lambda cfg: spglr.svt_solve(data, cfg), svt_config
 
+    complete, mc = workloads.CompleteM200, workloads.McM60
     for seed in COMPLETE_SEEDS:
-        yield from completion(workloads.CompleteM200, 200, seed)
+        yield from completion(complete.name, 200, seed, complete.solver_config, complete.svt_config)
     for seed in MC_SEEDS:
-        yield from completion(workloads.McM60, 60, seed)
+        yield from completion(mc.name, 60, seed, mc.solver_config, mc.svt_config)
     video = workloads.RpcaVideoCli
     observed = workloads.video(VIDEO_SEED)[1]
     config = spglr.io_formats.config_read(json.dumps(dict(video.config, seed=VIDEO_SEED))).solver
@@ -107,6 +112,9 @@ def cases(spglr, workloads):
     rows, cols = np.divmod(np.arange(m * n), n)
     data = spglr.MaskedData(m, n, rows, cols, observed.ravel())
     yield f"{video.name}-{VIDEO_SEED}-svt", lambda cfg: spglr.svt_solve(data, cfg), video.svt_config
+    underreg = spglr.SolverConfig(lam=0.75, nu=0.05, mu0=10.0, max_iter=150)
+    for seed in UNDERREG_SEEDS:
+        yield from completion("underreg-m200", 200, seed, underreg)
 
 
 @contextlib.contextmanager
