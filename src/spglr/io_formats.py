@@ -242,9 +242,9 @@ def results_csv_write(rows):
 # The config keys are the fields of SolverConfig (lam spelled "lambda"),
 # GmmNoiseParams and TrialSpec's data fields, plus "solver". The data
 # fields are TrialSpec's fields without a default, less the noise; they
-# are the required keys. The codec checks each value's type against its
-# field's declared type; each range belongs to the dataclass that owns
-# the field.
+# are the required keys. Each value goes to the dataclass that owns its
+# field as JSON parsed it, and that dataclass checks its type and range;
+# the codec only reads the string "inf", as JSON has no infinity.
 _SPELLING = {"lam": "lambda"}
 _SOLVER_FIELDS = fields(SolverConfig)
 _NOISE_FIELDS = fields(GmmNoiseParams)
@@ -254,7 +254,6 @@ _DATA_FIELDS = tuple(
 _KEY_FIELDS = {
     _SPELLING.get(f.name, f.name): f for f in _SOLVER_FIELDS + _NOISE_FIELDS + _DATA_FIELDS
 }
-_TYPE_RULES = {int: ((int,), "must be an integer"), float: ((int, float), "must be a number")}
 
 
 @dataclass
@@ -268,10 +267,11 @@ def config_read(text, overrides=None):
     """Parse and validate a JSON run configuration.
 
     Solver and noise keys default to their dataclass defaults; the data
-    keys m, n, r, sr are required. Unknown keys are rejected. A real may
-    be given as "inf" (or a JSON Infinity), which only alpha accepts.
-    The optional `overrides` dict replaces keys of the parsed document
-    before it is validated.
+    keys m, n, r, sr are required. Unknown keys are rejected. Each value
+    reaches its owning dataclass as JSON parsed it, except that the
+    string "inf" (in any case) reads as math.inf, which only alpha
+    accepts. The optional `overrides` dict replaces keys of the parsed
+    document before it is validated.
     """
     try:
         doc = json.loads(text)
@@ -297,12 +297,12 @@ def check_config_keys(doc):
 def config_from_dict(doc):
     """Validate a parsed config dict, overrides already applied.
 
-    A ValueError from an owning dataclass starts with the field name; it
-    is re-raised as a ConfigError that starts with the quoted key.
+    Each value goes to its owner: SolverConfig, then GmmNoiseParams,
+    then TrialSpec, which each check every type before any range. The
+    first ValueError raised starts with the field name; it is re-raised
+    as a ConfigError that starts with the quoted key.
     """
-    values = {
-        f.name: _typed(key, f.type, doc[key]) for key, f in _KEY_FIELDS.items() if key in doc
-    }
+    values = {f.name: _inf(doc[key]) for key, f in _KEY_FIELDS.items() if key in doc}
 
     def pick(group):
         return {f.name: values[f.name] for f in group if f.name in values}
@@ -321,14 +321,6 @@ def config_from_dict(doc):
     return RunConfig(solver=solver_cfg, trial=trial, solver_choice=solver_choice)
 
 
-def _typed(key, ftype, value):
-    """`value` as a `ftype`; a float field also takes the string "inf"."""
-    if ftype is float and isinstance(value, str) and value.strip().lower() == "inf":
-        return math.inf
-    accepted, rule = _TYPE_RULES[ftype]
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ConfigError(f'"{key}": {rule}')
-    try:
-        return ftype(value)
-    except OverflowError:
-        raise ConfigError(f'"{key}": {rule} within the float range') from None
+def _inf(value):
+    """math.inf for the string "inf", in any case and spacing; else `value`."""
+    return math.inf if isinstance(value, str) and value.strip().lower() == "inf" else value

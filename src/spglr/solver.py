@@ -192,10 +192,12 @@ def _spg_step(X_k, f_k, G, mu_k, d_k, binding, config, warm=None):
 
 def update_mu(k, mu_k, energy_new, energy_old, alpha, mu0, sigma_exp):
     """Keep mu when the energy dropped by at least alpha * mu_k, else
-    reset it to mu0 / (k + 1)^sigma_exp. alpha = inf always resets."""
+    reset it to mu0 / (k + 1)^sigma_exp. alpha = inf always resets.
+    The power is a float power, so integer settings give the same mu as
+    their floats, not an exact integer power that can grow without bound."""
     if energy_new - energy_old <= -alpha * mu_k:
         return mu_k
-    return mu0 / (k + 1) ** sigma_exp
+    return mu0 / float(k + 1) ** sigma_exp
 
 
 def energy(binding, X, mu, config):

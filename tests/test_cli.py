@@ -114,6 +114,29 @@ def test_solve_file_mode_deterministic_outputs(tmp_path):
     assert len(records) == m1["iterations"]
 
 
+# sigma_exp 10 with alpha "inf" puts mu on the envelope mu0 / (k + 1)**10
+# every iteration, whose integer power passes 2**53 from k = 39.
+@pytest.mark.parametrize("sigma_exp, extra", [(2, {}), (10, {"alpha": "inf", "mu_stop": 1e-300})])
+def test_json_integers_in_real_keys_solve_as_floats(tmp_path, sigma_exp, extra):
+    # the codec hands a JSON integer to its owner as an int; the solve
+    # must not tell it from the float of the same value
+    whole = {"mu0": 100, "lambda": 1, "sr": 1, "sigma_exp": sigma_exp,
+             "var_a": 0, "var_b": 0, "c": 0}
+    base = {"m": 20, "n": 20, "r": 2, "nu": 0.05, "max_iter": 50, "seed": 4, **extra}
+    outs = []
+    for name, doc in [("int", whole), ("float", {k: float(v) for k, v in whole.items()})]:
+        cfg = write_config(tmp_path, {**base, **doc}, f"{name}.json")
+        outs.append(tmp_path / name)
+        assert run(["solve", "--config", cfg, "--out-dir", str(outs[-1])]) == 0
+    a, b = outs
+    assert (a / "X.csv").read_bytes() == (b / "X.csv").read_bytes()
+    assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
+    m_a = json.loads((a / "metrics.json").read_text())
+    m_b = json.loads((b / "metrics.json").read_text())
+    m_a.pop("wall_time_s"), m_b.pop("wall_time_s")
+    assert m_a == m_b
+
+
 def test_solve_with_svt_flag(tmp_path):
     cfg = write_config(tmp_path, SMALL)
     out = tmp_path / "svt"

@@ -461,18 +461,21 @@ def build_owner(field, value):
 
 @pytest.mark.parametrize("key", sorted([*io_formats._KEY_FIELDS, "solver"]))
 def test_config_key_type_and_range(key):
-    wrong_type, out_of_range = KEY_CASES[key]
-    with pytest.raises(ConfigError, match=f'^"{key}": '):
-        config_read(MINIMAL, {key: wrong_type})
-    with pytest.raises(ConfigError, match=f'^"{key}": ') as from_codec:
-        config_read(MINIMAL, {key: out_of_range})
-    if key == "solver":
-        return  # the solver choice is the codec's own key
-    field = "lam" if key == "lambda" else key
-    with pytest.raises(ValueError, match=f"^{field} ") as from_owner:
-        build_owner(field, out_of_range)
-    # the codec states no rule of its own: it only puts the key in front
-    assert str(from_codec.value) == f'"{key}": ' + str(from_owner.value).split(" ", 1)[1]
+    values = list(KEY_CASES[key])
+    if key in io_formats._KEY_FIELDS and io_formats._KEY_FIELDS[key].type is float:
+        values.append(10**400)  # an integer beyond the float range
+    for value in values:
+        with pytest.raises(ConfigError, match=f'^"{key}": ') as from_codec:
+            config_read(MINIMAL, {key: value})
+        if key == "solver":
+            continue  # the solver choice is the codec's own key
+        field = "lam" if key == "lambda" else key
+        with pytest.raises(ValueError, match=f"^{field} ") as from_owner:
+            build_owner(field, value)
+        # the codec states no rule of its own: it only puts the key in front
+        assert str(from_codec.value) == f'"{key}": ' + str(from_owner.value).split(" ", 1)[1]
+        if value == 10**400:
+            assert str(from_codec.value) == f'"{key}": must be finite'
 
 
 def test_config_bad_types_and_values():

@@ -224,6 +224,16 @@ def test_update_mu_infinite_alpha_always_resets():
     assert mu2 == pytest.approx(10.0 / 2**1.5)
 
 
+@pytest.mark.parametrize("sigma_exp", [6, 10, 23])
+def test_update_mu_integer_settings_match_their_floats(sigma_exp):
+    # (k + 1)**sigma_exp passes 2**53 within 500 iterations for these
+    # exponents; an exact integer power would then round differently
+    for k in range(500):
+        assert update_mu(k, 1.0, 0.0, 0.0, math.inf, 100, sigma_exp) == update_mu(
+            k, 1.0, 0.0, 0.0, math.inf, 100.0, float(sigma_exp)
+        )
+
+
 class _StubLoss:
     """Fixed smoothed-loss value; enough for the energy composition."""
 

@@ -91,6 +91,8 @@ ERROR_CASES = {
     "alpha_huge": ({"alpha": "huge"}, []),
     "max_iter_fraction": ({"max_iter": 2.5}, []),
     "solver_magic": ({"solver": "magic"}, []),
+    "mu0_beyond_float_range": ({"mu0": 10**400}, []),
+    "range_before_type": ({"lambda": 0.0, "m": "8"}, []),
     "trials_zero": ({}, ["--trials", "0"]),
     "seed_negative": ({}, ["--seed", "-1"]),
     # rejected before any read, so the file need not exist
